@@ -257,12 +257,19 @@ func BenchmarkFleetRun(b *testing.B) {
 		cfg.Serving = fleet.ServingConfig{Enabled: true}
 		benchFleet(b, trace, cfg, horizon)
 	})
-	// obs repeats s1 with the flight recorder enabled (events retained in
-	// memory, no sink), gating the enabled-path overhead — per-lane ring
+	// obs-record repeats s1 with the flight recorder enabled into a sink
+	// that drops every window, gating the recording cost alone — per-lane
 	// emission on refills, state changes and P-state transitions, the
 	// attribution ledgers, and the barrier drain/merge — against the
-	// plain s1 numbers.
-	b.Run("obs", func(b *testing.B) {
+	// plain s1 numbers. obs-retain additionally keeps the merged stream
+	// in memory (Buffer), so the difference is the retention cost.
+	b.Run("obs-record", func(b *testing.B) {
+		cfg := base
+		cfg.Shards, cfg.Workers = 1, 1
+		cfg.Obs = fleet.ObsConfig{Enabled: true, Sink: discardEvents{}}
+		benchFleet(b, trace, cfg, horizon)
+	})
+	b.Run("obs-retain", func(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
 		cfg.Obs = fleet.ObsConfig{Enabled: true, Buffer: true}

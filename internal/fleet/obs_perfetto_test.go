@@ -40,3 +40,54 @@ func TestFleetPerfettoTrace(t *testing.T) {
 		t.Error("no migration instants in the trace despite consolidation churn")
 	}
 }
+
+// TestFleetPerfettoDeterministic: the Perfetto file is a pure function of
+// the run. Two identical runs, and every shard x worker combination,
+// write byte-identical traces — Finish included — for the churn and the
+// autoscale scenarios, and no window falls back from the lane merge to
+// the sort. The first 120 s of each trace keep the suite fast and still
+// carry migrations and autoscale actions.
+func TestFleetPerfettoDeterministic(t *testing.T) {
+	seed := uint64(7)
+	scenarios := []struct {
+		name, marker string // marker: an instant the trace must carry
+		cfg          func(shards, workers int, seed uint64) Config
+		tr           *Trace
+	}{
+		{"churn", `"mig-start"`, churnConfig, churnTrace(t, seed)},
+		{"autoscale", `"autoscale"`, autoscaleConfig, autoscaleTrace(t, seed)},
+	}
+	for _, sc := range scenarios {
+		run := func(shards, workers int) []byte {
+			var buf bytes.Buffer
+			cfg := sc.cfg(shards, workers, seed)
+			cfg.Obs = ObsConfig{Enabled: true, Sink: obs.NewPerfettoWriter(&buf)}
+			f, err := New(cfg, sc.tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Run(120 * sim.Second); err != nil {
+				t.Fatal(err)
+			}
+			if n := f.rec.Fallbacks(); n != 0 {
+				t.Errorf("%s shards=%d workers=%d: %d windows fell back to sorting", sc.name, shards, workers, n)
+			}
+			return buf.Bytes()
+		}
+		want := run(1, 1)
+		if !bytes.Contains(want, []byte(`"ph":"X"`)) || !bytes.Contains(want, []byte(sc.marker)) {
+			t.Fatalf("%s: vacuous trace, no slices or no %s instants", sc.name, sc.marker)
+		}
+		if again := run(1, 1); !bytes.Equal(again, want) {
+			t.Errorf("%s: two identical runs wrote different traces (%d vs %d bytes)", sc.name, len(again), len(want))
+		}
+		for _, shards := range []int{1, 2, 4, 7} {
+			for _, workers := range []int{1, 4} {
+				if got := run(shards, workers); !bytes.Equal(got, want) {
+					t.Errorf("%s shards=%d workers=%d: trace differs from 1x1 (%d vs %d bytes)",
+						sc.name, shards, workers, len(got), len(want))
+				}
+			}
+		}
+	}
+}

@@ -84,7 +84,9 @@ func TestFleetShardEquivalence(t *testing.T) {
 	}
 }
 
-// runFleetObs is runFleet plus the retained flight-recorder stream.
+// runFleetObs is runFleet plus the retained flight-recorder stream. It
+// also checks that every drained window kept the per-lane order
+// contract, so the recorder merged it without the sort fallback.
 func runFleetObs(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) (*Report, []obs.Event) {
 	t.Helper()
 	f, err := New(cfg, tr)
@@ -94,6 +96,10 @@ func runFleetObs(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) (*Report
 	rep, err := f.Run(horizon)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := f.rec.Fallbacks(); n != 0 {
+		t.Errorf("shards=%d workers=%d: %d windows broke the per-lane order contract and fell back to sorting",
+			cfg.Shards, cfg.Workers, n)
 	}
 	return rep, f.ObsEvents()
 }

@@ -142,6 +142,18 @@ type Host struct {
 	schedThr sched.Throttler
 	obsFreq  cpufreq.Freq // last emitted P-state
 	maxFreq  cpufreq.Freq // the profile's maximum, cached
+	// exhausted holds the budget exhaustions the scheduler reported
+	// while a step was charged, stamped at the step's end; they are
+	// emitted after the step's attribution events, stamped at its start,
+	// so the lane's event times never decrease (obs's per-lane order
+	// contract).
+	exhausted []exhaustion
+}
+
+// exhaustion is one deferred KindExhausted event.
+type exhaustion struct {
+	at sim.Time
+	vm *vm.VM
 }
 
 // machine adapts the host to the engine's Machine interface without
@@ -450,6 +462,7 @@ func (h *Host) step(now sim.Time) error {
 	}
 	if h.obs != nil {
 		h.obsStep(now, picked, pickedBusy)
+		h.obsExhausted()
 	}
 	h.scheduler.Tick(end)
 
@@ -646,6 +659,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	}
 	if h.obs != nil {
 		h.obsBatchRun(now, d, single)
+		h.obsExhausted()
 	}
 	if err := h.energy.Add(d, freq, 1); err != nil {
 		return 0, fmt.Errorf("host: %w", err)
@@ -728,6 +742,7 @@ func (h *Host) batchPattern(q sim.Time, freq cpufreq.Freq, max int, now sim.Time
 	}
 	if h.obs != nil {
 		h.obsPatternStretch(now, q, total, picks)
+		h.obsExhausted()
 	}
 	if err := h.energy.Add(sim.Time(total)*q, freq, 1); err != nil {
 		return 0, fmt.Errorf("host: %w", err)
@@ -772,12 +787,14 @@ func (h *Host) obsWaitClass(led *obs.VMLedger, v *vm.VM) obs.State {
 
 // obsStep attributes one reference quantum starting at now: the picked
 // VM's busy time splits into run/downclocked by the momentary
-// frequency (plus an idle tail when its workload drained mid-quantum),
-// and every other observed VM's whole quantum is classified by
-// obsWaitClass.
+// frequency (plus an idle tail when its workload drained mid-quantum,
+// emitted after every state stamped at now), and every other observed
+// VM's whole quantum is classified by obsWaitClass.
 func (h *Host) obsStep(now sim.Time, picked *vm.VM, busy sim.Time) {
 	q := h.cfg.Quantum
 	down := h.cpu.Freq() < h.maxFreq
+	var tailLed *obs.VMLedger
+	var tail obs.State
 	for i, v := range h.vms {
 		led := h.leds[i]
 		if led == nil {
@@ -791,9 +808,8 @@ func (h *Host) obsStep(now sim.Time, picked *vm.VM, busy sim.Time) {
 			}
 			h.obsState(led, v, now, st)
 			if busy < q {
-				st = led.WaitState(obs.StateIdle)
-				led.AddWait(q-busy, st)
-				h.obsState(led, v, now+busy, st)
+				tailLed, tail = led, led.WaitState(obs.StateIdle)
+				led.AddWait(q-busy, tail)
 			}
 			continue
 		}
@@ -801,6 +817,19 @@ func (h *Host) obsStep(now sim.Time, picked *vm.VM, busy sim.Time) {
 		led.AddWait(q, st)
 		h.obsState(led, v, now, st)
 	}
+	if tailLed != nil {
+		h.obsState(tailLed, picked, now+busy, tail)
+	}
+}
+
+// obsExhausted emits the exhaustions deferred while the step was
+// charged.
+func (h *Host) obsExhausted() {
+	for i, x := range h.exhausted {
+		h.obs.Emit(x.at, obs.KindExhausted, x.vm.Name(), 0, 0)
+		h.exhausted[i] = exhaustion{} // drop the VM pointer from the reused buffer
+	}
+	h.exhausted = h.exhausted[:0]
 }
 
 // obsIdleStretch attributes a batched stretch of d during which the
@@ -901,10 +930,11 @@ func (h *Host) TraceRefill(now sim.Time) {
 }
 
 // TraceExhausted implements sched.Tracer: a VM's budget crossed zero
-// under a hard cap.
+// under a hard cap. Charges report it at the charged step's end, so it
+// waits for the step's attribution (obsExhausted).
 func (h *Host) TraceExhausted(now sim.Time, v *vm.VM) {
 	if h.obs != nil {
-		h.obs.Emit(now, obs.KindExhausted, v.Name(), 0, 0)
+		h.exhausted = append(h.exhausted, exhaustion{at: now, vm: v})
 	}
 }
 

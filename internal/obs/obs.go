@@ -11,12 +11,21 @@
 // or LaneCoordinator for the control plane — and Seq is a per-lane
 // sequence number. A machine's command stream (and therefore its host's
 // stepping) is identical for any shard × worker count, so each lane's
-// event sequence is sharding-invariant; sorting a drained window by
+// event sequence is sharding-invariant; ordering a drained window by
 // (At, Lane, Seq) yields a merged stream that is DeepEqual-bit-exact
-// across shardings. Events are appended to per-shard rings (one writer
-// at a time, like every other per-shard accumulator) and drained by the
-// coordinator at reporting barriers; ring buffers are pooled per shard
-// and reused across windows.
+// across shardings.
+//
+// Per-lane order contract: within one lane, At never decreases in Seq
+// order (a lane is one machine's clock, which only moves forward). Each
+// lane therefore appends an already-sorted run, and the coordinator
+// drains a window at a reporting barrier by k-way merging the lane runs
+// by (At, Lane) straight into its reused window buffer — no sort. Emit
+// flags a lane whose run breaks the contract, and Drain checks the flags
+// while it collects the runs; a window that breaks it falls back to a
+// full (At, Lane, Seq) sort, and the fallback is counted
+// (Recorder.Fallbacks). Lanes belong to per-shard rings with one
+// writer at a time, like every other per-shard accumulator, and their
+// buffers are reused across windows.
 //
 // When disabled, nothing in this package runs: the host and fleet guard
 // every emission behind a single nil pointer check, so the disabled hot
@@ -24,7 +33,8 @@
 package obs
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"pasched/internal/sim"
 )
@@ -176,36 +186,43 @@ type Event struct {
 	A, B int64
 }
 
-// Ring is one shard's pooled event buffer. Exactly one worker appends
-// to a shard's ring at a time (the same single-writer discipline as the
-// shard's interval accumulators); the coordinator drains it at barriers
-// and hands the backing array back for reuse.
+// Ring is one shard's set of lanes. Exactly one worker emits into a
+// shard's lanes at a time (the same single-writer discipline as the
+// shard's interval accumulators); the coordinator drains them at
+// barriers and hands the run buffers back for reuse.
 type Ring struct {
-	ev []Event
+	lanes []*MachineObs
 }
 
 // MachineObs is one lane's emitting handle: it owns the lane's sequence
-// counter and appends to the owning shard's ring. A machine keeps its
+// counter and the lane's run of undrained events. A machine keeps its
 // MachineObs across power cycles so sequence numbers never restart
-// within a run.
+// within a run. Each lane has exactly one handle.
 type MachineObs struct {
-	ring *Ring
-	lane int32
-	seq  uint32
+	run       []Event
+	lane      int32
+	seq       uint32
+	unordered bool // run breaks the per-lane order contract
 }
 
-// NewMachineObs returns an emitting handle for the given lane appending
-// into ring.
+// NewMachineObs returns an emitting handle for the given lane,
+// registered with ring so the recorder drains it.
 func NewMachineObs(ring *Ring, lane int32) *MachineObs {
-	return &MachineObs{ring: ring, lane: lane}
+	m := &MachineObs{lane: lane}
+	ring.lanes = append(ring.lanes, m)
+	return m
 }
 
-// Emit appends one event at simulated time at. The VM string must be a
-// stable name (shared, not built per call) so emission does not
-// allocate beyond ring growth.
+// Emit appends one event at simulated time at, which must not precede
+// the lane's previous event (the per-lane order contract). The VM string
+// must be a stable name (shared, not built per call) so emission does
+// not allocate beyond run growth.
 func (m *MachineObs) Emit(at sim.Time, k Kind, vmName string, a, b int64) {
 	m.seq++
-	m.ring.ev = append(m.ring.ev, Event{At: at, Lane: m.lane, Seq: m.seq, Kind: k, VM: vmName, A: a, B: b})
+	if n := len(m.run); n > 0 && at < m.run[n-1].At {
+		m.unordered = true
+	}
+	m.run = append(m.run, Event{At: at, Lane: m.lane, Seq: m.seq, Kind: k, VM: vmName, A: a, B: b})
 }
 
 // EventSink consumes merged event windows. Events is called once per
@@ -222,12 +239,15 @@ type EventSink interface {
 // them into deterministic windows at barriers, and feeds the optional
 // sink and in-memory buffer.
 type Recorder struct {
-	rings   []*Ring // per shard, then the coordinator ring last
-	sink    EventSink
-	keep    bool
-	all     []Event
-	scratch []Event
-	total   int64
+	rings     []*Ring // per shard, then the coordinator ring last
+	sink      EventSink
+	keep      bool
+	all       []Event
+	scratch   []Event
+	runs      [][]Event   // the window's non-empty lane runs
+	heads     []mergeHead // the merge heap over runs
+	total     int64
+	fallbacks int64
 }
 
 // NewRecorder builds a recorder for the given shard count. sink, when
@@ -247,40 +267,147 @@ func (r *Recorder) Ring(shard int) *Ring { return r.rings[shard] }
 // CoordinatorRing returns the control plane's ring.
 func (r *Recorder) CoordinatorRing() *Ring { return r.rings[len(r.rings)-1] }
 
-// Drain merges every ring's pending events into one window sorted by
+// Drain merges every lane's pending run into one window ordered by
 // (At, Lane, Seq), dispatches it to the sink and buffer, and recycles
-// the ring buffers. It must run with every shard parked at a barrier.
+// the run buffers. The window is written straight into the retained
+// stream when keep is set, otherwise into a reused scratch buffer. It
+// must run with every shard parked at a barrier.
 func (r *Recorder) Drain() error {
+	runs, heads := r.runs[:0], r.heads[:0]
 	n := 0
+	ordered := true
 	for _, rg := range r.rings {
-		n += len(rg.ev)
+		for _, m := range rg.lanes {
+			if len(m.run) == 0 {
+				continue
+			}
+			heads = append(heads, mergeHead{at: m.run[0].At, lane: m.lane, run: int32(len(runs))})
+			runs = append(runs, m.run)
+			n += len(m.run)
+			ordered = ordered && !m.unordered
+		}
 	}
+	r.runs, r.heads = runs, heads
 	if n == 0 {
 		return nil
 	}
-	w := r.scratch[:0]
-	for _, rg := range r.rings {
-		w = append(w, rg.ev...)
-		rg.ev = rg.ev[:0]
-	}
-	sort.Slice(w, func(i, j int) bool {
-		if w[i].At != w[j].At {
-			return w[i].At < w[j].At
-		}
-		if w[i].Lane != w[j].Lane {
-			return w[i].Lane < w[j].Lane
-		}
-		return w[i].Seq < w[j].Seq
-	})
-	r.scratch = w
-	r.total += int64(n)
+	var w []Event
 	if r.keep {
-		r.all = append(r.all, w...)
+		r.all = slices.Grow(r.all, n)
+		w = r.all[len(r.all) : len(r.all)+n]
+		r.all = r.all[:len(r.all)+n]
+	} else {
+		w = slices.Grow(r.scratch[:0], n)[:n]
+		r.scratch = w
 	}
+	if ordered {
+		mergeRuns(w, runs, heads)
+	} else {
+		r.fallbacks++
+		sortRuns(w, runs)
+	}
+	for _, rg := range r.rings {
+		for _, m := range rg.lanes {
+			m.run = m.run[:0]
+			m.unordered = false
+		}
+	}
+	r.total += int64(n)
 	if r.sink != nil {
 		return r.sink.Events(w)
 	}
 	return nil
+}
+
+// mergeHead is one lane run's entry in the merge heap: the key of the
+// run's head event and the run's index.
+type mergeHead struct {
+	at   sim.Time
+	lane int32
+	run  int32
+}
+
+func (a *mergeHead) less(b *mergeHead) bool {
+	return a.at < b.at || (a.at == b.at && a.lane < b.lane)
+}
+
+// mergeRuns k-way merges lane runs, each in (At, Seq) order and each
+// from a distinct lane, into dst by (At, Lane). h, a heap entry per run,
+// is consumed, and runs are advanced in place.
+func mergeRuns(dst []Event, runs [][]Event, h []mergeHead) {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	out := 0
+	for len(h) > 1 {
+		// The root's smaller child holds the next-smallest head, so every
+		// root event ordered before that head goes out in one copy.
+		top := &h[0]
+		next := &h[1]
+		if len(h) > 2 && h[2].less(next) {
+			next = &h[2]
+		}
+		limit := next.at // emit while At <= limit
+		if top.lane > next.lane {
+			limit-- // an equal At belongs to the lower lane first
+		}
+		ev := runs[top.run]
+		i := 1
+		for i < len(ev) && ev[i].At <= limit {
+			i++
+		}
+		out += copy(dst[out:], ev[:i])
+		if i < len(ev) {
+			runs[top.run], top.at = ev[i:], ev[i].At
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftDown(h, 0)
+	}
+	if len(h) == 1 {
+		copy(dst[out:], runs[h[0].run])
+	}
+}
+
+// siftDown restores the heap below i, moving the entry at i down into
+// the hole its smaller children leave.
+func siftDown(h []mergeHead, i int) {
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].less(&h[c]) {
+			c++
+		}
+		if !h[c].less(&x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// sortRuns is the fallback for a window that breaks the per-lane order
+// contract: it concatenates the runs into dst and sorts by
+// (At, Lane, Seq).
+func sortRuns(dst []Event, runs [][]Event) {
+	out := 0
+	for _, run := range runs {
+		out += copy(dst[out:], run)
+	}
+	slices.SortFunc(dst, func(a, b Event) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Lane, b.Lane); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Seq, b.Seq)
+	})
 }
 
 // Finish drains the final window and closes the sink.
@@ -300,6 +427,10 @@ func (r *Recorder) Events() []Event { return r.all }
 
 // Total returns how many events have been drained so far.
 func (r *Recorder) Total() int64 { return r.total }
+
+// Fallbacks returns how many windows broke the per-lane order contract
+// and were sorted instead of merged.
+func (r *Recorder) Fallbacks() int64 { return r.fallbacks }
 
 // BoundarySourceNames lists the engine boundary-source counters emitted
 // as KindBoundary deltas, in emission order.

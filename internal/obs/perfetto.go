@@ -1,10 +1,13 @@
 package obs
 
 import (
-	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"strconv"
+	"unicode/utf8"
 
 	"pasched/internal/sim"
 )
@@ -31,18 +34,26 @@ import (
 // times never decrease, so every track's slices and counter samples
 // are emitted with monotonically non-decreasing timestamps
 // (cmd/tracecheck validates exactly that).
+//
+// Each record is appended with strconv appends to one reused output
+// buffer, written out in chunks of about 64 KiB, so encoding a window
+// of already-seen tracks allocates nothing.
 type PerfettoWriter struct {
-	w       *bufio.Writer
-	err     error
-	wrote   bool
-	tracks  map[trackKey]*vmTrack
-	nextTid map[int32]int64
-	procs   map[int32]bool
+	w     io.Writer
+	err   error
+	wrote bool
+	buf   []byte    // encoded records not yet written to w
+	procs []process // indexed by pid
 }
 
-type trackKey struct {
-	lane int32
-	vm   string
+// flushAt is the buffered size that triggers a write to the underlying
+// writer.
+const flushAt = 1 << 16
+
+// process is one lane's trace process.
+type process struct {
+	named  bool                // process_name metadata written
+	tracks map[string]*vmTrack // VM threads by name; tid i+1 is the i-th created
 }
 
 // vmTrack is one VM's thread within a machine process.
@@ -58,64 +69,105 @@ type vmTrack struct {
 // Call Finish (via the recorder) to close open slices and the JSON
 // document; the caller owns closing the underlying writer.
 func NewPerfettoWriter(w io.Writer) *PerfettoWriter {
-	pw := &PerfettoWriter{
-		w:       bufio.NewWriterSize(w, 1<<16),
-		tracks:  make(map[trackKey]*vmTrack),
-		nextTid: make(map[int32]int64),
-		procs:   make(map[int32]bool),
-	}
+	pw := &PerfettoWriter{w: w, buf: make([]byte, 0, flushAt+1<<10)}
 	pw.raw(`{"displayTimeUnit":"ms","traceEvents":[`)
 	return pw
 }
 
-func (p *PerfettoWriter) raw(s string) {
-	if p.err == nil {
-		_, p.err = p.w.WriteString(s)
+func (p *PerfettoWriter) raw(s string) { p.buf = append(p.buf, s...) }
+
+// begin starts a record at the end of the buffer, after the separator
+// from the previous record.
+func (p *PerfettoWriter) begin() []byte {
+	b := p.buf
+	if p.wrote {
+		b = append(b, ",\n"...)
+	}
+	p.wrote = true
+	return b
+}
+
+// end keeps the finished record, writing the buffer out once it is full.
+func (p *PerfettoWriter) end(b []byte) {
+	p.buf = b
+	if len(b) >= flushAt {
+		p.flush()
 	}
 }
 
-func (p *PerfettoWriter) emitf(format string, args ...any) {
-	if p.err != nil {
-		return
+// flush writes the buffered records to the underlying writer; after a
+// write error the writer keeps encoding but discards its output.
+func (p *PerfettoWriter) flush() {
+	if p.err == nil && len(p.buf) > 0 {
+		_, p.err = p.w.Write(p.buf)
 	}
-	if p.wrote {
-		p.raw(",\n")
+	p.buf = p.buf[:0]
+}
+
+// appendInt appends a pre-formatted key (such as `,"pid":`) and an
+// integer.
+func appendInt(b []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendJSON appends s as a JSON string, byte-identical to json.Marshal.
+// A name made only of printable ASCII that encoding/json leaves
+// unescaped is copied between quotes without allocating; anything else
+// is escaped by json.Marshal itself.
+func appendJSON(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
 	}
-	p.wrote = true
-	_, p.err = fmt.Fprintf(p.w, format, args...)
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // pid maps a lane to its trace process id (the coordinator's lane -1
 // becomes pid 0).
 func pid(lane int32) int64 { return int64(lane) + 1 }
 
-// process emits the process_name metadata for a lane once.
-func (p *PerfettoWriter) process(lane int32) {
-	if p.procs[lane] {
-		return
+// process returns a lane's process, emitting its process_name metadata
+// on first use.
+func (p *PerfettoWriter) process(lane int32) *process {
+	i := int(pid(lane))
+	if i >= len(p.procs) {
+		p.procs = append(p.procs, make([]process, i+1-len(p.procs))...)
 	}
-	p.procs[lane] = true
-	name := "coordinator"
+	pr := &p.procs[i]
+	if pr.named {
+		return pr
+	}
+	pr.named = true
+	b := appendInt(p.begin(), `{"ph":"M","name":"process_name","pid":`, pid(lane))
 	if lane >= 0 {
-		name = fmt.Sprintf("machine-%d", lane)
+		b = appendInt(b, `,"tid":0,"args":{"name":"machine-`, int64(lane))
+	} else {
+		b = append(b, `,"tid":0,"args":{"name":"coordinator`...)
 	}
-	p.emitf(`{"ph":"M","name":"process_name","pid":%d,"tid":0,"args":{"name":%q}}`, pid(lane), name)
+	p.end(append(b, `"}}`...))
+	return pr
 }
 
 // track returns the VM's thread on lane, creating it (and its metadata
 // events) on first sight.
 func (p *PerfettoWriter) track(lane int32, vmName string) *vmTrack {
-	k := trackKey{lane: lane, vm: vmName}
-	if t, ok := p.tracks[k]; ok {
+	pr := p.process(lane)
+	if t, ok := pr.tracks[vmName]; ok {
 		return t
 	}
-	p.process(lane)
-	p.nextTid[lane]++
-	t := &vmTrack{tid: p.nextTid[lane]}
-	t.nameJSON, _ = json.Marshal(vmName)
-	p.tracks[k] = t
-	p.emitf(`{"ph":"M","name":"thread_name","pid":%d,"tid":%d,"args":{"name":%s}}`,
-		pid(lane), t.tid, t.nameJSON)
+	if pr.tracks == nil {
+		pr.tracks = make(map[string]*vmTrack)
+	}
+	t := &vmTrack{tid: int64(len(pr.tracks)) + 1, nameJSON: appendJSON(nil, vmName)}
+	pr.tracks[vmName] = t
+	b := appendInt(p.begin(), `{"ph":"M","name":"thread_name","pid":`, pid(lane))
+	b = appendInt(b, `,"tid":`, t.tid)
+	b = append(append(b, `,"args":{"name":`...), t.nameJSON...)
+	p.end(append(b, "}}"...))
 	return t
 }
 
@@ -127,27 +179,89 @@ func (p *PerfettoWriter) closeSlice(lane int32, t *vmTrack, at sim.Time) {
 	if st == StateNone || st == StateIdle {
 		return
 	}
-	p.emitf(`{"ph":"X","name":%q,"cat":"vm","pid":%d,"tid":%d,"ts":%d,"dur":%d}`,
-		st.String(), pid(lane), t.tid, int64(t.openAt), int64(at-t.openAt))
+	name := `"unknown"`
+	if int(st) < len(quotedStates) {
+		name = quotedStates[st]
+	}
+	b := append(append(p.begin(), `{"ph":"X","name":`...), name...)
+	b = appendInt(b, `,"cat":"vm","pid":`, pid(lane))
+	b = appendInt(b, `,"tid":`, t.tid)
+	b = appendInt(b, `,"ts":`, int64(t.openAt))
+	b = appendInt(b, `,"dur":`, int64(at-t.openAt))
+	p.end(append(b, '}'))
 }
 
 // counter emits one counter sample; name must be pre-escaped JSON.
 func (p *PerfettoWriter) counter(lane int32, nameJSON []byte, at sim.Time, v int64) {
 	p.process(lane)
-	p.emitf(`{"ph":"C","name":%s,"pid":%d,"tid":0,"ts":%d,"args":{"value":%d}}`,
-		nameJSON, pid(lane), int64(at), v)
+	b := append(append(p.begin(), `{"ph":"C","name":`...), nameJSON...)
+	b = appendInt(b, `,"pid":`, pid(lane))
+	b = appendInt(b, `,"tid":0,"ts":`, int64(at))
+	b = appendInt(b, `,"args":{"value":`, v)
+	p.end(append(b, "}}"...))
 }
 
-// instant emits one instant event on (lane, tid).
-func (p *PerfettoWriter) instant(lane int32, tid int64, name string, at sim.Time, args string) {
-	p.process(lane)
-	if args == "" {
-		p.emitf(`{"ph":"i","s":"t","name":%q,"pid":%d,"tid":%d,"ts":%d}`,
-			name, pid(lane), tid, int64(at))
+// instantArgs lays out each instant kind's args object: whether it
+// opens with the event's VM name, then the quoted keys of A and B (""
+// when absent). A kind with neither has no args object.
+var instantArgs = [...]struct {
+	vm   bool
+	a, b string
+}{
+	KindRefill:       {},
+	KindExhausted:    {},
+	KindPattern:      {a: `"quanta":`, b: `"vms":`},
+	KindPlace:        {vm: true, a: `"machine":`},
+	KindReject:       {vm: true},
+	KindMigStart:     {vm: true, a: `"from":`, b: `"to":`},
+	KindMigDone:      {vm: true, a: `"to":`},
+	KindPowerOn:      {a: `"machine":`},
+	KindPowerOff:     {a: `"machine":`},
+	KindBarrier:      {a: `"live_vms":`},
+	KindRecompensate: {a: `"mhz":`, b: `"vms":`},
+	KindAutoscale:    {vm: true, a: `"action":`, b: `"value":`},
+}
+
+// instant emits e as an instant event on (e.Lane, tid), named after its
+// kind, with the kind's args.
+func (p *PerfettoWriter) instant(e *Event, tid int64) {
+	p.process(e.Lane)
+	b := append(append(p.begin(), `{"ph":"i","s":"t","name":`...), quotedKinds[e.Kind]...)
+	b = appendInt(b, `,"pid":`, pid(e.Lane))
+	b = appendInt(b, `,"tid":`, tid)
+	b = appendInt(b, `,"ts":`, int64(e.At))
+	args := &instantArgs[e.Kind]
+	if !args.vm && args.a == "" {
+		p.end(append(b, '}'))
 		return
 	}
-	p.emitf(`{"ph":"i","s":"t","name":%q,"pid":%d,"tid":%d,"ts":%d,"args":{%s}}`,
-		name, pid(lane), tid, int64(at), args)
+	b = append(b, `,"args":{`...)
+	if args.vm {
+		b = appendJSON(append(b, `"vm":`...), e.VM)
+	}
+	if args.a != "" {
+		if args.vm {
+			b = append(b, ',')
+		}
+		b = appendInt(b, args.a, e.A)
+	}
+	if args.b != "" {
+		b = appendInt(append(b, ','), args.b, e.B)
+	}
+	p.end(append(b, "}}"...))
+}
+
+// quotedStates and quotedKinds hold the state and kind names as
+// strconv.Quote renders them, so records copy them instead of quoting
+// per event.
+var quotedStates, quotedKinds = quoteAll(stateNames[:]), quoteAll(kindNames[:])
+
+func quoteAll(names []string) []string {
+	q := make([]string, len(names))
+	for i, n := range names {
+		q[i] = strconv.Quote(n)
+	}
+	return q
 }
 
 // boundaryNames are the pre-escaped counter names for KindBoundary
@@ -155,8 +269,7 @@ func (p *PerfettoWriter) instant(lane int32, tid int64, name string, at sim.Time
 var boundaryNames = func() map[string][]byte {
 	m := make(map[string][]byte, len(BoundarySourceNames))
 	for _, s := range BoundarySourceNames {
-		b, _ := json.Marshal("batch:" + s)
-		m[s] = b
+		m[s] = appendJSON(nil, "batch:"+s)
 	}
 	return m
 }()
@@ -179,13 +292,11 @@ func (p *PerfettoWriter) Events(window []Event) error {
 			t.openState = State(e.A)
 		case KindPState:
 			p.counter(e.Lane, pstateName, e.At, e.A)
-		case KindRefill:
-			p.instant(e.Lane, 0, "refill", e.At, "")
 		case KindExhausted:
-			t := p.track(e.Lane, e.VM)
-			p.instant(e.Lane, t.tid, "exhausted", e.At, "")
-		case KindPattern:
-			p.instant(e.Lane, 0, "pattern", e.At, fmt.Sprintf(`"quanta":%d,"vms":%d`, e.A, e.B))
+			p.instant(e, p.track(e.Lane, e.VM).tid)
+		case KindRefill, KindPattern, KindPlace, KindReject, KindMigStart, KindMigDone,
+			KindPowerOn, KindPowerOff, KindBarrier, KindRecompensate, KindAutoscale:
+			p.instant(e, 0)
 		case KindBoundary:
 			if name, ok := boundaryNames[e.VM]; ok {
 				p.counter(e.Lane, name, e.At, e.A)
@@ -193,54 +304,37 @@ func (p *PerfettoWriter) Events(window []Event) error {
 		case KindQueueDepth:
 			t := p.track(e.Lane, e.VM)
 			if t.queueJSON == nil {
-				t.queueJSON, _ = json.Marshal("queue:" + e.VM)
+				t.queueJSON = appendJSON(nil, "queue:"+e.VM)
 			}
 			p.counter(e.Lane, t.queueJSON, e.At, e.A)
-		case KindPlace:
-			p.instant(e.Lane, 0, "place", e.At, fmt.Sprintf(`"vm":%s,"machine":%d`, mustJSON(e.VM), e.A))
-		case KindReject:
-			p.instant(e.Lane, 0, "reject", e.At, fmt.Sprintf(`"vm":%s`, mustJSON(e.VM)))
-		case KindMigStart:
-			p.instant(e.Lane, 0, "mig-start", e.At, fmt.Sprintf(`"vm":%s,"from":%d,"to":%d`, mustJSON(e.VM), e.A, e.B))
-		case KindMigDone:
-			p.instant(e.Lane, 0, "mig-done", e.At, fmt.Sprintf(`"vm":%s,"to":%d`, mustJSON(e.VM), e.A))
-		case KindPowerOn:
-			p.instant(e.Lane, 0, "power-on", e.At, fmt.Sprintf(`"machine":%d`, e.A))
-		case KindPowerOff:
-			p.instant(e.Lane, 0, "power-off", e.At, fmt.Sprintf(`"machine":%d`, e.A))
-		case KindBarrier:
-			p.instant(e.Lane, 0, "barrier", e.At, fmt.Sprintf(`"live_vms":%d`, e.A))
 		case KindLatency:
 			p.counter(e.Lane, p50Name, e.At, e.A)
 			p.counter(e.Lane, p99Name, e.At, e.B)
-		case KindRecompensate:
-			p.instant(e.Lane, 0, "recompensate", e.At, fmt.Sprintf(`"mhz":%d,"vms":%d`, e.A, e.B))
-		case KindAutoscale:
-			p.instant(e.Lane, 0, "autoscale", e.At, fmt.Sprintf(`"vm":%s,"action":%d,"value":%d`, mustJSON(e.VM), e.A, e.B))
 		}
 	}
 	return p.err
 }
 
 // Finish implements EventSink: it closes every open slice at the run's
-// end time and terminates the JSON document.
+// end time, in (pid, tid) order so the document's bytes are a pure
+// function of the events, and terminates the JSON document.
 func (p *PerfettoWriter) Finish(at sim.Time) error {
-	for k, t := range p.tracks {
-		if t.openState != StateNone && at > t.openAt {
-			p.closeSlice(k.lane, t, at)
+	var open []*vmTrack
+	for i := range p.procs {
+		open = open[:0]
+		for _, t := range p.procs[i].tracks {
+			if t.openState != StateNone && at > t.openAt {
+				open = append(open, t)
+			}
+		}
+		slices.SortFunc(open, func(a, b *vmTrack) int { return cmp.Compare(a.tid, b.tid) })
+		for _, t := range open {
+			p.closeSlice(int32(i)-1, t, at)
 		}
 	}
 	p.raw("\n]}\n")
-	if p.err != nil {
-		return p.err
-	}
-	return p.w.Flush()
-}
-
-// mustJSON escapes s as a JSON string.
-func mustJSON(s string) []byte {
-	b, _ := json.Marshal(s)
-	return b
+	p.flush()
+	return p.err
 }
 
 // TraceStats summarizes a validated trace file.
