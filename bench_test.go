@@ -231,7 +231,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	machines := fleet.DefaultEstate(200)
 	base := fleet.Config{
 		Machines:         machines,
-		UsePAS:           true,
+		Scheduler:        "pas",
 		Policy:           fleet.NewDVFSAware(),
 		ReportEvery:      30 * sim.Second,
 		ConsolidateEvery: 60 * sim.Second,
@@ -336,7 +336,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		}
 		benchFleet(b, largeTrace, fleet.Config{
 			Machines:         fleet.DefaultEstate(50_000),
-			UsePAS:           true,
+			Scheduler:        "pas",
 			Policy:           fleet.NewFirstFit(),
 			ReportEvery:      60 * sim.Second,
 			ConsolidateEvery: 120 * sim.Second,

@@ -103,7 +103,7 @@ func run(args []string, out, errOut io.Writer) int {
 	// Validate choice flags before any trace or fleet work, so a typo
 	// fails immediately with the accepted values instead of deep in
 	// machine construction. The empty string is valid for the library
-	// (it defers to Config.UsePAS) but an empty -sched on the CLI is a
+	// (it selects "credit") but an empty -sched on the CLI is a
 	// mistake, e.g. an unset shell variable.
 	if *schedName == "" || !fleet.ValidScheduler(*schedName) {
 		fmt.Fprintf(errOut, "pasfleet: unknown scheduler %q (accepted: %s)\n",

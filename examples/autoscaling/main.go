@@ -55,7 +55,7 @@ func main() {
 	run := func(policy string) *fleet.Report {
 		cfg := fleet.Config{
 			Machines:    fleet.DefaultEstate(machines),
-			UsePAS:      true,
+			Scheduler:   "pas",
 			Policy:      fleet.NewBestFit(),
 			ReportEvery: 2 * sim.Second,
 			Seed:        seed,

@@ -8,9 +8,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"pasched"
 	"pasched/internal/consolidation"
+	"pasched/internal/fleet"
 	"pasched/internal/metrics"
 )
 
@@ -79,32 +81,49 @@ func main() {
 // powers machines off, and PAS keeps saving on what remains.
 func dynamicPhase() {
 	fmt.Println("\n--- Dynamic consolidation (live migration + power-off) ---")
-	machine := consolidation.HostSpec{MemoryMB: 8192, Profile: pasched.Optiplex755()}
-	dc, err := consolidation.NewDataCenter(machine, 4, true)
+	rep, err := nightRun(5 * pasched.Second)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Four night-time services, one per machine (the daytime estate left
-	// them spread out).
-	for i := 0; i < 4; i++ {
-		spec := consolidation.VMSpec{
-			Name:      fmt.Sprintf("svc%d", i),
-			CreditPct: 15,
-			MemoryMB:  1500,
-			Activity:  0.4,
-		}
-		if err := dc.Place(spec, i); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := dc.EnableAutoConsolidation(5 * pasched.Second); err != nil {
-		log.Fatal(err)
-	}
-	if err := dc.Run(90 * pasched.Second); err != nil {
-		log.Fatal(err)
-	}
+	last := rep.Intervals[len(rep.Intervals)-1]
 	fmt.Printf("after 90 s: %d/%d machines still on, %d live migrations, %d powered off\n",
-		dc.ActiveMachines(), dc.Machines(), dc.Migrations(), dc.AutoPoweredOff())
-	fmt.Printf("energy consumed: %.0f J (machines switched off cost nothing;\n", dc.TotalJoules())
+		last.ActiveMachines, rep.Summary.Machines, rep.Summary.Migrated, rep.Summary.PowerOffs)
+	fmt.Printf("energy consumed: %.0f J (machines switched off cost nothing;\n", rep.Summary.TotalJoules)
 	fmt.Println("PAS keeps the surviving machine at a reduced frequency).")
+}
+
+// nightRun replays the night on four machines under PAS and first-fit,
+// reporting every 5 s and consolidating every consolidateEvery (zero
+// disables consolidation). Four daytime VMs fill the machines first, so
+// first-fit spreads the four night-time services one per machine. When
+// the daytime VMs leave at 10 s, the services are left spread out.
+func nightRun(consolidateEvery pasched.Time) (*fleet.Report, error) {
+	trace, err := fleet.ParseTrace(strings.NewReader(`
+horizon,90
+class,day,60,6144
+class,svc,15,1500
+vm,day0,0,10,day,0.4
+vm,day1,0,10,day,0.4
+vm,day2,0,10,day,0.4
+vm,day3,0,10,day,0.4
+vm,svc0,0,90,svc,0.4
+vm,svc1,0,90,svc,0.4
+vm,svc2,0,90,svc,0.4
+vm,svc3,0,90,svc,0.4
+`))
+	if err != nil {
+		return nil, err
+	}
+	machine := consolidation.HostSpec{MemoryMB: 8192, Profile: pasched.Optiplex755()}
+	fl, err := fleet.New(fleet.Config{
+		Machines:         []fleet.MachineClass{{Name: "optiplex-755", Count: 4, Spec: machine}},
+		Scheduler:        "pas",
+		Policy:           fleet.NewFirstFit(),
+		ReportEvery:      5 * pasched.Second,
+		ConsolidateEvery: consolidateEvery,
+	}, trace)
+	if err != nil {
+		return nil, err
+	}
+	return fl.Run(90 * pasched.Second)
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // Extension type aliases: the multi-core DVFS cluster (the paper's
-// Section 7 perspective) and the consolidation data center (Section 2.3).
+// Section 7 perspective) and consolidation packing (Section 2.3).
 type (
 	// Cluster is a multi-core host under cluster-level PAS coordination.
 	Cluster = multicore.Cluster
@@ -14,15 +14,10 @@ type (
 	ClusterConfig = multicore.Config
 	// DVFSDomain selects per-core or per-socket frequency domains.
 	DVFSDomain = multicore.DVFSDomain
-	// DataCenter is a fleet of machines with live VM migration and power
-	// management.
-	DataCenter = consolidation.DataCenter
-	// DataCenterVM describes a VM to place in a DataCenter.
+	// DataCenterVM describes a VM to pack onto machines.
 	DataCenterVM = consolidation.VMSpec
 	// MachineSpec describes the fleet's physical machines.
 	MachineSpec = consolidation.HostSpec
-	// MigrationPlan is one proposed VM move.
-	MigrationPlan = consolidation.Migration
 )
 
 // DVFS domain granularities for ClusterConfig.
@@ -36,13 +31,6 @@ const (
 // NewCluster builds a multi-core host whose frequency domains are managed
 // by cluster-level PAS coordination.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return multicore.New(cfg) }
-
-// NewDataCenter builds a fleet of n identical machines, all powered on and
-// empty, each under PAS (usePAS) or a fix-credit scheduler at the maximum
-// frequency.
-func NewDataCenter(spec MachineSpec, n int, usePAS bool) (*DataCenter, error) {
-	return consolidation.NewDataCenter(spec, n, usePAS)
-}
 
 // PackVMs places VMs onto the fewest machines that satisfy both the memory
 // capacity and the CPU-credit capacity (first-fit decreasing by memory).

@@ -32,10 +32,6 @@ func TestClusterFacade(t *testing.T) {
 
 func TestDataCenterFacade(t *testing.T) {
 	spec := pasched.MachineSpec{MemoryMB: 4096, Profile: pasched.Optiplex755()}
-	dc, err := pasched.NewDataCenter(spec, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	vms := []pasched.DataCenterVM{
 		{Name: "a", CreditPct: 20, MemoryMB: 1024, Activity: 0.5},
 		{Name: "b", CreditPct: 20, MemoryMB: 1024, Activity: 0.5},
@@ -46,16 +42,5 @@ func TestDataCenterFacade(t *testing.T) {
 	}
 	if placement.Hosts != 1 {
 		t.Errorf("Hosts = %d, want 1", placement.Hosts)
-	}
-	for _, v := range vms {
-		if err := dc.Place(v, placement.Assignments[v.Name]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dc.Run(5 * pasched.Second); err != nil {
-		t.Fatal(err)
-	}
-	if dc.TotalJoules() <= 0 {
-		t.Error("no energy accounted")
 	}
 }

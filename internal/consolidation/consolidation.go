@@ -68,9 +68,9 @@ type HostSpec struct {
 }
 
 // WithDefaults validates the spec and fills defaults (10% Dom0 reserve,
-// the paper's setup). Callers composing machines out of HostSpecs — the
-// data center here, the heterogeneous fleet in internal/fleet — resolve
-// the spec once and keep the resolved copy.
+// the paper's setup). Callers composing machines out of HostSpecs —
+// Simulate here, the heterogeneous fleet in internal/fleet — resolve the
+// spec once and keep the resolved copy.
 func (h HostSpec) WithDefaults() (HostSpec, error) {
 	if h.MemoryMB <= 0 {
 		return h, fmt.Errorf("consolidation: host memory %d not positive", h.MemoryMB)
@@ -207,8 +207,12 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 	if err != nil {
 		return nil, err
 	}
+	scheduler := "credit"
+	if usePAS {
+		scheduler = "pas"
+	}
 	for hi, group := range byHost {
-		h, err := NewHost(spec, usePAS)
+		h, err := NewHost(spec, HostOptions{Scheduler: scheduler})
 		if err != nil {
 			return nil, fmt.Errorf("consolidation: host %d: %w", hi, err)
 		}
@@ -250,19 +254,12 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 	return rep, nil
 }
 
-// NewHost assembles one simulated machine from the spec: a CPU with the
-// spec's frequency ladder, either the PAS scheduler (credits compensated
-// at reduced frequencies, the load source bound to the host) or a plain
-// fix-credit scheduler pinned at the maximum frequency, plus a Dom0 with
-// the reserved share. It is the machine constructor shared by the
-// homogeneous data center here and the heterogeneous fleet
-// (internal/fleet).
-func NewHost(spec HostSpec, usePAS bool) (*host.Host, error) {
-	return NewHostWithOptions(spec, usePAS, HostOptions{})
-}
-
 // HostOptions tunes the assembled machine beyond the hardware spec.
 type HostOptions struct {
+	// Scheduler names the machine's scheduler, resolved against the
+	// scheduler registry (see SchedulerNames for the accepted values and
+	// Schedulers for descriptions). Empty selects "credit".
+	Scheduler string
 	// Reference forces the reference quantum-by-quantum stepping path
 	// (host.Config.Reference), for batched==reference equivalence tests.
 	Reference bool
@@ -273,29 +270,24 @@ type HostOptions struct {
 	// per-VM series would otherwise grow with every VM that ever lived
 	// on the host).
 	SampleEvery sim.Time
-	// Scheduler overrides the usePAS choice with a scheduler by name,
-	// resolved against the scheduler registry (see SchedulerNames for
-	// the accepted values and Schedulers for descriptions). Empty
-	// defers to usePAS.
-	Scheduler string
 	// Obs is the machine's flight-recorder lane (host.Config.Obs). Nil
 	// disables observation.
 	Obs *obs.MachineObs
 }
 
-// NewHostWithOptions is NewHost with the extra knobs of HostOptions.
-func NewHostWithOptions(spec HostSpec, usePAS bool, opts HostOptions) (*host.Host, error) {
+// NewHost assembles one simulated machine from the spec: a CPU with the
+// spec's frequency ladder, the scheduler opts names (PAS-family
+// schedulers get the host bound as their load source), plus a Dom0 with
+// the reserved share. It is the machine constructor shared by Simulate
+// and the heterogeneous fleet (internal/fleet).
+func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
 	cpu, err := cpufreq.NewCPU(spec.Profile)
 	if err != nil {
 		return nil, err
 	}
 	name := opts.Scheduler
 	if name == "" {
-		if usePAS {
-			name = "pas"
-		} else {
-			name = "credit"
-		}
+		name = "credit"
 	}
 	entry, ok := lookupScheduler(name)
 	if !ok {

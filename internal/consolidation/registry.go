@@ -9,7 +9,7 @@ import (
 )
 
 // loadBinder is the hook PAS-family schedulers expose to observe the
-// host they run on; NewHostWithOptions binds it after host construction.
+// host they run on; NewHost binds it after host construction.
 type loadBinder interface{ BindLoadSource(core.LoadSource) }
 
 // SchedulerSpec is one entry of the scheduler registry: the canonical

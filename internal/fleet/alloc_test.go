@@ -28,7 +28,7 @@ func TestFleetBarrierNoAllocsWithoutObs(t *testing.T) {
 	})
 	f, err := New(Config{
 		Machines:    testMachines(3, 2),
-		UsePAS:      true,
+		Scheduler:   "pas",
 		Policy:      NewBestFit(),
 		ReportEvery: horizon,
 		Shards:      1,

@@ -185,7 +185,6 @@ func (f *Fleet) scaleOut(t sim.Time, p *ctlVM) error {
 	// cannot collide with the arrival-index lanes — over the parent's
 	// remaining demand profile.
 	d.seed = p.d.seed ^ (uint64(p.spawned+1) * 0xda942042e4dd58b5)
-	d.deterministic = f.cfg.DeterministicArrivals
 	d.phases = phases
 	d.class = p.d.class
 	// The server replays the parent's full arrival stream — same seed,

@@ -61,18 +61,12 @@ type Config struct {
 	// Machines lists the machine classes. Required, at least one machine
 	// in total.
 	Machines []MachineClass
-	// UsePAS selects the scheduler on every machine: the PAS scheduler
-	// (DVFS with credit compensation) or the fix-credit baseline pinned
-	// at the maximum frequency.
-	//
-	// Deprecated: UsePAS survives as a thin alias for Scheduler "pas"
-	// (true) / "credit" (false); new code should set Scheduler.
-	UsePAS bool
 	// Scheduler selects the per-machine scheduler by name, resolved
 	// against the scheduler registry shared with the consolidation
 	// package and the CLIs — see SchedulerNames for the accepted names
-	// and aliases, consolidation.Schedulers for descriptions. It
-	// overrides UsePAS; empty defers to UsePAS.
+	// and aliases, consolidation.Schedulers for descriptions. Empty
+	// selects "credit", the fix-credit baseline pinned at the maximum
+	// frequency; "pas" is the paper's DVFS with credit compensation.
 	Scheduler string
 	// Policy decides placement (and consolidation targets). Default
 	// first-fit.
@@ -86,9 +80,6 @@ type Config struct {
 	// migrations chosen by the policy. Zero disables consolidation (empty
 	// machines still power off at reporting barriers).
 	ConsolidateEvery sim.Time
-	// MigrationBandwidthMBps is the live-migration pre-copy bandwidth;
-	// default consolidation.DefaultMigrationBandwidthMBps.
-	MigrationBandwidthMBps float64
 	// Shards partitions the machines round-robin into independently
 	// stepped shards, each with its own event queue and persistent
 	// worker. Every cross-shard operation is resolved by the sequential
@@ -104,9 +95,6 @@ type Config struct {
 	Workers int
 	// Seed seeds the per-VM workload arrival processes.
 	Seed uint64
-	// DeterministicArrivals selects fixed inter-arrival times inside each
-	// VM's demand profile instead of Poisson arrivals.
-	DeterministicArrivals bool
 	// Reference forces every machine onto the reference
 	// quantum-by-quantum stepping path (host.Config.Reference), the
 	// baseline the batched==reference equivalence tests compare against.
@@ -214,8 +202,7 @@ type ServingConfig struct {
 	// Clients is the closed-loop population size per VM; zero selects
 	// 4x Slots.
 	Clients int
-	// ThinkTime is the closed-loop mean think time (exponential, or
-	// fixed with Config.DeterministicArrivals).
+	// ThinkTime is the closed-loop mean think time (exponential).
 	ThinkTime sim.Time
 	// AbandonAfter, when positive, abandons requests still queued that
 	// long after issue; RetryMax re-queues each abandoned request at
@@ -230,7 +217,7 @@ type ServingConfig struct {
 func SchedulerNames() string { return consolidation.SchedulerNames() }
 
 // ValidScheduler reports whether name is an accepted Config.Scheduler
-// value (the empty string defers to UsePAS).
+// value (the empty string selects "credit").
 func ValidScheduler(name string) bool {
 	return name == "" || consolidation.ValidScheduler(name)
 }
@@ -262,12 +249,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ConsolidateEvery < 0 {
 		return cfg, fmt.Errorf("fleet: consolidation interval %v negative", cfg.ConsolidateEvery)
 	}
-	if cfg.MigrationBandwidthMBps == 0 {
-		cfg.MigrationBandwidthMBps = consolidation.DefaultMigrationBandwidthMBps
-	}
-	if cfg.MigrationBandwidthMBps <= 0 {
-		return cfg, fmt.Errorf("fleet: migration bandwidth %v not positive", cfg.MigrationBandwidthMBps)
-	}
 	if cfg.Workers < 1 {
 		cfg.Workers = engine.DefaultWorkers()
 	}
@@ -280,22 +261,13 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Shards > total {
 		cfg.Shards = total
 	}
-	// The registry is membership's single source of truth; only the
-	// UsePAS-conflict logic lives here.
 	if !ValidScheduler(cfg.Scheduler) {
 		return cfg, fmt.Errorf("fleet: unknown scheduler %q (accepted: %s)", cfg.Scheduler, SchedulerNames())
 	}
 	if cfg.Scheduler == "" {
-		if cfg.UsePAS {
-			cfg.Scheduler = "pas"
-		} else {
-			cfg.Scheduler = "credit"
-		}
+		cfg.Scheduler = "credit"
 	} else {
 		cfg.Scheduler, _ = consolidation.CanonicalScheduler(cfg.Scheduler)
-		if cfg.UsePAS && cfg.Scheduler != "pas" {
-			return cfg, fmt.Errorf("fleet: UsePAS conflicts with scheduler %q", cfg.Scheduler)
-		}
 	}
 	if !cfg.Obs.Enabled {
 		if cfg.Obs.Sink != nil {
@@ -389,6 +361,11 @@ type ctlVM struct {
 	reps    []*ctlVM
 	spawned int
 }
+
+// migrationBandwidthMBps is the live-migration pre-copy bandwidth in MB
+// per simulated second (a 10 GbE link's practical throughput): a VM's
+// migration lasts its memory size divided by it.
+const migrationBandwidthMBps = 1000
 
 // migration is one in-flight live migration (pre-copy: the VM keeps
 // running on the source; the target holds a reservation).
@@ -771,10 +748,10 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 // the host — an O(arrivals) term at trace scale. mo is the machine's
 // flight-recorder lane; nil disables observation for this host.
 func newMachineHost(spec consolidation.HostSpec, cfg Config, mo *obs.MachineObs) (*host.Host, error) {
-	return consolidation.NewHostWithOptions(spec, cfg.UsePAS, consolidation.HostOptions{
+	return consolidation.NewHost(spec, consolidation.HostOptions{
+		Scheduler:   cfg.Scheduler,
 		Reference:   cfg.Reference,
 		SampleEvery: -1,
-		Scheduler:   cfg.Scheduler,
 		Obs:         mo,
 	})
 }
@@ -1319,7 +1296,6 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 	// in coordinator order — workloads draw identical randomness for
 	// every shard and worker count.
 	d.seed = f.cfg.Seed + uint64(f.arrived)*0x9e3779b97f4a7c15 + 1
-	d.deterministic = f.cfg.DeterministicArrivals
 	d.phases = ev.demandPhases(class, f.horizon)
 	if f.cfg.Serving.Enabled {
 		d.class = f.classIdx[ev.Class]
@@ -1554,7 +1530,7 @@ func (f *Fleet) consolidate() error {
 		}
 		f.reserve(mv.to, mv.p.req)
 		f.inbound[mv.to]++
-		dur := sim.FromSeconds(float64(mv.p.req.MemoryMB) / f.cfg.MigrationBandwidthMBps)
+		dur := sim.FromSeconds(float64(mv.p.req.MemoryMB) / migrationBandwidthMBps)
 		mg := &migration{name: mv.p.req.Name, from: victim, to: mv.to, done: f.now + dur}
 		mv.p.mig = mg
 		f.migs[mg.name] = mg

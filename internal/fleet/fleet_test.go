@@ -52,7 +52,7 @@ func TestFleetDeterminism(t *testing.T) {
 	run := func(workers int) *Report {
 		cfg := Config{
 			Machines:         testMachines(10, 6),
-			UsePAS:           true,
+			Scheduler:        "pas",
 			Policy:           NewDVFSAware(),
 			ReportEvery:      20 * sim.Second,
 			ConsolidateEvery: 40 * sim.Second,
@@ -195,7 +195,7 @@ vm,d,3,300,small,0.4
 	cfg := Config{
 		Machines: []MachineClass{{Name: "optiplex", Count: 3, Spec: consolidation.HostSpec{
 			MemoryMB: 8192, Profile: cpufreq.Optiplex755()}}},
-		UsePAS:           true,
+		Scheduler:        "pas",
 		Policy:           NewFirstFit(),
 		ReportEvery:      30 * sim.Second,
 		ConsolidateEvery: 30 * sim.Second,
@@ -213,6 +213,27 @@ vm,d,3,300,small,0.4
 	}
 	if rep.Summary.OverallSLA < 0.95 {
 		t.Errorf("lightly loaded fleet should meet its SLA, got %v", rep.Summary.OverallSLA)
+	}
+	// Credits still hold after a VM moves.
+	for _, o := range rep.PerVM {
+		if o.SLA < 0.95 {
+			t.Errorf("VM %s SLA %v after consolidation, want >= 0.95", o.Name, o.SLA)
+		}
+	}
+
+	// The twin run without consolidation keeps machine 1 on to the end:
+	// switching it off must save energy, and an off machine is not
+	// charged.
+	cfg.ConsolidateEvery = 0
+	twin := runFleet(t, cfg, tr, 300*sim.Second)
+	if rep.Summary.TotalJoules >= twin.Summary.TotalJoules {
+		t.Errorf("consolidation used %v J, no consolidation %v J; want strictly less",
+			rep.Summary.TotalJoules, twin.Summary.TotalJoules)
+	}
+	twinLast := twin.Intervals[len(twin.Intervals)-1]
+	if last.Joules >= twinLast.Joules {
+		t.Errorf("last interval: %v J on %d machine(s), twin %v J on %d; an off machine was charged",
+			last.Joules, last.ActiveMachines, twinLast.Joules, twinLast.ActiveMachines)
 	}
 }
 
@@ -264,7 +285,7 @@ func TestFleetPoliciesDiffer(t *testing.T) {
 	for _, pol := range []Policy{NewFirstFit(), NewBestFit(), NewDVFSAware()} {
 		cfg := Config{
 			Machines:    testMachines(6, 6),
-			UsePAS:      true,
+			Scheduler:   "pas",
 			Policy:      pol,
 			ReportEvery: 30 * sim.Second,
 			Seed:        11,
@@ -296,18 +317,18 @@ func TestFleetPoliciesDiffer(t *testing.T) {
 func TestFleetPASBeatsFixCreditOnEnergy(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 21, Arrivals: 60, Horizon: 180 * sim.Second,
 		MeanLifetime: 90 * sim.Second, BaseActivity: 0.4})
-	run := func(usePAS bool) *Report {
+	run := func(scheduler string) *Report {
 		cfg := Config{
 			Machines:    testMachines(8, 0),
-			UsePAS:      usePAS,
+			Scheduler:   scheduler,
 			Policy:      NewFirstFit(),
 			ReportEvery: 30 * sim.Second,
 			Seed:        21,
 		}
 		return runFleet(t, cfg, tr, 180*sim.Second)
 	}
-	pas := run(true)
-	fix := run(false)
+	pas := run("pas")
+	fix := run("credit")
 	if pas.Summary.TotalJoules >= fix.Summary.TotalJoules {
 		t.Errorf("PAS %v J >= fix-credit %v J; DVFS saved nothing",
 			pas.Summary.TotalJoules, fix.Summary.TotalJoules)
@@ -361,5 +382,73 @@ func TestFleetRunValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Machines: testMachines(1, 0)}, &Trace{}); err == nil {
 		t.Error("invalid trace accepted")
+	}
+}
+
+// TestFleetConfigValidation: New rejects a bad configuration up front
+// and names what is wrong.
+func TestFleetConfigValidation(t *testing.T) {
+	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 3, Horizon: 10 * sim.Second})
+	one := testMachines(1, 0)
+	edit := func(fn func(*MachineClass)) []MachineClass {
+		m := testMachines(1, 0)
+		fn(&m[0])
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"zero count", Config{Machines: edit(func(m *MachineClass) { m.Count = 0 })}, "at least 1 machine"},
+		{"negative count", Config{Machines: edit(func(m *MachineClass) { m.Count = -1 })}, "negative count"},
+		{"unnamed class", Config{Machines: edit(func(m *MachineClass) { m.Name = "" })}, "without a name"},
+		{"no memory", Config{Machines: edit(func(m *MachineClass) { m.Spec.MemoryMB = 0 })}, "host memory"},
+		{"no profile", Config{Machines: edit(func(m *MachineClass) { m.Spec.Profile = nil })}, "processor profile"},
+		{"full dom0 reserve", Config{Machines: edit(func(m *MachineClass) { m.Spec.Dom0ReservePct = 100 })}, "dom0 reserve"},
+		{"negative report interval", Config{Machines: one, ReportEvery: -sim.Second}, "report interval"},
+		{"negative consolidation interval", Config{Machines: one, ConsolidateEvery: -sim.Second}, "consolidation interval"},
+		{"unknown scheduler", Config{Machines: one, Scheduler: "cfs"}, SchedulerNames()},
+		{"obs buffer without recorder", Config{Machines: one, Obs: ObsConfig{Buffer: true}}, "Obs.Buffer"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg, tr); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestFleetConsolidationRespectsCapacity: consolidation never folds a
+// machine whose VMs fit nowhere else, whether memory or CPU credit
+// binds, and a lone loaded machine has nothing to fold into. No VM
+// migrates and every machine in use stays on.
+func TestFleetConsolidationRespectsCapacity(t *testing.T) {
+	for _, tc := range []struct {
+		name, trace string
+		on          int
+	}{
+		{"memory-bound", "horizon,60\nclass,m,20,6144\nvm,a,0,120,m,0.2\nvm,b,1,120,m,0.2\n", 2},
+		{"credit-bound", "horizon,60\nclass,c,50,1024\nvm,a,0,120,c,0.2\nvm,b,1,120,c,0.2\n", 2},
+		{"single machine", "horizon,60\nclass,s,10,1024\nvm,a,0,120,s,0.2\n", 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := ParseTrace(strings.NewReader(tc.trace))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := runFleet(t, Config{
+				Machines:         testMachines(2, 0),
+				Scheduler:        "pas",
+				Policy:           NewFirstFit(),
+				ReportEvery:      10 * sim.Second,
+				ConsolidateEvery: 10 * sim.Second,
+			}, tr, 60*sim.Second)
+			last := rep.Intervals[len(rep.Intervals)-1]
+			if rep.Summary.Migrated != 0 || rep.Summary.EverPoweredOn != tc.on || last.ActiveMachines != tc.on {
+				t.Errorf("%d migrations, %d machines used, %d on at the end; want 0, %d, %d",
+					rep.Summary.Migrated, rep.Summary.EverPoweredOn, last.ActiveMachines, tc.on, tc.on)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // FuzzParseTrace hammers the fleet trace parser with hostile input: the
 // parser must never panic, every accepted trace must pass Validate, and
 // writing it back out must reparse to the same trace (the CSV round
-// trip the CLI relies on).
+// trip the CLI relies on), through ParseTrace and ParseTraceStream alike.
 func FuzzParseTrace(f *testing.F) {
 	f.Add(sampleTrace)
 	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\n")
@@ -30,7 +30,16 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a\n")        // missing field
 	f.Add("wat,1,2\n")                                        // unknown record
 	f.Add("# empty\n\n")
-	f.Add("horizon,10\nhorizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\n") // dup horizon
+	f.Add("horizon,10\nhorizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\n")             // dup horizon
+	f.Add(" horizon , 10 \n class , a , 10 , 1024 \n vm , x , 0 , 5 , a , 0.5 \n") // stray spaces
+	f.Add(strings.Repeat("#x\n", 5))                                               // comments only
+	f.Add("horizon,10\nclass,a,ten,1024\nvm,x,0,5,a,0.5\n")                        // not a number
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,-1,5,a,0.5\n")                        // negative time
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,-0.5\n")                        // negative activity
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,+Inf\n")                        // infinite activity
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5,1\n")                       // too many fields
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\nvm,x,1,5,a,0.5\n")         // dup vm
+	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,1e22,a,0.5\n")                      // lifetime overflow
 
 	f.Fuzz(func(t *testing.T, input string) {
 		tr, err := ParseTrace(strings.NewReader(input))
@@ -59,37 +68,89 @@ func FuzzParseTrace(f *testing.F) {
 				t.Fatalf("round trip changed event %d: %+v vs %+v", i, a, b)
 			}
 		}
+		// The streaming reader parses the written CSV to the same trace.
+		src, err := ParseTraceStream(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("stream rejected the written trace: %v\n%s", err, buf.String())
+		}
+		streamed, err := Drain(src)
+		if err != nil {
+			t.Fatalf("streamed trace fails Drain: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(streamed, tr) {
+			t.Fatalf("streamed parse differs from ParseTrace:\n%+v\nvs\n%+v", streamed, tr)
+		}
 	})
 }
 
-// FuzzShardMigration fuzzes the cross-shard migration ordering: for
-// arbitrary shard/worker counts and churn parameters, the sharded run's
-// report must be DeepEqual-bit-exact to the single-shard, single-worker
-// run on the same generated trace. Consolidation fires every barrier,
-// so VMs keep crossing shard boundaries mid-run.
-func FuzzShardMigration(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1))
-	f.Add(uint64(99), uint8(50), uint8(20), uint8(5), uint8(3))
+// Feature bits of FuzzShardEquivalence's features byte.
+const (
+	// fuzzServe enables the serving layer: latency histograms fold on
+	// shard workers and merge on the coordinator, including requests
+	// whose service spans a live migration.
+	fuzzServe = 1 << iota
+	// fuzzObs enables the buffered flight recorder, so the per-VM
+	// attribution ledgers and the merged event stream are compared too.
+	fuzzObs
+	// fuzzAutoscale enables the ditto autoscaler resizing caps, spawning
+	// and retiring replicas, and repartitioning arrival streams mid-run.
+	// It forces serving and the recorder.
+	fuzzAutoscale
+	// fuzzStream feeds the sharded side from the streaming generator, so
+	// its trace is never materialized.
+	fuzzStream
+)
 
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
+// FuzzShardEquivalence fuzzes the sharding contract: for arbitrary
+// shard/worker counts, churn parameters and feature sets, the sharded
+// run's report and event stream must be DeepEqual-bit-exact to the
+// single-shard, single-worker run on the same generated trace.
+// Consolidation fires every barrier, so VMs keep crossing shard
+// boundaries mid-run.
+func FuzzShardEquivalence(f *testing.F) {
+	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2), uint8(0))
+	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4), uint8(0))
+	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1), uint8(0))
+	f.Add(uint64(99), uint8(50), uint8(20), uint8(5), uint8(3), uint8(0))
+	f.Add(uint64(2), uint8(40), uint8(30), uint8(3), uint8(2), uint8(fuzzServe))
+	f.Add(uint64(11), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzServe))
+	f.Add(uint64(31), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzServe))
+	f.Add(uint64(77), uint8(50), uint8(20), uint8(5), uint8(3), uint8(fuzzServe))
+	f.Add(uint64(3), uint8(40), uint8(30), uint8(3), uint8(2), uint8(fuzzServe|fuzzObs))
+	f.Add(uint64(13), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzServe|fuzzObs))
+	f.Add(uint64(37), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzServe|fuzzObs))
+	f.Add(uint64(71), uint8(50), uint8(20), uint8(5), uint8(3), uint8(fuzzServe|fuzzObs))
+	f.Add(uint64(5), uint8(40), uint8(30), uint8(3), uint8(2), uint8(fuzzAutoscale))
+	f.Add(uint64(17), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzAutoscale))
+	f.Add(uint64(41), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzAutoscale))
+	f.Add(uint64(73), uint8(50), uint8(20), uint8(5), uint8(3), uint8(fuzzAutoscale))
+	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2), uint8(fuzzStream))
+	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzStream))
+	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzStream))
+
+	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers, features uint8) {
+		activity := 0.6
+		if features&fuzzAutoscale != 0 {
+			features |= fuzzServe | fuzzObs
+			activity = 0.9
+		}
 		horizon := 120 * sim.Second
-		tr, err := Generate(GenConfig{
+		gen := GenConfig{
 			Seed:         seed,
 			Arrivals:     5 + int(arrivals%56),
 			Horizon:      horizon,
 			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.6,
+			BaseActivity: activity,
 			SegmentLen:   30 * sim.Second,
-		})
+		}
+		tr, err := Generate(gen)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := func(s, w int) Config {
-			return Config{
+			c := Config{
 				Machines:         testMachines(4, 2),
-				UsePAS:           true,
+				Scheduler:        "pas",
 				Policy:           NewBestFit(),
 				ReportEvery:      15 * sim.Second,
 				ConsolidateEvery: 15 * sim.Second,
@@ -97,187 +158,17 @@ func FuzzShardMigration(f *testing.F) {
 				Workers:          w,
 				Seed:             seed,
 			}
-		}
-		run := func(s, w int) *Report {
-			fl, err := New(cfg(s, w), tr)
-			if err != nil {
-				t.Fatal(err)
+			if features&fuzzServe != 0 {
+				c.Serving.Enabled = true
 			}
-			rep, err := fl.Run(horizon)
-			if err != nil {
-				t.Fatal(err)
+			if features&fuzzObs != 0 {
+				c.Obs = ObsConfig{Enabled: true, Buffer: true}
 			}
-			return rep
-		}
-		want := run(1, 1)
-		got := run(1+int(shards)%7, 1+int(workers)%4)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d workers=%d: report differs from 1x1:\n%+v\nvs\n%+v",
-				1+int(shards)%7, 1+int(workers)%4, got.Summary, want.Summary)
-		}
-	})
-}
-
-// FuzzServeShardEquivalence is FuzzShardMigration with the serving
-// layer enabled: latency histograms fold on shard workers and merge on
-// the coordinator, and the resulting percentiles must be bit-exact for
-// arbitrary shard/worker splits — including requests whose service
-// spans a live migration.
-func FuzzServeShardEquivalence(f *testing.F) {
-	f.Add(uint64(2), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(11), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(31), uint8(25), uint8(60), uint8(2), uint8(1))
-	f.Add(uint64(77), uint8(50), uint8(20), uint8(5), uint8(3))
-
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
-		horizon := 120 * sim.Second
-		tr, err := Generate(GenConfig{
-			Seed:         seed,
-			Arrivals:     5 + int(arrivals%56),
-			Horizon:      horizon,
-			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.6,
-			SegmentLen:   30 * sim.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := func(s, w int) Config {
-			return Config{
-				Machines:         testMachines(4, 2),
-				UsePAS:           true,
-				Policy:           NewBestFit(),
-				ReportEvery:      15 * sim.Second,
-				ConsolidateEvery: 15 * sim.Second,
-				Shards:           s,
-				Workers:          w,
-				Seed:             seed,
-				Serving:          ServingConfig{Enabled: true},
-			}
-		}
-		run := func(s, w int) *Report {
-			fl, err := New(cfg(s, w), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := fl.Run(horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep
-		}
-		want := run(1, 1)
-		got := run(1+int(shards)%7, 1+int(workers)%4)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d workers=%d: serving report differs from 1x1:\n%+v\nvs\n%+v",
-				1+int(shards)%7, 1+int(workers)%4, got.Summary, want.Summary)
-		}
-	})
-}
-
-// FuzzObsShardEquivalence is the flight-recorder differential fuzz: with
-// the recorder buffering and serving enabled, both the report — now
-// carrying the per-VM attribution ledgers — and the merged event stream
-// must be DeepEqual-bit-exact between the single-shard, single-worker
-// run and an arbitrary shard/worker split, on traces with migration
-// churn crossing shard boundaries.
-func FuzzObsShardEquivalence(f *testing.F) {
-	f.Add(uint64(3), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(13), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(37), uint8(25), uint8(60), uint8(2), uint8(1))
-	f.Add(uint64(71), uint8(50), uint8(20), uint8(5), uint8(3))
-
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
-		horizon := 120 * sim.Second
-		tr, err := Generate(GenConfig{
-			Seed:         seed,
-			Arrivals:     5 + int(arrivals%56),
-			Horizon:      horizon,
-			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.6,
-			SegmentLen:   30 * sim.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := func(s, w int) Config {
-			return Config{
-				Machines:         testMachines(4, 2),
-				UsePAS:           true,
-				Policy:           NewBestFit(),
-				ReportEvery:      15 * sim.Second,
-				ConsolidateEvery: 15 * sim.Second,
-				Shards:           s,
-				Workers:          w,
-				Seed:             seed,
-				Serving:          ServingConfig{Enabled: true},
-				Obs:              ObsConfig{Enabled: true, Buffer: true},
-			}
-		}
-		run := func(s, w int) (*Report, []obs.Event) {
-			fl, err := New(cfg(s, w), tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := fl.Run(horizon)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rep, fl.ObsEvents()
-		}
-		want, wantEv := run(1, 1)
-		got, gotEv := run(1+int(shards)%7, 1+int(workers)%4)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d workers=%d: obs report differs from 1x1:\n%+v\nvs\n%+v",
-				1+int(shards)%7, 1+int(workers)%4, got.Summary, want.Summary)
-		}
-		if !reflect.DeepEqual(gotEv, wantEv) {
-			t.Fatalf("shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
-				1+int(shards)%7, 1+int(workers)%4, len(gotEv), len(wantEv))
-		}
-	})
-}
-
-// FuzzAutoscaleShardEquivalence closes the differential-fuzz family
-// over the elastic loop: with the ditto autoscaler resizing caps,
-// spawning and retiring replicas, and repartitioning arrival streams
-// mid-run, an arbitrary shard/worker split must still produce a report
-// and event stream DeepEqual-bit-exact to the single-shard,
-// single-worker run.
-func FuzzAutoscaleShardEquivalence(f *testing.F) {
-	f.Add(uint64(5), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(17), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(41), uint8(25), uint8(60), uint8(2), uint8(1))
-	f.Add(uint64(73), uint8(50), uint8(20), uint8(5), uint8(3))
-
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
-		horizon := 120 * sim.Second
-		tr, err := Generate(GenConfig{
-			Seed:         seed,
-			Arrivals:     5 + int(arrivals%56),
-			Horizon:      horizon,
-			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.9,
-			SegmentLen:   30 * sim.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := func(s, w int) Config {
-			return Config{
-				Machines:         testMachines(4, 2),
-				UsePAS:           true,
-				Policy:           NewBestFit(),
-				ReportEvery:      15 * sim.Second,
-				ConsolidateEvery: 15 * sim.Second,
-				Shards:           s,
-				Workers:          w,
-				Seed:             seed,
+			if features&fuzzAutoscale != 0 {
 				// Full-cost requests so credit throttling turns into
 				// queueing the policies can see (see autoscale_test.go).
-				Serving: ServingConfig{Enabled: true, RequestCost: workload.DefaultRequestCost},
-				Obs:     ObsConfig{Enabled: true, Buffer: true},
-				Autoscale: AutoscaleConfig{
+				c.Serving.RequestCost = workload.DefaultRequestCost
+				c.Autoscale = AutoscaleConfig{
 					Enabled: true,
 					Policy:  "ditto",
 					Params: autoscale.Params{
@@ -285,29 +176,34 @@ func FuzzAutoscaleShardEquivalence(f *testing.F) {
 						MaxReplicas:        3,
 						CappedHighPermille: 10,
 					},
-				},
+				}
 			}
+			return c
 		}
-		run := func(s, w int) (*Report, []obs.Event) {
-			fl, err := New(cfg(s, w), tr)
+		want, wantEv := runFleetObs(t, cfg(1, 1), tr, horizon)
+		s, w := 1+int(shards)%7, 1+int(workers)%4
+		var got *Report
+		var gotEv []obs.Event
+		if features&fuzzStream != 0 {
+			src, err := GenerateStream(gen)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := fl.Run(horizon)
+			fl, err := NewStream(cfg(s, w), src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return rep, fl.ObsEvents()
+			got, gotEv = runObs(t, fl, horizon)
+		} else {
+			got, gotEv = runFleetObs(t, cfg(s, w), tr, horizon)
 		}
-		want, wantEv := run(1, 1)
-		got, gotEv := run(1+int(shards)%7, 1+int(workers)%4)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d workers=%d: autoscaled report differs from 1x1:\n%+v\nvs\n%+v",
-				1+int(shards)%7, 1+int(workers)%4, got.Summary, want.Summary)
+			t.Fatalf("features=%#x shards=%d workers=%d: report differs from 1x1:\n%+v\nvs\n%+v",
+				features, s, w, got.Summary, want.Summary)
 		}
 		if !reflect.DeepEqual(gotEv, wantEv) {
-			t.Fatalf("shards=%d workers=%d: autoscaled event stream differs from 1x1 (%d vs %d events)",
-				1+int(shards)%7, 1+int(workers)%4, len(gotEv), len(wantEv))
+			t.Fatalf("features=%#x shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
+				features, s, w, len(gotEv), len(wantEv))
 		}
 	})
 }

@@ -21,13 +21,12 @@ import (
 // and hands it to shards inside commands; after the VM departs it
 // returns to a pool.
 type dataVM struct {
-	name          string
-	credit        float64
-	seed          uint64
-	deterministic bool
-	phases        []workload.Phase
-	guest         *vm.VM
-	wl            *workload.WebApp
+	name   string
+	credit float64
+	seed   uint64
+	phases []workload.Phase
+	guest  *vm.VM
+	wl     *workload.WebApp
 	// serving state (Config.Serving only): the VM's class index into the
 	// shard latency histograms, the client-stream seed (assigned in
 	// coordinator order like seed above), and the server itself, which
@@ -473,10 +472,9 @@ func (s *shard) execAddVM(c *command) {
 	}
 	d := c.d
 	wl, err := workload.NewWebApp(workload.WebAppConfig{
-		Phases:        d.phases,
-		Deterministic: d.deterministic,
-		MaxBacklog:    -1, // unbounded: unserved demand stays visible to the SLA
-		Seed:          d.seed,
+		Phases:     d.phases,
+		MaxBacklog: -1, // unbounded: unserved demand stays visible to the SLA
+		Seed:       d.seed,
 	})
 	if err != nil {
 		s.fail(fmt.Errorf("fleet: VM %s workload: %w", d.name, err))
@@ -494,7 +492,6 @@ func (s *shard) execAddVM(c *command) {
 			Slots:            sc.Slots,
 			RequestCost:      sc.RequestCost,
 			Phases:           phases,
-			Deterministic:    d.deterministic,
 			Seed:             d.serveSeed,
 			Start:            c.at,
 			OverheadPermille: sc.OverheadPermille,

@@ -30,7 +30,7 @@ func churnTrace(t *testing.T, seed uint64) *Trace {
 func churnConfig(shards, workers int, seed uint64) Config {
 	return Config{
 		Machines:         testMachines(6, 4),
-		UsePAS:           true,
+		Scheduler:        "pas",
 		Policy:           NewBestFit(),
 		ReportEvery:      20 * sim.Second,
 		ConsolidateEvery: 20 * sim.Second, // every barrier: maximal migration churn
@@ -84,24 +84,87 @@ func TestFleetShardEquivalence(t *testing.T) {
 	}
 }
 
-// runFleetObs is runFleet plus the retained flight-recorder stream. It
-// also checks that every drained window kept the per-lane order
-// contract, so the recorder merged it without the sort fallback.
+// runFleetObs is runFleet plus the retained flight-recorder stream (nil
+// with the recorder off); see runObs.
 func runFleetObs(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) (*Report, []obs.Event) {
 	t.Helper()
 	f, err := New(cfg, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runObs(t, f, horizon)
+}
+
+// runObs runs a built fleet and returns its report and retained event
+// stream. With the recorder on it also checks that every drained window
+// kept the per-lane order contract, so the recorder merged it without
+// the sort fallback.
+func runObs(t *testing.T, f *Fleet, horizon sim.Time) (*Report, []obs.Event) {
+	t.Helper()
 	rep, err := f.Run(horizon)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := f.rec.Fallbacks(); n != 0 {
-		t.Errorf("shards=%d workers=%d: %d windows broke the per-lane order contract and fell back to sorting",
-			cfg.Shards, cfg.Workers, n)
+	if f.rec != nil {
+		if n := f.rec.Fallbacks(); n != 0 {
+			t.Errorf("shards=%d workers=%d: %d windows broke the per-lane order contract and fell back to sorting",
+				f.cfg.Shards, f.cfg.Workers, n)
+		}
 	}
 	return rep, f.ObsEvents()
+}
+
+// TestFleetMigrationDuration: a live migration across shards lasts the
+// VM's memory over the 1000 MB/s pre-copy bandwidth, exactly, and the VM
+// ends on the machine it migrated to.
+func TestFleetMigrationDuration(t *testing.T) {
+	tr, err := ParseTrace(strings.NewReader(`
+horizon,120
+class,big,30,6144
+class,medium,15,2048
+class,small,10,1000
+class,tiny,5,500
+# a+b fill machine 0; c and d spill to machine 1, on the other shard.
+# Once b departs at t=31, the t=60 round folds c and d onto machine 0.
+vm,a,0,120,big,0.4
+vm,b,1,30,medium,0.4
+vm,c,2,120,small,0.4
+vm,d,3,120,tiny,0.4
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, events := runFleetObs(t, Config{
+		Machines:         testMachines(2, 0),
+		Scheduler:        "pas",
+		Policy:           NewFirstFit(),
+		ReportEvery:      30 * sim.Second,
+		ConsolidateEvery: 30 * sim.Second,
+		Shards:           2,
+		Obs:              ObsConfig{Enabled: true, Buffer: true},
+	}, tr, 120*sim.Second)
+	want := map[string]sim.Time{"c": sim.Second, "d": sim.Second / 2}
+	started := map[string]sim.Time{}
+	landed := map[string]int{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case obs.KindMigStart:
+			started[ev.VM] = ev.At
+		case obs.KindMigDone:
+			if got := ev.At - started[ev.VM]; got != want[ev.VM] {
+				t.Errorf("%s: migration took %v, want %v", ev.VM, got, want[ev.VM])
+			}
+			landed[ev.VM] = int(ev.A)
+		}
+	}
+	if len(landed) != len(want) || rep.Summary.Migrated != len(want) {
+		t.Fatalf("migrated %v (summary: %d), want c and d", landed, rep.Summary.Migrated)
+	}
+	for _, o := range rep.PerVM {
+		if m, ok := landed[o.Name]; ok && (m != 0 || o.Machine != m) {
+			t.Errorf("%s ends on machine %d, migrated to %d; want 0", o.Name, o.Machine, m)
+		}
+	}
 }
 
 // TestFleetShardDefaultsAndClamp covers the shard-count configuration

@@ -99,7 +99,7 @@ func Drain(src TraceSource) (*Trace, error) {
 // record (WriteCSV and WriteCSVStream emit that layout), because the
 // stream cannot be buffered to resolve forward references; vm records
 // must already be sorted by (arrive, name), since a streaming reader
-// cannot sort. ParseTrace's per-field validation is shared.
+// cannot sort. ParseTrace parses its records with the same methods.
 type csvSource struct {
 	sc      *bufio.Scanner
 	classes map[string]VMClass
@@ -127,9 +127,7 @@ type csvSource struct {
 // checked for adjacent records (the fleet additionally rejects any two
 // concurrently live VMs sharing a name).
 func ParseTraceStream(r io.Reader) (TraceSource, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	s := &csvSource{sc: sc, classes: make(map[string]VMClass), first: true}
+	s := newCSVSource(r)
 	// Consume the prologue: everything up to (not including) the first
 	// vm record.
 	for {
@@ -154,6 +152,14 @@ func ParseTraceStream(r io.Reader) (TraceSource, error) {
 	return s, nil
 }
 
+// newCSVSource returns a record reader over r with an empty prologue.
+func newCSVSource(r io.Reader) *csvSource {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	return &csvSource{sc: sc, classes: make(map[string]VMClass), first: true}
+}
+
+// prologueRecord applies one horizon or class record.
 func (s *csvSource) prologueRecord(parts []string) error {
 	switch parts[0] {
 	case "horizon":
@@ -244,10 +250,31 @@ func (s *csvSource) Next() (VMEvent, bool) {
 	return ev, true
 }
 
+// vmRecord parses the next streamed vm record and checks it follows its
+// predecessor in (arrive, name) order.
 func (s *csvSource) vmRecord(parts []string) (VMEvent, error) {
 	if parts[0] != "vm" {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %s record after the first vm record (streaming traces need the prologue first)", s.line, parts[0])
 	}
+	ev, err := s.vmEvent(parts)
+	if err != nil {
+		return VMEvent{}, err
+	}
+	if !s.first {
+		if ev.Arrive < s.prevArrive || (ev.Arrive == s.prevArrive && ev.Name < s.prevName) {
+			return VMEvent{}, fmt.Errorf("fleet: trace line %d: vm records not sorted by (arrive, name)", s.line)
+		}
+		if ev.Arrive == s.prevArrive && ev.Name == s.prevName {
+			return VMEvent{}, fmt.Errorf("fleet: trace line %d: duplicate VM name %q", s.line, ev.Name)
+		}
+	}
+	s.first = false
+	s.prevArrive, s.prevName = ev.Arrive, ev.Name
+	return ev, nil
+}
+
+// vmEvent parses the fields of one vm record.
+func (s *csvSource) vmEvent(parts []string) (VMEvent, error) {
 	if len(parts) != 6 {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", s.line, strings.Join(parts, ","))
 	}
@@ -263,24 +290,13 @@ func (s *csvSource) vmRecord(parts []string) (VMEvent, error) {
 	if err != nil {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
 	}
-	ev := VMEvent{
+	return VMEvent{
 		Name:     parts[1],
 		Class:    parts[4],
 		Arrive:   sim.FromSeconds(arrive),
 		Lifetime: sim.FromSeconds(lifetime),
 		Activity: activity,
-	}
-	if !s.first {
-		if ev.Arrive < s.prevArrive || (ev.Arrive == s.prevArrive && ev.Name < s.prevName) {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: vm records not sorted by (arrive, name)", s.line)
-		}
-		if ev.Arrive == s.prevArrive && ev.Name == s.prevName {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: duplicate VM name %q", s.line, ev.Name)
-		}
-	}
-	s.first = false
-	s.prevArrive, s.prevName = ev.Arrive, ev.Name
-	return ev, nil
+	}, nil
 }
 
 // WriteCSVStream writes a source's trace in the format ParseTrace and

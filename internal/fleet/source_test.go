@@ -342,65 +342,3 @@ func TestStreamedRunMemoryBounded(t *testing.T) {
 			float64(small)/(1<<20), float64(large)/(1<<20), float64(slack)/(1<<20))
 	}
 }
-
-// FuzzShardMigrationStreamed is FuzzShardMigration fed by the streaming
-// generator: arbitrary shard/worker counts against the materialized 1x1
-// baseline, with the trace never materialized on the streamed side.
-func FuzzShardMigrationStreamed(f *testing.F) {
-	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2))
-	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4))
-	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1))
-
-	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers uint8) {
-		horizon := 120 * sim.Second
-		gen := GenConfig{
-			Seed:         seed,
-			Arrivals:     5 + int(arrivals%56),
-			Horizon:      horizon,
-			MeanLifetime: sim.Time(10+int(life)%80) * sim.Second,
-			BaseActivity: 0.6,
-			SegmentLen:   30 * sim.Second,
-		}
-		tr, err := Generate(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := func(s, w int) Config {
-			return Config{
-				Machines:         testMachines(4, 2),
-				UsePAS:           true,
-				Policy:           NewBestFit(),
-				ReportEvery:      15 * sim.Second,
-				ConsolidateEvery: 15 * sim.Second,
-				Shards:           s,
-				Workers:          w,
-				Seed:             seed,
-			}
-		}
-		fl, err := New(cfg(1, 1), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fl.Run(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, w := 1+int(shards)%7, 1+int(workers)%4
-		src, err := GenerateStream(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := NewStream(cfg(s, w), src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := fs.Run(horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("streamed shards=%d workers=%d: report differs from materialized 1x1:\n%+v\nvs\n%+v",
-				s, w, got.Summary, want.Summary)
-		}
-	})
-}

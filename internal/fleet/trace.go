@@ -31,13 +31,11 @@
 package fleet
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"pasched/internal/sim"
 	"pasched/internal/workload"
@@ -177,94 +175,41 @@ func (t *Trace) sortEvents() {
 	})
 }
 
-// ParseTrace reads a fleet trace from r, mirroring workload.ParseTrace's
-// conventions: one record per line, fields comma-separated, '#' comments
-// and blank lines ignored, CRLF tolerated. Three record kinds exist:
+// ParseTrace reads a fleet trace from r: one record per line, fields
+// comma-separated, '#' comments and blank lines ignored, CRLF tolerated.
+// Three record kinds exist:
 //
 //	horizon,<seconds>
 //	class,<name>,<credit_pct>,<memory_mb>
 //	vm,<name>,<arrive_s>,<lifetime_s>,<class>,<activity>
 //
 // Records may appear in any order; events are sorted by arrival time. The
-// parsed trace is fully validated before it is returned.
+// parsed trace is fully validated before it is returned. Each record is
+// parsed by the same code as ParseTraceStream's.
 func ParseTrace(r io.Reader) (*Trace, error) {
-	t := &Trace{Classes: make(map[string]VMClass)}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
+	s := newCSVSource(r)
+	var events []VMEvent
+	for {
+		parts, ok := s.scanRecord()
+		if !ok {
+			break
+		}
+		if parts[0] != "vm" {
+			if err := s.prologueRecord(parts); err != nil {
+				return nil, err
+			}
 			continue
 		}
-		parts := strings.Split(text, ",")
-		for i := range parts {
-			parts[i] = strings.TrimSpace(parts[i])
+		ev, err := s.vmEvent(parts)
+		if err != nil {
+			return nil, err
 		}
-		switch parts[0] {
-		case "horizon":
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'horizon,seconds', got %q", line, text)
-			}
-			secs, err := parseSeconds(parts[1])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			if t.Horizon != 0 {
-				return nil, fmt.Errorf("fleet: trace line %d: duplicate horizon", line)
-			}
-			t.Horizon = sim.FromSeconds(secs)
-		case "class":
-			if len(parts) != 4 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'class,name,credit_pct,memory_mb', got %q", line, text)
-			}
-			credit, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			mem, err := strconv.Atoi(parts[3])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			c := VMClass{Name: parts[1], CreditPct: credit, MemoryMB: mem}
-			if err := c.Validate(); err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			if _, dup := t.Classes[c.Name]; dup {
-				return nil, fmt.Errorf("fleet: trace line %d: duplicate class %q", line, c.Name)
-			}
-			t.Classes[c.Name] = c
-		case "vm":
-			if len(parts) != 6 {
-				return nil, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", line, text)
-			}
-			arrive, err := parseSeconds(parts[2])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			lifetime, err := parseSeconds(parts[3])
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			activity, err := strconv.ParseFloat(parts[5], 64)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: trace line %d: %w", line, err)
-			}
-			t.Events = append(t.Events, VMEvent{
-				Name:     parts[1],
-				Class:    parts[4],
-				Arrive:   sim.FromSeconds(arrive),
-				Lifetime: sim.FromSeconds(lifetime),
-				Activity: activity,
-			})
-		default:
-			return nil, fmt.Errorf("fleet: trace line %d: unknown record %q", line, parts[0])
-		}
+		events = append(events, ev)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: read trace: %w", err)
+	if s.err != nil {
+		return nil, s.err
 	}
+	t := &Trace{Classes: s.classes, Events: events, Horizon: s.horizon}
 	t.sortEvents()
 	if err := t.Validate(); err != nil {
 		return nil, err

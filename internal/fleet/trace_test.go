@@ -71,10 +71,28 @@ func TestParseTraceErrors(t *testing.T) {
 		"bad class credit":  "horizon,10\nclass,a,0,1024\nvm,x,0,10,a,0.5\n",
 		"bad class memory":  "horizon,10\nclass,a,10,-5\nvm,x,0,10,a,0.5\n",
 	}
+	// The streaming reader rejects each trace too. Both readers parse
+	// records with the same helpers and end in the same validation, so
+	// the messages match, except for inputs that break the prologue-first
+	// layout only the streaming reader requires.
+	layout := map[string]bool{"empty": true, "no horizon": true}
 	for name, in := range cases {
-		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseTrace(strings.NewReader(in))
+			if err == nil {
+				t.Fatal("ParseTrace accepted")
+			}
+			src, serr := ParseTraceStream(strings.NewReader(in))
+			if serr == nil {
+				_, serr = Drain(src)
+			}
+			if serr == nil {
+				t.Fatalf("streaming reader accepted what ParseTrace rejects: %v", err)
+			}
+			if !layout[name] && serr.Error() != err.Error() {
+				t.Errorf("messages differ:\nParseTrace: %v\nstream:     %v", err, serr)
+			}
+		})
 	}
 }
 

@@ -95,36 +95,3 @@ func (q *Queue) RunDue(now Time) (int, error) {
 func (q *Queue) Clear() {
 	q.h = q.h[:0]
 }
-
-// Ticker invokes a callback at a fixed period, aligned to multiples of the
-// period. It is driven by explicit Poll calls from the simulation loop
-// rather than by goroutines, keeping the kernel deterministic.
-type Ticker struct {
-	period Time
-	next   Time
-	fn     EventFunc
-}
-
-// NewTicker returns a ticker firing fn every period, with the first firing
-// at time period (not zero). A non-positive period disables the ticker.
-func NewTicker(period Time, fn EventFunc) *Ticker {
-	return &Ticker{period: period, next: period, fn: fn}
-}
-
-// Period returns the ticker's firing period.
-func (tk *Ticker) Period() Time { return tk.period }
-
-// Poll fires the callback for every period boundary that has elapsed up to
-// and including now. It returns the number of firings.
-func (tk *Ticker) Poll(now Time) int {
-	if tk.period <= 0 || tk.fn == nil {
-		return 0
-	}
-	n := 0
-	for tk.next <= now {
-		tk.fn(tk.next)
-		tk.next += tk.period
-		n++
-	}
-	return n
-}

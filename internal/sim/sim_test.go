@@ -166,33 +166,6 @@ func TestQueueClear(t *testing.T) {
 	}
 }
 
-func TestTickerFiresAtPeriodBoundaries(t *testing.T) {
-	var fires []Time
-	tk := NewTicker(10*Millisecond, func(now Time) { fires = append(fires, now) })
-
-	tk.Poll(5 * Millisecond)
-	if len(fires) != 0 {
-		t.Fatalf("fired before first boundary: %v", fires)
-	}
-	tk.Poll(35 * Millisecond)
-	want := []Time{10 * Millisecond, 20 * Millisecond, 30 * Millisecond}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Errorf("fires[%d] = %v, want %v", i, fires[i], want[i])
-		}
-	}
-}
-
-func TestTickerDisabled(t *testing.T) {
-	tk := NewTicker(0, func(Time) { t.Error("disabled ticker fired") })
-	if n := tk.Poll(Hour); n != 0 {
-		t.Errorf("Poll = %d, want 0", n)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

@@ -1,6 +1,6 @@
 // Package sim provides the discrete-time simulation kernel used by the
-// virtualized-host model: a simulated clock, an ordered event queue, periodic
-// tickers and a deterministic random source.
+// virtualized-host model: a simulated clock, an ordered event queue and a
+// deterministic random source.
 //
 // All simulated time is expressed as Time, an integer count of microseconds
 // since the start of the simulation. The kernel is single-threaded and fully

@@ -46,9 +46,8 @@ type Workload interface {
 
 // Forecaster is implemented by workloads that can promise when their
 // pending work can next change for any reason other than a Consume call:
-// a request arrival, a phase or trace-segment transition, a burst-gate
-// flip, or internal bookkeeping that a Tick between now and the returned
-// time would have performed. The simulation engine uses the promise to
+// a request arrival, a phase transition, or internal bookkeeping that a
+// Tick between now and the returned time would have performed. The simulation engine uses the promise to
 // batch stretches of quanta; a workload that cannot see that far simply
 // returns now (or is not a Forecaster at all), which forces
 // quantum-by-quantum stepping. Returning a time at or before now means
