@@ -17,7 +17,7 @@ BenchmarkHostStep/batched-8         	    1000	    100000 ns/op	      1000 batche
 BenchmarkHostStep/batched-8         	    1000	    120000 ns/op	      1000 batched_quanta/op
 BenchmarkHostStep/batched-8         	    1000	    110000 ns/op	      1000 batched_quanta/op
 BenchmarkHostStep/reference-8       	     100	   1000000 ns/op	         0 batched_quanta/op
-BenchmarkDataCenterRun-8            	      50	   2000000 ns/op
+BenchmarkRecorderDrain-8            	      50	   2000000 ns/op
 PASS
 ok  	pasched/internal/host	1.234s
 `
@@ -49,7 +49,7 @@ func TestParseBench(t *testing.T) {
 	if m := median(b["batched_quanta/op"]); m != 1000 {
 		t.Fatalf("batched_quanta median = %v", m)
 	}
-	if got["BenchmarkDataCenterRun"] == nil {
+	if got["BenchmarkRecorderDrain"] == nil {
 		t.Fatalf("single-metric benchmark missing: %v", got)
 	}
 }
@@ -108,11 +108,11 @@ func TestGateDisjointSetsFail(t *testing.T) {
 
 func TestGateMissingBaselineBenchmarkFails(t *testing.T) {
 	base := parseSample(t, sampleOutput)
-	// The current run lost BenchmarkDataCenterRun (renamed or silently
+	// The current run lost BenchmarkRecorderDrain (renamed or silently
 	// dropped): even with the remaining benchmarks at parity the gate
 	// must fail rather than judge a shrunken set.
 	cur := parseSample(t, sampleOutput)
-	delete(cur, "BenchmarkDataCenterRun")
+	delete(cur, "BenchmarkRecorderDrain")
 	rep := gate(base, cur, "ns/op", 10)
 	if rep.Pass {
 		t.Fatalf("gate passed with a missing baseline benchmark: %+v", rep)
@@ -133,14 +133,14 @@ func TestGateUnusableMetricFails(t *testing.T) {
 	// be surfaced as skipped and fail the gate, not silently shrink the
 	// comparison set.
 	cur := parseSample(t, sampleOutput)
-	for i := range cur["BenchmarkDataCenterRun"]["ns/op"] {
-		cur["BenchmarkDataCenterRun"]["ns/op"][i] = 0
+	for i := range cur["BenchmarkRecorderDrain"]["ns/op"] {
+		cur["BenchmarkRecorderDrain"]["ns/op"][i] = 0
 	}
 	rep := gate(base, cur, "ns/op", 10)
 	if rep.Pass {
 		t.Fatalf("gate passed with an unusable metric: %+v", rep)
 	}
-	if len(rep.Skipped) != 1 || rep.Skipped[0] != "BenchmarkDataCenterRun" {
+	if len(rep.Skipped) != 1 || rep.Skipped[0] != "BenchmarkRecorderDrain" {
 		t.Fatalf("skipped reporting: %+v", rep)
 	}
 }

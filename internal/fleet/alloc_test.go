@@ -79,3 +79,43 @@ func TestFleetBarrierNoAllocsWithoutObs(t *testing.T) {
 		t.Errorf("disabled-obs fleet barrier allocates %.2f allocs per 10 s advance, want 0", allocs)
 	}
 }
+
+// TestDVFSPlacementNoAllocs pins the dvfs-aware query path at zero
+// allocations: an index query, an update of an already-ON machine (the
+// reserve/release refresh), and the linear Place once its power tables
+// are warm.
+func TestDVFSPlacementNoAllocs(t *testing.T) {
+	h, queries := benchEstate(NewDVFSAware(), 1000)
+	x := h.pidx.(*dvfsIndex)
+	if len(x.on) == 0 {
+		t.Fatal("no machine on: measurement would be vacuous")
+	}
+	i := int(x.on[0])
+	st := &h.states[i]
+	cases := map[string]func(){
+		"index place": func() {
+			for _, q := range queries {
+				x.place(q)
+			}
+		},
+		"index update": func() {
+			st.FreeCreditPct--
+			st.OfferedLoadPct++
+			x.update(i)
+			st.FreeCreditPct++
+			st.OfferedLoadPct--
+			x.update(i)
+		},
+		"linear place": func() {
+			for _, q := range queries {
+				h.pol.Place(h.states, q)
+			}
+		},
+	}
+	for name, run := range cases {
+		run() // warm the policy's table memo
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Errorf("%s allocates %.2f per run, want 0", name, allocs)
+		}
+	}
+}

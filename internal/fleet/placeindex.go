@@ -38,9 +38,9 @@ func newPlaceIndex(pol Policy, states []MachineState, classOf []int32, nClasses 
 		x.init()
 		return x
 	case DVFSAware:
-		x := &dvfsIndex{states: states, pol: p}
+		x := &dvfsIndex{states: states, scale: 1 + p.Margin}
 		x.off.init(states, classOf, nClasses)
-		x.init()
+		x.init(p, nClasses)
 		return x
 	default:
 		return nil
@@ -367,7 +367,7 @@ func (x *bfIndex) place(r Request) (int, bool) {
 	return best, true
 }
 
-// dvfsIndex serves DVFSAware: a dense list of the powered-on machines
+// dvfsIndex serves DVFSAware: the powered-on machines in dense arrays
 // (each has its own offered load, so each must be scored) plus one
 // representative per machine class for the powered-off pool — every off
 // machine of a class is pristine, so its power-on cost is identical and
@@ -375,21 +375,38 @@ func (x *bfIndex) place(r Request) (int, bool) {
 // scan implements. At cloud scale the off pool dominates the estate, so
 // the estimate runs O(on + classes) times per arrival instead of
 // O(machines).
+//
+// Beside the ON list, position-aligned arrays cache each machine's free
+// capacity, offered load, class power table and base draw
+// E(OfferedLoadPct), refreshed by update. A query filters on contiguous
+// memory and runs one estimate per fitting machine; the marginal cost
+// E(load+add) - base is the linear scan's to the bit, since base is the
+// same estimate of the same load.
 type dvfsIndex struct {
 	states []MachineState
-	pol    DVFSAware
+	scale  float64 // 1 + the policy's margin
 	off    offIndex
+	tabs   []*powerTable // per machine class
 
-	on  []int32 // dense, unordered
-	pos []int32 // machine -> position in on, -1 if off
+	pos []int32 // machine -> position in the ON arrays, -1 if off
+
+	// The ON arrays, unordered.
+	on   []int32
+	mem  []int
+	cred []float64
+	load []float64
+	base []float64
+	tab  []*powerTable
 }
 
-func (x *dvfsIndex) init() {
-	n := len(x.states)
-	x.on = make([]int32, 0, n)
-	x.pos = make([]int32, n)
+func (x *dvfsIndex) init(pol DVFSAware, nClasses int) {
+	x.tabs = make([]*powerTable, nClasses)
+	x.pos = make([]int32, len(x.states))
 	for i := range x.pos {
 		x.pos[i] = -1
+		if ci := x.off.classOf[i]; x.tabs[ci] == nil {
+			x.tabs[ci] = pol.table(x.states[i].Profile)
+		}
 	}
 	for i := range x.states {
 		x.update(i)
@@ -398,45 +415,60 @@ func (x *dvfsIndex) init() {
 
 func (x *dvfsIndex) update(i int) {
 	x.off.update(i)
-	on := x.states[i].On
-	switch p := x.pos[i]; {
-	case on && p < 0:
-		x.pos[i] = int32(len(x.on))
-		x.on = append(x.on, int32(i))
-	case !on && p >= 0:
-		last := x.on[len(x.on)-1]
-		x.on[p] = last
-		x.pos[last] = p
-		x.on = x.on[:len(x.on)-1]
-		x.pos[i] = -1
+	m := &x.states[i]
+	p := x.pos[i]
+	if !m.On {
+		if p >= 0 {
+			last := len(x.on) - 1
+			moved := x.on[last]
+			x.on[p], x.mem[p], x.cred[p] = moved, x.mem[last], x.cred[last]
+			x.load[p], x.base[p], x.tab[p] = x.load[last], x.base[last], x.tab[last]
+			x.pos[moved] = p
+			x.pos[i] = -1
+			x.on, x.mem, x.cred = x.on[:last], x.mem[:last], x.cred[:last]
+			x.load, x.base, x.tab = x.load[:last], x.base[:last], x.tab[:last]
+		}
+		return
 	}
+	if p < 0 {
+		p = int32(len(x.on))
+		x.pos[i] = p
+		x.on = append(x.on, int32(i))
+		x.mem = append(x.mem, 0)
+		x.cred = append(x.cred, 0)
+		x.load = append(x.load, 0)
+		x.base = append(x.base, 0)
+		x.tab = append(x.tab, x.tabs[x.off.classOf[i]])
+	}
+	x.mem[p] = m.FreeMemMB
+	x.cred[p] = m.FreeCreditPct
+	x.load[p] = m.OfferedLoadPct
+	x.base[p] = x.tab[p].watts(m.OfferedLoadPct, x.scale)
 }
 
 func (x *dvfsIndex) place(r Request) (int, bool) {
 	add := r.CreditPct * r.MeanActivity
 	best, bestCost := -1, 0.0
-	// The on list is unordered, so the linear scan's first-wins tie
+	// Equal-length views let the compiler drop the loop's bounds checks.
+	n := len(x.on)
+	on, cred, load, base, tab := x.on[:n], x.cred[:n], x.load[:n], x.base[:n], x.tab[:n]
+	// The ON list is unordered, so the linear scan's first-wins tie
 	// handling becomes an explicit lexicographic (cost, index) minimum.
-	for _, i := range x.on {
-		m := &x.states[i]
-		if !m.Fits(r) {
+	for p, mem := range x.mem[:n] {
+		if !(mem >= r.MemoryMB && cred[p] >= r.CreditPct) { // MachineState.Fits
 			continue
 		}
-		cost := x.pol.estimate(*m, m.OfferedLoadPct+add) - x.pol.estimate(*m, m.OfferedLoadPct)
-		if best < 0 || cost < bestCost || (cost == bestCost && int(i) < best) {
-			best, bestCost = int(i), cost
+		cost := tab[p].watts(load[p]+add, x.scale) - base[p]
+		if i := int(on[p]); best < 0 || cost < bestCost || (cost == bestCost && i < best) {
+			best, bestCost = i, cost
 		}
 	}
-	for ci := range x.off.words {
+	for ci, t := range x.tabs {
 		rep := x.off.min(int32(ci))
-		if rep < 0 {
+		if rep < 0 || !x.states[rep].Fits(r) {
 			continue
 		}
-		m := &x.states[rep]
-		if !m.Fits(r) {
-			continue
-		}
-		cost := x.pol.estimate(*m, add)
+		cost := t.watts(add, x.scale)
 		if best < 0 || cost < bestCost || (cost == bestCost && rep < best) {
 			best, bestCost = rep, cost
 		}

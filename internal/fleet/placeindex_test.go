@@ -23,11 +23,13 @@ type idxHarness struct {
 	resident [][]Request
 }
 
+// newIdxHarness builds counts[ci] machines of class ci. The classes
+// carry DefaultEstate's three processor ladders; counts may name fewer.
 func newIdxHarness(pol Policy, counts []int) *idxHarness {
-	specMem := []int{8192, 16384}
-	caps := []float64{95, 92.5}
-	profiles := []*cpufreq.Profile{cpufreq.Optiplex755(), cpufreq.XeonE5_2620()}
-	names := []string{"optiplex", "xeon-e5"}
+	specMem := []int{8192, 16384, 16384}
+	caps := []float64{95, 92.5, 90}
+	profiles := []*cpufreq.Profile{cpufreq.Optiplex755(), cpufreq.XeonE5_2620(), cpufreq.Elite8300()}
+	names := []string{"optiplex", "xeon-e5", "elite-8300"}
 	h := &idxHarness{pol: pol, specMem: specMem, caps: caps}
 	for ci, c := range counts {
 		for k := 0; k < c; k++ {
@@ -150,6 +152,15 @@ func allPolicies() []Policy {
 	return []Policy{NewFirstFit(), NewBestFit(), NewDVFSAware()}
 }
 
+// diffPolicies adds the other dvfs-aware margins to allPolicies: the
+// zero-value policy (no margin, no table memo) and a wide margin whose
+// thresholds sit elsewhere on every ladder.
+func diffPolicies() []Policy {
+	wide := NewDVFSAware()
+	wide.Margin = 0.2
+	return append(allPolicies(), DVFSAware{}, wide)
+}
+
 // FuzzIndexedPlacement is the tentpole differential fuzz: random
 // machine estates under random arrival/departure/power churn, with
 // every placement decision of every built-in policy checked against the
@@ -159,10 +170,14 @@ func FuzzIndexedPlacement(f *testing.F) {
 	f.Add(uint64(7), uint8(1), uint8(1), uint8(40))
 	f.Add(uint64(42), uint8(30), uint8(0), uint8(200))
 	f.Add(uint64(99), uint8(0), uint8(17), uint8(120))
+	f.Add(uint64(5), uint8(0x4a), uint8(0x23), uint8(160))
+	f.Add(uint64(11), uint8(0xe0), uint8(0xe8), uint8(255))
 
 	f.Fuzz(func(t *testing.T, seed uint64, nA, nB, ops uint8) {
-		counts := []int{1 + int(nA)%32, int(nB) % 32}
-		for _, pol := range allPolicies() {
+		// The third class takes its count from the high bits of nA and
+		// nB, so the first four seeds keep their two-class estates.
+		counts := []int{1 + int(nA)%32, int(nB) % 32, int(nA>>5)<<3 | int(nB>>5)}
+		for _, pol := range diffPolicies() {
 			h := newIdxHarness(pol, counts)
 			h.churn(t, sim.NewRNG(seed), 3+int(ops))
 		}
@@ -174,8 +189,8 @@ func FuzzIndexedPlacement(f *testing.F) {
 // machines, thousands of operations, every policy.
 func TestPlacementIndexEquivalence(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 1002} {
-		for _, pol := range allPolicies() {
-			h := newIdxHarness(pol, []int{160, 140})
+		for _, pol := range diffPolicies() {
+			h := newIdxHarness(pol, []int{160, 140, 100})
 			h.churn(t, sim.NewRNG(seed), 4000)
 		}
 	}

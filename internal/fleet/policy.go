@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 
-	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 )
 
@@ -140,16 +139,18 @@ type DVFSAware struct {
 	// choosing the operating frequency, as in core.PASConfig; the
 	// constructor sets 0.05.
 	Margin float64
-	// eff memoizes each profile's efficiency table: the estimate runs
-	// for every candidate machine of every arrival, and the table is a
-	// fresh allocation per EfficiencyTable call. Policies run on the
-	// single-threaded fleet loop, so a plain map is fine.
-	eff map[*cpufreq.Profile][]float64
+	// tabs memoizes each profile's power table, shared by every copy of
+	// the policy: the estimate runs for every candidate machine of every
+	// arrival, so it must not rebuild per-state constants or allocate.
+	// Tables do not depend on Margin. A zero-value policy has no memo and
+	// builds a table per call. Policies run on the single-threaded fleet
+	// loop, so a plain map is fine.
+	tabs map[*cpufreq.Profile]*powerTable
 }
 
 // NewDVFSAware returns the DVFS-aware packing policy.
 func NewDVFSAware() DVFSAware {
-	return DVFSAware{Margin: 0.05, eff: make(map[*cpufreq.Profile][]float64)}
+	return DVFSAware{Margin: 0.05, tabs: make(map[*cpufreq.Profile]*powerTable)}
 }
 
 // Name implements Policy.
@@ -158,18 +159,27 @@ func (DVFSAware) Name() string { return "dvfs-aware" }
 // Place implements Policy.
 func (p DVFSAware) Place(machines []MachineState, r Request) (int, bool) {
 	add := r.CreditPct * r.MeanActivity
+	scale := 1 + p.Margin
+	// Machines of a class are adjacent in the fleet's states, so one
+	// table lookup serves a whole run of them.
+	var prof *cpufreq.Profile
+	var tab *powerTable
 	best, bestCost := -1, 0.0
-	for _, m := range machines {
+	for i := range machines {
+		m := &machines[i]
 		if !m.Fits(r) {
 			continue
 		}
+		if tab == nil || m.Profile != prof {
+			prof, tab = m.Profile, p.table(m.Profile)
+		}
 		var cost float64
 		if m.On {
-			cost = p.estimate(m, m.OfferedLoadPct+add) - p.estimate(m, m.OfferedLoadPct)
+			cost = tab.watts(m.OfferedLoadPct+add, scale) - tab.watts(m.OfferedLoadPct, scale)
 		} else {
 			// Powering on pays the machine's whole draw, idle floor
 			// included.
-			cost = p.estimate(m, add)
+			cost = tab.watts(add, scale)
 		}
 		if best < 0 || cost < bestCost {
 			best, bestCost = m.Index, cost
@@ -181,32 +191,72 @@ func (p DVFSAware) Place(machines []MachineState, r Request) (int, bool) {
 	return best, true
 }
 
-// estimate returns the machine's estimated power draw (watts) when
-// serving absLoadPct percent of its maximum capacity at the PAS operating
-// point: the lowest ladder frequency whose compensated capacity covers
-// the load plus margin.
-func (p DVFSAware) estimate(m MachineState, absLoadPct float64) float64 {
-	prof := m.Profile
-	cf := p.eff[prof] // nil-map reads are fine for a zero-value policy
-	if cf == nil {
-		cf = prof.EfficiencyTable()
-		if p.eff != nil {
-			p.eff[prof] = cf
+// table returns prof's power table from the memo, building it on a miss.
+func (p DVFSAware) table(prof *cpufreq.Profile) *powerTable {
+	if t := p.tabs[prof]; t != nil { // nil-map reads are fine for a zero-value policy
+		return t
+	}
+	t := newPowerTable(prof)
+	if p.tabs != nil {
+		p.tabs[prof] = t
+	}
+	return t
+}
+
+// powerTable is one processor profile's power estimate at the PAS
+// operating point, reduced to per-state constants. watts applies the
+// same float operations in the same order as core.ComputeNewFreq over
+// the profile's efficiency table followed by Profile.Power, so its watts
+// are bit-identical to that path's, without its ladder searches. The
+// profile must pass cpufreq.Profile.Validate, as every fleet machine's
+// does (host construction checks it).
+type powerTable struct {
+	states       []powerState
+	static, idle float64
+}
+
+type powerState struct {
+	thr float64 // capacity threshold Ratio(f)*100*cf, as in ComputeNewFreq
+	div float64 // load-to-utilization divisor Ratio(f)*Efficiency(f)
+	dyn float64 // dynamic coefficient DynCoeff*V*V*fGHz, as in Power
+}
+
+func newPowerTable(prof *cpufreq.Profile) *powerTable {
+	t := &powerTable{
+		states: make([]powerState, len(prof.States)),
+		static: prof.StaticPower,
+		idle:   prof.IdleFactor,
+	}
+	for i, s := range prof.States {
+		ratio := prof.Ratio(s.Freq)
+		fGHz := float64(s.Freq) / 1000
+		t.states[i] = powerState{
+			thr: ratio * 100 * s.Efficiency,
+			div: ratio * s.Efficiency,
+			dyn: prof.DynCoeff * s.Voltage * s.Voltage * fGHz,
 		}
 	}
-	f := core.ComputeNewFreq(prof, cf, absLoadPct*(1+p.Margin))
-	util := 0.0
-	if eff, err := prof.Efficiency(f); err == nil && eff > 0 {
-		util = absLoadPct / 100 / (prof.Ratio(f) * eff)
+	return t
+}
+
+// watts returns the machine's estimated power draw when serving
+// absLoadPct percent of its maximum capacity at the PAS operating point:
+// the lowest ladder state whose compensated capacity covers the load
+// times scale (1 + the policy's margin), else the top state. It stays
+// small enough to inline into the placement loops.
+func (t *powerTable) watts(absLoadPct, scale float64) float64 {
+	x := absLoadPct * scale
+	s := t.states
+	for len(s) > 1 && !(s[0].thr > x) {
+		s = s[1:]
 	}
+	util := absLoadPct / 100 / s[0].div
 	if util > 1 {
 		util = 1
+	} else if util < 0 {
+		util = 0
 	}
-	w, err := prof.Power(f, util)
-	if err != nil {
-		return 0
-	}
-	return w
+	return t.static + s[0].dyn*(t.idle+(1-t.idle)*util)
 }
 
 // PolicyByName returns the named built-in policy ("first-fit",

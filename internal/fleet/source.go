@@ -218,7 +218,9 @@ func (s *csvSource) scanRecord() ([]string, bool) {
 		return parts, true
 	}
 	if err := s.sc.Err(); err != nil {
-		s.err = fmt.Errorf("fleet: read trace: %w", err)
+		// The scanner failed inside the line after the last one it
+		// returned: an over-long line or a read error mid-stream.
+		s.err = fmt.Errorf("fleet: trace line %d: read: %w", s.line+1, err)
 	}
 	return nil, false
 }

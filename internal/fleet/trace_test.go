@@ -1,9 +1,14 @@
 package fleet
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"pasched/internal/sim"
 )
@@ -91,6 +96,35 @@ func TestParseTraceErrors(t *testing.T) {
 			}
 			if !layout[name] && serr.Error() != err.Error() {
 				t.Errorf("messages differ:\nParseTrace: %v\nstream:     %v", err, serr)
+			}
+		})
+	}
+
+	// A read failure names the line the scanner failed in, for both
+	// readers, and wraps its cause.
+	good := "horizon,10\nclass,a,10,1024\nvm,x,0,10,a,0.5\n"
+	readFailures := map[string]struct {
+		in    func() io.Reader
+		cause error
+	}{
+		"line over 1 MiB": {func() io.Reader {
+			return strings.NewReader(good + strings.Repeat("x", 1<<20+1) + "\nvm,y,1,10,a,0.5\n")
+		}, bufio.ErrTooLong},
+		"read error": {func() io.Reader {
+			return io.MultiReader(strings.NewReader(good), iotest.ErrReader(io.ErrUnexpectedEOF))
+		}, io.ErrUnexpectedEOF},
+	}
+	for name, c := range readFailures {
+		t.Run(name, func(t *testing.T) {
+			_, err := ParseTrace(c.in())
+			src, serr := ParseTraceStream(c.in())
+			if serr == nil {
+				_, serr = Drain(src)
+			}
+			for reader, err := range map[string]error{"ParseTrace": err, "stream": serr} {
+				if !errors.Is(err, c.cause) || !strings.HasPrefix(fmt.Sprint(err), "fleet: trace line 4: read: ") {
+					t.Errorf("%s: got %v, want a line 4 read error wrapping %v", reader, err, c.cause)
+				}
 			}
 		})
 	}
