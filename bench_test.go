@@ -210,9 +210,10 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 // s1 and s8 drive the historical 200-machine, 1000-lifecycle scenario
 // under the DVFS-aware policy with PAS machines — the configuration
 // where placement, migration, power management and per-host batching
-// all engage — through one inline shard (s1, the no-regression gate)
-// and eight worker-stepped shards (s8, the multi-core speedup; both
-// produce bit-identical reports).
+// all engage — on one shard and one worker, stepped on the benchmark's
+// own goroutine (s1, the no-regression gate), and on eight shards run
+// by eight workers (s8, the multi-core speedup; both produce
+// bit-identical reports).
 //
 // serve repeats s1 with the request-level serving layer enabled,
 // gating its hot-path overhead (client streams, attained-rate service,

@@ -1,8 +1,10 @@
 // Command benchgate compares two Go benchmark outputs and fails when the
 // current run is more than a configured percentage slower than the
 // committed baseline, by geometric mean across the benchmarks present in
-// both files. It is the enforcement half of the CI benchmark gate
-// (benchstat renders the human-readable comparison; benchgate decides).
+// both files, or when any one benchmark's ratio exceeds rowCeiling times
+// the larger of 1 and that geomean. It is the enforcement half of the CI
+// benchmark gate (benchstat renders the human-readable comparison;
+// benchgate decides).
 //
 // Usage:
 //
@@ -94,6 +96,14 @@ func median(samples []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
+// rowCeiling bounds each benchmark's median ratio at rowCeiling ×
+// max(1, geomean ratio). One benchmark regressing 2× moves a 22-row
+// geomean by only 2^(1/22) ≈ +3%, well inside the geomean gate; this
+// catches it. Scaling by the geomean lets a uniformly slower host pass
+// row by row, and the floor of 1 keeps a uniformly faster host from
+// failing the rows that merely held parity.
+const rowCeiling = 1.5
+
 // benchReport is one benchmark's row in the JSON artifact.
 type benchReport struct {
 	Name     string  `json:"name"`
@@ -111,10 +121,13 @@ type gateReport struct {
 	Metric         string   `json:"metric"`
 	MaxSlowdownPct float64  `json:"max_slowdown_pct"`
 	GeomeanRatio   float64  `json:"geomean_ratio"`
+	RowCeiling     float64  `json:"row_ceiling_ratio"`
 	Pass           bool     `json:"pass"`
 	Compared       int      `json:"compared_benchmarks"`
 	BaselineOnly   []string `json:"baseline_only,omitempty"`
 	CurrentOnly    []string `json:"current_only,omitempty"`
+	// OverCeiling lists the benchmarks whose ratio exceeds RowCeiling.
+	OverCeiling []string `json:"over_ceiling,omitempty"`
 	// Skipped lists benchmarks present in both files whose primary
 	// metric has no positive median on one side (truncated or corrupted
 	// output); they fail the gate like BaselineOnly entries do.
@@ -130,7 +143,8 @@ func gate(baseline, current map[string]sampleSet, metric string, maxSlowdownPct 
 		Metric:         metric,
 		MaxSlowdownPct: maxSlowdownPct,
 		GateDescription: fmt.Sprintf(
-			"fail when geomean(current/baseline %s) exceeds %+.0f%%", metric, maxSlowdownPct),
+			"fail when geomean(current/baseline %s) exceeds %+.0f%%, or one benchmark's ratio exceeds %.1f × max(1, geomean)",
+			metric, maxSlowdownPct, rowCeiling),
 	}
 	logSum, n := 0.0, 0
 	for name, cur := range current {
@@ -180,11 +194,17 @@ func gate(baseline, current map[string]sampleSet, metric string, maxSlowdownPct 
 	if n > 0 {
 		rep.GeomeanRatio = math.Exp(logSum / float64(n))
 	}
+	rep.RowCeiling = rowCeiling * math.Max(1, rep.GeomeanRatio)
+	for _, row := range rep.Benchmarks {
+		if row.Ratio > rep.RowCeiling {
+			rep.OverCeiling = append(rep.OverCeiling, row.Name)
+		}
+	}
 	// A baseline benchmark missing from the current run — or present but
 	// without a usable primary metric — is a gate failure, not a free
 	// pass: nothing may silently shrink the comparison set.
 	rep.Pass = n > 0 && len(rep.BaselineOnly) == 0 && len(rep.Skipped) == 0 &&
-		rep.GeomeanRatio <= 1+maxSlowdownPct/100
+		rep.GeomeanRatio <= 1+maxSlowdownPct/100 && len(rep.OverCeiling) == 0
 	return rep
 }
 
@@ -238,8 +258,8 @@ func run(args []string, out, errOut io.Writer) int {
 	for _, name := range rep.Skipped {
 		fmt.Fprintf(out, "%-50s no usable %s median\n", name, rep.Metric)
 	}
-	fmt.Fprintf(out, "geomean ratio %.4f over %d benchmarks (gate: <= %.4f)\n",
-		rep.GeomeanRatio, rep.Compared, 1+rep.MaxSlowdownPct/100)
+	fmt.Fprintf(out, "geomean ratio %.4f over %d benchmarks (gate: <= %.4f; per benchmark: <= %.4f)\n",
+		rep.GeomeanRatio, rep.Compared, 1+rep.MaxSlowdownPct/100, rep.RowCeiling)
 	if *jsonPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
@@ -261,9 +281,13 @@ func run(args []string, out, errOut io.Writer) int {
 		case len(rep.Skipped) > 0:
 			fmt.Fprintf(errOut, "benchgate: FAIL — benchmarks without a usable %s median: %s\n",
 				rep.Metric, strings.Join(rep.Skipped, ", "))
-		default:
+		case rep.GeomeanRatio > 1+rep.MaxSlowdownPct/100:
 			fmt.Fprintf(errOut, "benchgate: FAIL — %.1f%% geomean slowdown exceeds the %.0f%% gate\n",
 				(rep.GeomeanRatio-1)*100, rep.MaxSlowdownPct)
+		}
+		if len(rep.OverCeiling) > 0 {
+			fmt.Fprintf(errOut, "benchgate: FAIL — benchmarks over the %.4f per-benchmark ceiling: %s\n",
+				rep.RowCeiling, strings.Join(rep.OverCeiling, ", "))
 		}
 		return 1
 	}

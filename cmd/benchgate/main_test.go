@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -91,6 +92,37 @@ func TestGateDecision(t *testing.T) {
 				t.Fatalf("geomean %v, want %v", rep.GeomeanRatio, tt.factor)
 			}
 		})
+	}
+}
+
+// rows builds a parsed benchmark set with one ns/op sample per
+// benchmark, named BenchmarkRow0..N-1.
+func rows(nsPerOp ...float64) map[string]sampleSet {
+	out := make(map[string]sampleSet)
+	for i, v := range nsPerOp {
+		out["BenchmarkRow"+strconv.Itoa(i)] = sampleSet{"ns/op": {v}}
+	}
+	return out
+}
+
+func TestGatePerBenchmarkCeiling(t *testing.T) {
+	base := rows(100, 100, 100, 100, 100, 100, 100, 100)
+
+	// One of eight benchmarks 2x slower: the geomean moves only
+	// 2^(1/8) ≈ 1.09, inside the 10% gate, but the row ceiling catches it.
+	rep := gate(base, rows(100, 100, 100, 200, 100, 100, 100, 100), "ns/op", 10)
+	if rep.GeomeanRatio >= 1.10 {
+		t.Fatalf("geomean %v: the case must stay inside the geomean gate", rep.GeomeanRatio)
+	}
+	if rep.Pass || len(rep.OverCeiling) != 1 || rep.OverCeiling[0] != "BenchmarkRow3" {
+		t.Fatalf("2x regression on one row must fail the gate and be named: %+v", rep)
+	}
+
+	// A uniformly faster host with one row at parity: the parity row sits
+	// ~1.6x above the geomean but at the baseline, so it must pass.
+	rep = gate(base, rows(60, 60, 60, 60, 60, 60, 60, 100), "ns/op", 10)
+	if !rep.Pass || len(rep.OverCeiling) != 0 {
+		t.Fatalf("a row at parity on a faster host must pass: %+v", rep)
 	}
 }
 
@@ -196,5 +228,15 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "FAIL") {
 		t.Fatalf("stderr: %s", errOut.String())
+	}
+	// One benchmark 2x slower is named in the FAIL line.
+	slow = strings.ReplaceAll(sampleOutput, "   2000000 ns/op", "   4000000 ns/op")
+	if err := os.WriteFile(curPath, []byte(slow), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	errOut.Reset()
+	if rc := run([]string{"-baseline", basePath, "-current", curPath}, &out, &errOut); rc != 1 ||
+		!strings.Contains(errOut.String(), "per-benchmark ceiling: BenchmarkRecorderDrain") {
+		t.Fatalf("rc=%d for a 2x row, stderr=%s", rc, errOut.String())
 	}
 }

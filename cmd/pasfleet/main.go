@@ -119,6 +119,10 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "pasfleet: invalid shard count %d (accepted: 0 for one per worker, or a positive count)\n", *shards)
 		return 2
 	}
+	if *workers < 0 {
+		fmt.Fprintf(errOut, "pasfleet: invalid worker count %d (accepted: 0 for GOMAXPROCS, or a positive count)\n", *workers)
+		return 2
+	}
 	streamFormat, streamPath, ok := parseStream(*stream)
 	if !ok {
 		fmt.Fprintf(errOut, "pasfleet: invalid stream spec %q (accepted: csv, jsonl, csv:path, jsonl:path)\n", *stream)

@@ -48,6 +48,7 @@ func TestFlagValidation(t *testing.T) {
 		{"metrics addr", []string{"-metrics-addr", "not an:address:at all"}, "invalid metrics address"},
 		{"scheduler", []string{"-sched", "bogus"}, "unknown scheduler"},
 		{"shards", []string{"-shards", "-2"}, "invalid shard count"},
+		{"workers", []string{"-workers", "-3"}, "invalid worker count"},
 		{"stream", []string{"-stream", "xml"}, "invalid stream spec"},
 		{"gen-stream vs vmtrace", []string{"-gen-stream", "-vmtrace", "x.csv"}, "-gen-stream conflicts with -vmtrace"},
 		{"lifetime", []string{"-lifetime", "-3"}, "invalid mean lifetime"},

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"pasched/internal/sim"
 )
@@ -335,35 +334,4 @@ func TestRunParallel(t *testing.T) {
 	if err := RunParallel(4, nil); err != nil {
 		t.Fatalf("empty task list: %v", err)
 	}
-}
-
-func TestGate(t *testing.T) {
-	if got := NewGate(0).Slots(); got != 1 {
-		t.Errorf("NewGate(0).Slots() = %d, want clamp to 1", got)
-	}
-	g := NewGate(2)
-	if g.Slots() != 2 {
-		t.Fatalf("Slots() = %d, want 2", g.Slots())
-	}
-	g.Acquire()
-	g.Acquire()
-	// Both slots held: a third Acquire must block until a Release.
-	acquired := make(chan struct{})
-	go func() {
-		g.Acquire()
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-		t.Fatal("third Acquire succeeded with both slots held")
-	case <-time.After(10 * time.Millisecond):
-	}
-	g.Release()
-	select {
-	case <-acquired:
-	case <-time.After(time.Second):
-		t.Fatal("Acquire did not proceed after Release")
-	}
-	g.Release()
-	g.Release()
 }

@@ -18,8 +18,8 @@ import (
 //
 // Determinism: signals are built from f.order — coordinator insertion
 // order, compacted at barriers, identical for every shard and worker
-// count — and every read happens while all shards are parked at the
-// barrier, strictly before the first action dispatch wakes them. The
+// count — and every read happens after the barrier flush ran every
+// staged command, strictly before the first action is staged. The
 // applied actions are themselves (time, seq)-ordered commands, so an
 // autoscaled report stays bit-exact across shardings.
 
@@ -64,8 +64,8 @@ func (f *Fleet) autoscaleStep(t sim.Time, ivP50Us, ivP99Us int64, ivLen sim.Time
 	}
 	f.autoSigs = sigs[:0]
 
-	// All signal reads are complete; from here on dispatches may wake
-	// shard workers.
+	// All signal reads are complete; from here on staged actions may run
+	// (a shard that fills up flushes).
 	for _, a := range f.auto.Step(t, sigs) {
 		p, ok := f.vms[a.VM]
 		if !ok || p.gone || p.mig != nil {

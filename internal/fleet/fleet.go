@@ -81,17 +81,16 @@ type Config struct {
 	// machines still power off at reporting barriers).
 	ConsolidateEvery sim.Time
 	// Shards partitions the machines round-robin into independently
-	// stepped shards, each with its own event queue and persistent
-	// worker. Every cross-shard operation is resolved by the sequential
-	// coordinator in (time, seq) order, and all reductions are exact
-	// integers, so the report is bit-identical for every shard count.
-	// Zero selects one shard per worker; values above the machine count
-	// are clamped to it.
+	// stepped shards. Each shard executes the commands the sequential
+	// coordinator staged on it, in the coordinator's (time, seq) order,
+	// and all reductions are exact integers, so the report is
+	// bit-identical for every shard count. Zero selects one shard per
+	// worker; values above the machine count are clamped to it.
 	Shards int
-	// Workers bounds how many shard workers execute simultaneously.
-	// The simulation result is identical for any worker count. Zero
-	// selects GOMAXPROCS; 1 executes every command inline on the
-	// coordinator with no goroutines at all.
+	// Workers bounds how many shards execute their staged commands
+	// simultaneously (engine.RunParallel). The simulation result is
+	// identical for any worker count. Zero selects GOMAXPROCS; 1 runs
+	// every shard on the coordinator's goroutine; negative is rejected.
 	Workers int
 	// Seed seeds the per-VM workload arrival processes.
 	Seed uint64
@@ -249,7 +248,10 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.ConsolidateEvery < 0 {
 		return cfg, fmt.Errorf("fleet: consolidation interval %v negative", cfg.ConsolidateEvery)
 	}
-	if cfg.Workers < 1 {
+	if cfg.Workers < 0 {
+		return cfg, fmt.Errorf("fleet: worker count %d negative (0 selects GOMAXPROCS)", cfg.Workers)
+	}
+	if cfg.Workers == 0 {
 		cfg.Workers = engine.DefaultWorkers()
 	}
 	if cfg.Shards < 0 {
@@ -446,11 +448,11 @@ func (h timedHeap) top() (sim.Time, bool) {
 // every decision — runs sequentially on the coordinator (Run's
 // goroutine) against pure bookkeeping state that never reads the
 // simulated hosts. The data plane — host stepping, guest attach/detach,
-// energy and work accounting — executes on per-shard workers driven by
-// timestamped command queues filled in the coordinator's deterministic
-// order. Work and energy reduce machine -> shard -> fleet as exact
-// integers, so the report is bit-identical for every shard and worker
-// count.
+// energy and work accounting — runs per shard: the coordinator stages
+// timestamped commands on each shard in its deterministic order, and a
+// flush executes every shard's commands through engine.RunParallel.
+// Work and energy reduce machine -> shard -> fleet as exact integers,
+// so the report is bit-identical for every shard and worker count.
 type Fleet struct {
 	cfg     Config
 	nmach   int
@@ -485,17 +487,11 @@ type Fleet struct {
 	ivLat      serve.Histogram
 
 	shards []*shard
-	// stage pre-partitions data-plane commands per destination shard:
-	// dispatch appends, and a staged run is flushed to the shard's queue
-	// in one batch — when it grows past stageFlushLen, when a command
-	// needs promptness (migration hand-off channels), or at the latest
-	// before the coordinator blocks on a barrier or join. Unused in
-	// inline mode.
-	stage   [][]command
-	gate    *engine.Gate
-	inline  bool // Shards == 1 or Workers == 1: exec commands on the coordinator
-	abort   chan struct{}
-	workers sync.WaitGroup
+	// runs holds each shard's run method, built once so a flush
+	// allocates nothing; foldAt is the barrier time the current flush
+	// folds at, noFold for none.
+	runs    []func() error
+	foldAt  sim.Time
 	running atomic.Bool
 
 	// flight recorder (Obs.Enabled only): the recorder owning the
@@ -520,11 +516,12 @@ type Fleet struct {
 	inbound []int32
 	everOn  []bool
 
-	vms   map[string]*ctlVM
-	order []*ctlVM // insertion order; compacted at barriers and on churn
-	goneN int      // departed entries still occupying order
-	migs  map[string]*migration
-	migQ  timedHeap
+	vms     map[string]*ctlVM
+	order   []*ctlVM // insertion order; compacted at barriers and on churn
+	goneN   int      // departed entries still occupying order
+	migs    map[string]*migration
+	migQ    timedHeap
+	departQ timedHeap // trace departures, popped in (time, name) order
 
 	// autoscaler (Autoscale.Enabled only): the controller wrapping the
 	// policy, the reused signal buffer, and the decision counters.
@@ -541,7 +538,6 @@ type Fleet struct {
 	outFree    []*VMOutcome
 	dataPool   sync.Pool
 	outPending []*VMOutcome // outcome slots of the current interval
-	departDue  []timedName
 	consStates []MachineState
 	movingBuf  []*ctlVM
 	planBuf    []consMove
@@ -702,13 +698,12 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 	}
 
 	ns := cfg.Shards
-	f.gate = engine.NewGate(cfg.Workers)
-	f.inline = ns == 1 || cfg.Workers == 1
 	if cfg.Obs.Enabled {
 		f.rec = obs.NewRecorder(ns, cfg.Obs.Sink, cfg.Obs.Buffer)
 		f.cobs = obs.NewMachineObs(f.rec.CoordinatorRing(), obs.LaneCoordinator)
 	}
 	f.shards = make([]*shard, ns)
+	f.runs = make([]func() error, ns)
 	for si := 0; si < ns; si++ {
 		n := (total - si + ns - 1) / ns // machines with index ≡ si (mod ns)
 		s := &shard{
@@ -731,11 +726,8 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 		for slot := range s.nextID {
 			s.nextID[slot] = 1
 		}
-		s.queue.init()
 		f.shards[si] = s
-	}
-	if !f.inline {
-		f.stage = make([][]command, ns)
+		f.runs[si] = s.run
 	}
 	f.pidx = newPlaceIndex(cfg.Policy, f.states, f.classOf, len(cfg.Machines))
 	return f, nil
@@ -769,8 +761,8 @@ func (f *Fleet) Now() sim.Time { return f.now }
 
 // BatchedQuanta returns the total quanta executed through batched steps
 // across every machine, for the equivalence tests' vacuity checks. It
-// returns 0 while Run is executing: the engines belong to the shard
-// workers until the run completes.
+// returns 0 while Run is executing: the engines belong to the shards
+// until the run completes.
 func (f *Fleet) BatchedQuanta() int64 {
 	if f.running.Load() {
 		return 0
@@ -787,15 +779,15 @@ func (f *Fleet) BatchedQuanta() int64 {
 }
 
 // Host exposes one machine's simulated host (for tests and metrics).
-// It fails while Run is executing — the hosts are owned by the shard
-// workers — and lazily constructs the host of a machine that was never
+// It fails while Run is executing — the hosts are owned by the shards —
+// and lazily constructs the host of a machine that was never
 // powered on, so callers can always inspect a completed run.
 func (f *Fleet) Host(i int) (*host.Host, error) {
 	if i < 0 || i >= f.nmach {
 		return nil, fmt.Errorf("fleet: machine %d out of range", i)
 	}
 	if f.running.Load() {
-		return nil, fmt.Errorf("fleet: machine %d unavailable while Run executes (hosts are owned by the shard workers)", i)
+		return nil, fmt.Errorf("fleet: machine %d unavailable while Run executes (hosts are owned by the shards)", i)
 	}
 	s := f.shards[i%len(f.shards)]
 	slot := i / len(f.shards)
@@ -912,89 +904,41 @@ func (f *Fleet) place(r Request) (int, bool) {
 	return f.cfg.Policy.Place(f.states, r)
 }
 
-// dispatch routes one data-plane command to the owning shard: executed
-// inline on the coordinator in single-shard or single-worker mode,
-// queued to the shard's persistent worker otherwise. Commands reach
-// each shard in the coordinator's deterministic (time, seq) order
-// either way.
+// dispatch stages one data-plane command on the owning shard. Each
+// shard executes its staged commands in the coordinator's (time, seq)
+// order at the next flush.
 func (f *Fleet) dispatch(machine int, c command) error {
-	si := machine % len(f.shards)
+	s := f.shards[machine%len(f.shards)]
 	c.slot = int32(machine / len(f.shards))
-	if f.inline {
-		s := f.shards[si]
-		s.exec(&c)
-		return f.shardErr()
-	}
-	// Stage per destination shard and flush in batches: arrival-heavy
-	// windows then cost one queue lock per run of commands instead of
-	// one per event. Commands carrying a migration hand-off channel
-	// flush immediately — their peer shard may already be blocked on
-	// the channel — and the coordinator flushes everything before it
-	// blocks on a barrier or join.
-	f.stage[si] = append(f.stage[si], c)
-	if c.ch != nil || len(f.stage[si]) >= stageFlushLen {
-		f.flushShard(si)
+	s.pending = append(s.pending, c)
+	if len(s.pending) >= stageFlushLen {
+		return f.flush(noFold)
 	}
 	return nil
 }
 
-// stageFlushLen bounds a shard's staged run before it is force-flushed;
-// past this length batching gains flatten and latency to the worker
-// starts to dominate.
+// stageFlushLen bounds a shard's staged commands, so a long reporting
+// interval cannot hold every arrival's dataVM until the barrier.
 const stageFlushLen = 256
 
-func (f *Fleet) flushShard(si int) {
-	if len(f.stage[si]) == 0 {
-		return
-	}
-	f.shards[si].queue.pushBatch(f.stage[si])
-	f.stage[si] = f.stage[si][:0]
-}
+// noFold is flush's foldAt for a flush without a barrier fold.
+const noFold sim.Time = -1
 
-// flushStaged delivers every staged command; the coordinator calls it
-// before blocking on the shards.
-func (f *Fleet) flushStaged() {
-	for si := range f.stage {
-		f.flushShard(si)
-	}
-}
-
-// shardErr returns the first shard error in shard order, preferring
-// root causes over poison propagated from a peer's failure.
-func (f *Fleet) shardErr() error {
-	for _, s := range f.shards {
-		if s.err != nil && !s.poisoned {
-			return s.err
-		}
-	}
-	for _, s := range f.shards {
-		if s.err != nil {
-			return s.err
-		}
-	}
-	return nil
+// flush runs every shard's staged commands, one engine.RunParallel task
+// per shard, each followed by the shard's barrier fold at foldAt when
+// foldAt >= 0. Shards share no mutable state and never wait on each
+// other, so any worker count yields the same state; the error is the
+// first in shard order.
+func (f *Fleet) flush(foldAt sim.Time) error {
+	f.foldAt = foldAt
+	return engine.RunParallel(f.cfg.Workers, f.runs)
 }
 
 // barrier synchronizes every shard to t and reduces the shard interval
 // partials into the fleet accumulators (the shard -> fleet stage of the
 // hierarchical exact reduction).
 func (f *Fleet) barrier(t sim.Time) error {
-	if f.inline {
-		for _, s := range f.shards {
-			if s.err == nil {
-				s.execBarrier(t)
-			}
-		}
-	} else {
-		f.flushStaged()
-		var wg sync.WaitGroup
-		wg.Add(len(f.shards))
-		for _, s := range f.shards {
-			s.queue.push(command{kind: cmdBarrier, slot: -1, at: t, wg: &wg})
-		}
-		wg.Wait()
-	}
-	if err := f.shardErr(); err != nil {
+	if err := f.flush(t); err != nil {
 		return err
 	}
 	for _, s := range f.shards {
@@ -1018,20 +962,6 @@ func (f *Fleet) barrier(t sim.Time) error {
 	return nil
 }
 
-// join waits for every shard to drain its queue without folding.
-func (f *Fleet) join() error {
-	if !f.inline {
-		f.flushStaged()
-		var wg sync.WaitGroup
-		wg.Add(len(f.shards))
-		for _, s := range f.shards {
-			s.queue.push(command{kind: cmdJoin, slot: -1, wg: &wg})
-		}
-		wg.Wait()
-	}
-	return f.shardErr()
-}
-
 // Run advances the fleet from time zero to the horizon, consuming the
 // trace, and returns the cluster-level report. The fleet is single-shot:
 // a second Run returns an error.
@@ -1040,10 +970,10 @@ func (f *Fleet) join() error {
 // upcoming fleet-level event — a VM arrival or departure, a migration
 // completion, a consolidation round, a reporting barrier — resolves all
 // control-plane consequences sequentially, and dispatches the resulting
-// data-plane commands to the shard workers, which let each involved
-// machine advance to exactly that moment so per-host event-horizon
-// batching folds the whole uninterrupted stretch. All shards only
-// synchronize together at reporting barriers.
+// data-plane commands to the shards, which let each involved machine
+// advance to exactly that moment so per-host event-horizon batching
+// folds the whole uninterrupted stretch. All shards only synchronize
+// together at reporting barriers.
 func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 	if f.ran {
 		return nil, fmt.Errorf("fleet: already ran; build a new fleet for another run")
@@ -1061,26 +991,7 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 	f.sinks = append(f.sinks, f.cfg.Sinks...)
 
 	f.running.Store(true)
-	if !f.inline {
-		f.abort = make(chan struct{})
-		f.workers.Add(len(f.shards))
-		for _, s := range f.shards {
-			go func(s *shard) {
-				defer f.workers.Done()
-				s.loop()
-			}(s)
-		}
-	}
-	defer func() {
-		if !f.inline {
-			close(f.abort)
-			for _, s := range f.shards {
-				s.queue.close()
-			}
-			f.workers.Wait()
-		}
-		f.running.Store(false)
-	}()
+	defer f.running.Store(false)
 
 	nextReport := f.cfg.ReportEvery
 	if nextReport > horizon {
@@ -1105,10 +1016,8 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 		if f.evValid && f.ev.Arrive < t {
 			t = f.ev.Arrive
 		}
-		for _, s := range f.shards {
-			if at, ok := s.departQ.top(); ok && at < t {
-				t = at
-			}
+		if at, ok := f.departQ.top(); ok && at < t {
+			t = at
 		}
 		if at, ok := f.migQ.top(); ok && at < t {
 			t = at
@@ -1129,24 +1038,8 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 				return nil, err
 			}
 		}
-		// Same-instant departures merge across the shard queues in the
-		// global (time, name) order a single queue would pop.
-		f.departDue = f.departDue[:0]
-		for _, s := range f.shards {
-			for len(s.departQ) > 0 && s.departQ[0].at <= t {
-				f.departDue = append(f.departDue, s.departQ.pop())
-			}
-		}
-		if len(f.departDue) > 1 {
-			sort.Slice(f.departDue, func(i, j int) bool {
-				if f.departDue[i].at != f.departDue[j].at {
-					return f.departDue[i].at < f.departDue[j].at
-				}
-				return f.departDue[i].name < f.departDue[j].name
-			})
-		}
-		for _, tn := range f.departDue {
-			if err := f.depart(tn.name); err != nil {
+		for len(f.departQ) > 0 && f.departQ[0].at <= t {
+			if err := f.depart(f.departQ.pop().name); err != nil {
 				return nil, err
 			}
 		}
@@ -1317,7 +1210,7 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 	f.vms[ev.Name] = p
 	f.order = append(f.order, p)
 	if depart := ev.Arrive + ev.Lifetime; depart < f.horizon {
-		f.shards[idx%len(f.shards)].departQ.push(timedName{at: depart, name: ev.Name})
+		f.departQ.push(timedName{at: depart, name: ev.Name})
 	}
 	f.arrived++
 	f.iv.Arrivals++
@@ -1568,11 +1461,8 @@ func (f *Fleet) abortMigration(p *ctlVM) {
 }
 
 // completeMigration finishes one due migration: the source shard
-// detaches the guest and hands the dataVM to the destination shard over
-// a one-shot channel; the destination attaches a fresh guest with the
-// same still-running workload. The coordinator dispatches the out
-// command strictly before the in command, so the exchange can never
-// deadlock under any worker count.
+// detaches the guest, and the destination shard attaches a fresh guest
+// running the same dataVM's still-running workload.
 func (f *Fleet) completeMigration(name string) error {
 	mg, ok := f.migs[name]
 	if !ok || mg.canceled {
@@ -1580,11 +1470,15 @@ func (f *Fleet) completeMigration(name string) error {
 	}
 	delete(f.migs, name)
 	p := f.vms[name]
-	ch := make(chan *dataVM, 1)
-	if err := f.dispatch(mg.from, command{kind: cmdMigrateOut, at: f.now, d: p.d, ch: ch}); err != nil {
+	if err := f.dispatch(mg.from, command{kind: cmdMigrateOut, at: f.now, d: p.d}); err != nil {
 		return err
 	}
-	if err := f.dispatch(mg.to, command{kind: cmdMigrateIn, at: f.now, ch: ch}); err != nil {
+	// Shards order only their own commands: run the detach before the
+	// destination can attach the same dataVM.
+	if err := f.flush(noFold); err != nil {
+		return err
+	}
+	if err := f.dispatch(mg.to, command{kind: cmdMigrateIn, at: f.now, d: p.d}); err != nil {
 		return err
 	}
 	f.release(mg.from, p.req)
@@ -1705,20 +1599,19 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 	f.ivEnergy = energy.Energy{}
 	f.ivDemanded, f.ivAttained = 0, 0
 
-	// The elastic loop runs with every shard still parked at the barrier
-	// (the coordinator may legally read data-plane state until the first
-	// dispatch) and the interval's latency quantiles in hand. The final
-	// barrier skips it: there is nothing left to resize.
+	// The elastic loop runs with nothing staged (the barrier flush ran
+	// every command, so the coordinator may read data-plane state) and
+	// the interval's latency quantiles in hand. The final barrier skips
+	// it: there is nothing left to resize.
 	if f.auto != nil && t < f.horizon {
 		if err := f.autoscaleStep(t, ivP50Us, ivP99Us, ivLen); err != nil {
 			return err
 		}
 		if f.rec != nil {
-			// The resize and scale-out commands just dispatched emit host
-			// events at the barrier instant; rejoin the shards before the
-			// drain below so those events land in this window's merge
-			// deterministically, not racing it.
-			if err := f.join(); err != nil {
+			// The resize and scale-out commands just staged emit host
+			// events at the barrier instant; run them before the drain
+			// below so those events land in this window's merge.
+			if err := f.flush(noFold); err != nil {
 				return err
 			}
 		}
@@ -1752,9 +1645,8 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 		}
 	}
 	if f.rec != nil {
-		// Every shard is parked at the barrier and every machine event up
-		// to t is in its ring; fold the coordinator's own barrier marker
-		// in, then merge the window.
+		// Every machine event up to t is in its shard's ring; fold the
+		// coordinator's own barrier marker in, then merge the window.
 		f.cobs.Emit(t, obs.KindBarrier, "", int64(liveN), 0)
 		if err := f.rec.Drain(); err != nil {
 			return err
@@ -1781,7 +1673,7 @@ func (f *Fleet) finalize() error {
 			return err
 		}
 	}
-	if err := f.join(); err != nil {
+	if err := f.flush(noFold); err != nil {
 		return err
 	}
 	if err := f.flushOutcomes(); err != nil {

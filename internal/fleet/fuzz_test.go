@@ -86,7 +86,7 @@ func FuzzParseTrace(f *testing.F) {
 // Feature bits of FuzzShardEquivalence's features byte.
 const (
 	// fuzzServe enables the serving layer: latency histograms fold on
-	// shard workers and merge on the coordinator, including requests
+	// the shards and merge on the coordinator, including requests
 	// whose service spans a live migration.
 	fuzzServe = 1 << iota
 	// fuzzObs enables the buffered flight recorder, so the per-VM

@@ -3,7 +3,6 @@ package fleet
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"pasched/internal/energy"
 	"pasched/internal/host"
@@ -56,8 +55,8 @@ type dataVM struct {
 // workload has offered so far, served or still queued.
 func (d *dataVM) demanded() sim.Work { return d.wl.CompletedWork() + d.wl.Pending() }
 
-// cmdKind enumerates the data-plane commands the coordinator dispatches
-// to shard workers.
+// cmdKind enumerates the data-plane commands the coordinator stages on
+// the shards.
 type cmdKind uint8
 
 const (
@@ -71,25 +70,18 @@ const (
 	// cmdRemoveVM detaches a departing guest, folds its final SLA deltas
 	// into the shard partials, and fills its outcome slot.
 	cmdRemoveVM
-	// cmdMigrateOut detaches a migrating guest from the source machine
-	// and hands its dataVM to the destination shard over the command's
-	// channel.
+	// cmdMigrateOut detaches a migrating guest from the source machine.
+	// The coordinator flushes it before staging the matching cmdMigrateIn,
+	// so the source is done with the dataVM when the destination gets it.
 	cmdMigrateOut
-	// cmdMigrateIn receives the dataVM from the source shard and attaches
-	// a fresh guest (same still-running workload) to the destination.
+	// cmdMigrateIn attaches a fresh guest running the detached dataVM's
+	// still-running workload to the destination machine.
 	cmdMigrateIn
 	// cmdRecordLive fills the outcome slot of a VM still resident at the
 	// horizon, without detaching it.
 	cmdRecordLive
 	// cmdPowerOff marks the machine off after a barrier emptied it.
 	cmdPowerOff
-	// cmdBarrier synchronizes every powered-on machine of the shard to
-	// the barrier time, folds energy and VM work into the shard partials,
-	// and signals the coordinator's WaitGroup.
-	cmdBarrier
-	// cmdJoin only signals the WaitGroup: a synchronization point without
-	// a fold (the finalize drain).
-	cmdJoin
 	// cmdObsMigMark marks a VM's attribution ledger as migrating at the
 	// pre-copy plan instant (Config.Obs only): the host is synced to the
 	// command time first, so earlier wait time keeps its original
@@ -118,99 +110,25 @@ type resizeArgs struct {
 }
 
 // command is one timestamped data-plane operation. The coordinator
-// enqueues commands in its deterministic control order; each shard
-// worker executes its queue strictly in that order, which is what makes
-// the simulation independent of shard and worker counts.
+// stages commands in its deterministic control order; each shard
+// executes its own strictly in that order, which is what makes the
+// simulation independent of shard and worker counts.
 type command struct {
 	kind cmdKind
-	slot int32 // shard-local machine slot; -1 for barrier/join
+	slot int32 // shard-local machine slot
 	at   sim.Time
 	d    *dataVM
 	out  *VMOutcome
-	ch   chan *dataVM    // migration hand-off (buffered, capacity 1)
-	wg   *sync.WaitGroup // barrier/join acknowledgement
-	rz   resizeArgs      // cmdResize operands
-}
-
-// cmdQueue is a shard worker's mailbox: the coordinator appends, the
-// worker drains whole batches. Batch slices are recycled through spare.
-type cmdQueue struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	buf    []command
-	spare  []command
-	closed bool
-}
-
-func (q *cmdQueue) init() { q.cond = sync.NewCond(&q.mu) }
-
-func (q *cmdQueue) push(c command) {
-	q.mu.Lock()
-	q.buf = append(q.buf, c)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// pushBatch appends a pre-partitioned run of commands under one lock
-// acquisition — the coordinator stages arrival-heavy windows per shard
-// and hands each shard its whole run at once.
-func (q *cmdQueue) pushBatch(cmds []command) {
-	if len(cmds) == 0 {
-		return
-	}
-	q.mu.Lock()
-	q.buf = append(q.buf, cmds...)
-	q.mu.Unlock()
-	q.cond.Signal()
-}
-
-// wait blocks until commands are queued or the queue is closed, and
-// returns the pending batch. ok is false when the queue is closed and
-// fully drained.
-func (q *cmdQueue) wait() (batch []command, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.buf) == 0 && !q.closed {
-		q.cond.Wait()
-	}
-	if len(q.buf) == 0 {
-		return nil, false
-	}
-	batch = q.buf
-	if q.spare != nil {
-		q.buf = q.spare[:0]
-		q.spare = nil
-	} else {
-		q.buf = nil
-	}
-	return batch, true
-}
-
-func (q *cmdQueue) recycle(batch []command) {
-	for i := range batch {
-		batch[i] = command{}
-	}
-	q.mu.Lock()
-	q.spare = batch[:0]
-	q.mu.Unlock()
-}
-
-func (q *cmdQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.mu.Unlock()
-	q.cond.Broadcast()
+	rz   resizeArgs // cmdResize operands
 }
 
 // shard owns a round-robin slice of the fleet's machines: global
 // machine i lives in shard i % Shards at local slot i / Shards (first
 // fit packs low indices, so round robin spreads the active machines
-// evenly across shards). All fields below are touched only by the
-// owning shard worker while Run executes — except departQ, which is
-// coordinator-owned planning state (the shard-local departure event
-// queue the coordinator pops in (time, name) order), and the interval
-// partials, which the coordinator reads and resets only between a
-// barrier acknowledgement and the next dispatch.
+// evenly across shards). The coordinator appends to pending between
+// flushes; every other field is touched only by the shard's own task
+// inside a flush, except the interval partials, which the coordinator
+// reads and resets after a barrier flush.
 type shard struct {
 	f  *Fleet
 	id int
@@ -220,8 +138,6 @@ type shard struct {
 	prevEnergy []energy.Energy
 	nextID     []vm.ID
 	resident   [][]*dataVM
-
-	departQ timedHeap
 
 	// rng is the shard's private deterministic stream, decorrelated from
 	// the workload seeds. It drives the sampled consistency audits below
@@ -241,7 +157,7 @@ type shard struct {
 	// per-class interval latency histograms, merged and reset by the
 	// coordinator at barriers exactly like the work partials above; the
 	// counters accumulate at VM departure and horizon record and are
-	// read by the coordinator only after the final join.
+	// read by the coordinator only after the final flush.
 	lat           []serve.Histogram
 	servOffered   int64
 	servCompleted int64
@@ -256,10 +172,12 @@ type shard struct {
 	mobs       []*obs.MachineObs
 	prevBounds [][boundarySources]int64
 
-	err      error
-	poisoned bool // err came from a peer's failure, not this shard
-
-	queue cmdQueue
+	// pending holds the commands staged since the last flush, in
+	// coordinator order.
+	pending []command
+	// err is the shard's first error; a failed shard executes nothing
+	// more.
+	err error
 }
 
 // globalIndex maps a local slot back to the fleet-wide machine index.
@@ -281,135 +199,82 @@ func (s *shard) machineObs(slot int32) *obs.MachineObs {
 	return s.mobs[slot]
 }
 
-// fail records the shard's first error; later commands run in poison
-// mode (no host work, but hand-offs and barriers still serviced so
-// peers never block).
-func (s *shard) fail(err error) {
-	if s.err == nil {
-		s.err = err
+// run is the shard's task in a flush: it executes the staged commands
+// in order, stopping at the first error, and then folds the barrier at
+// f.foldAt when the flush carries one.
+func (s *shard) run() error {
+	for i := 0; i < len(s.pending) && s.err == nil; i++ {
+		s.err = s.exec(&s.pending[i])
 	}
+	clear(s.pending) // drop the dataVM and outcome references
+	s.pending = s.pending[:0]
+	if s.err == nil && s.f.foldAt >= 0 {
+		s.err = s.execBarrier(s.f.foldAt)
+	}
+	return s.err
 }
 
-func (s *shard) poison(err error) {
-	if s.err == nil {
-		s.err = err
-		s.poisoned = true
-	}
-}
-
-// loop is the persistent worker: it drains command batches in order,
-// holding one of the fleet's gate slots while executing. A worker
-// blocked on a migration hand-off releases its slot first (see
-// execMigrateIn), so a bounded worker count cannot deadlock.
-func (s *shard) loop() {
-	for {
-		batch, ok := s.queue.wait()
-		if !ok {
-			return
-		}
-		s.f.gate.Acquire()
-		for i := range batch {
-			s.exec(&batch[i])
-		}
-		s.f.gate.Release()
-		s.queue.recycle(batch)
-	}
-}
-
-// exec runs one command. After an error the shard is poisoned: host
-// work is skipped, but barriers are still acknowledged and migration
-// hand-offs still serviced, so sibling shards and the coordinator can
-// always make progress; the coordinator collects the error at the next
-// barrier.
-func (s *shard) exec(c *command) {
+// exec runs one command.
+func (s *shard) exec(c *command) error {
 	switch c.kind {
-	case cmdBarrier:
-		if s.err == nil {
-			s.execBarrier(c.at)
-		}
-		if c.wg != nil {
-			c.wg.Done()
-		}
-	case cmdJoin:
-		if c.wg != nil {
-			c.wg.Done()
-		}
 	case cmdPowerOn:
-		if s.err == nil {
-			s.execPowerOn(c)
-		}
+		return s.execPowerOn(c)
 	case cmdPowerOff:
-		if s.err == nil {
-			s.on[c.slot] = false
-		}
+		s.on[c.slot] = false
 	case cmdAddVM:
-		if s.err == nil {
-			s.execAddVM(c)
-		}
+		return s.execAddVM(c)
 	case cmdRemoveVM:
-		if s.err == nil {
-			s.execRemoveVM(c)
-		}
+		return s.execRemoveVM(c)
 	case cmdMigrateOut:
-		s.execMigrateOut(c)
+		return s.execMigrateOut(c)
 	case cmdMigrateIn:
-		s.execMigrateIn(c)
+		return s.execMigrateIn(c)
 	case cmdRecordLive:
-		if s.err == nil {
-			s.execRecordLive(c)
-		}
+		return s.execRecordLive(c)
 	case cmdObsMigMark:
-		if s.err == nil {
-			if err := s.sync(c.slot, c.at); err != nil {
-				s.fail(err)
-				return
-			}
-			c.d.led.Migrating = true
+		if err := s.sync(c.slot, c.at); err != nil {
+			return err
 		}
+		c.d.led.Migrating = true
 	case cmdResize:
-		if s.err == nil {
-			s.execResize(c)
-		}
+		return s.execResize(c)
 	}
+	return nil
 }
 
 // execResize applies one autoscaler action to a resident VM.
-func (s *shard) execResize(c *command) {
+func (s *shard) execResize(c *command) error {
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	d := c.d
+	var err error
 	switch c.rz.op {
 	case rzCap:
 		// Keep the booked credit on the dataVM so a later migration
 		// re-attaches the guest at its resized cap, not the contract.
 		d.credit = c.rz.capPct
-		var err error
 		switch sc := s.hosts[c.slot].Scheduler().(type) {
 		case sched.CapSetter:
 			err = sc.SetCap(d.guest.ID(), c.rz.capPct)
 		case weightSetter:
 			err = sc.SetWeight(d.guest.ID(), weightForCap(c.rz.capPct))
 		}
-		if err != nil {
-			s.fail(fmt.Errorf("fleet: resize %s: %w", d.name, err))
-		}
 	case rzOverhead:
 		if d.srv != nil {
-			if err := d.srv.SetOverheadPermille(c.rz.permille); err != nil {
-				s.fail(fmt.Errorf("fleet: resize %s: %w", d.name, err))
-			}
+			err = d.srv.SetOverheadPermille(c.rz.permille)
 		}
 	case rzShare:
 		if d.srv != nil {
-			if err := d.srv.SetShare(int(c.rz.share), int(c.rz.shares)); err != nil {
-				s.fail(fmt.Errorf("fleet: resize %s: %w", d.name, err))
-			}
+			err = d.srv.SetShare(int(c.rz.share), int(c.rz.shares))
 		}
 	default:
-		s.fail(fmt.Errorf("fleet: resize %s: unknown op %d", d.name, c.rz.op))
+		err = fmt.Errorf("unknown op %d", c.rz.op)
 	}
+	if err != nil {
+		return fmt.Errorf("fleet: resize %s: %w", d.name, err)
+	}
+	return nil
 }
 
 // weightSetter is the resize surface of weight-based schedulers
@@ -443,7 +308,7 @@ func (s *shard) sync(slot int32, at sim.Time) error {
 	return h.RunUntil(at)
 }
 
-func (s *shard) execPowerOn(c *command) {
+func (s *shard) execPowerOn(c *command) error {
 	if s.hosts[c.slot] == nil {
 		// Lazy construction: a machine that is never placed on never
 		// builds a host at all, which is what keeps million-machine
@@ -452,23 +317,21 @@ func (s *shard) execPowerOn(c *command) {
 		spec := s.f.specs[s.f.classOf[s.globalIndex(c.slot)]]
 		h, err := newMachineHost(spec, s.f.cfg, s.machineObs(c.slot))
 		if err != nil {
-			s.fail(fmt.Errorf("fleet: machine %d: %w", s.globalIndex(c.slot), err))
-			return
+			return fmt.Errorf("fleet: machine %d: %w", s.globalIndex(c.slot), err)
 		}
 		s.hosts[c.slot] = h
 	}
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	s.prevEnergy[c.slot] = s.hosts[c.slot].Energy().Total()
 	s.on[c.slot] = true
+	return nil
 }
 
-func (s *shard) execAddVM(c *command) {
+func (s *shard) execAddVM(c *command) error {
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	d := c.d
 	wl, err := workload.NewWebApp(workload.WebAppConfig{
@@ -477,8 +340,7 @@ func (s *shard) execAddVM(c *command) {
 		Seed:       d.seed,
 	})
 	if err != nil {
-		s.fail(fmt.Errorf("fleet: VM %s workload: %w", d.name, err))
-		return
+		return fmt.Errorf("fleet: VM %s workload: %w", d.name, err)
 	}
 	if s.f.cfg.Serving.Enabled {
 		sc := &s.f.cfg.Serving
@@ -505,38 +367,37 @@ func (s *shard) execAddVM(c *command) {
 			FastForward:      d.ff,
 		})
 		if err != nil {
-			s.fail(fmt.Errorf("fleet: VM %s serving: %w", d.name, err))
-			return
+			return fmt.Errorf("fleet: VM %s serving: %w", d.name, err)
 		}
 		d.srv = srv
 	}
 	guest, err := vm.New(s.nextID[c.slot], vm.Config{Name: d.name, Credit: d.credit})
 	if err != nil {
-		s.fail(fmt.Errorf("fleet: VM %s: %w", d.name, err))
-		return
+		return fmt.Errorf("fleet: VM %s: %w", d.name, err)
 	}
 	s.nextID[c.slot]++
 	guest.SetWorkload(wl)
 	if err := s.hosts[c.slot].AddVM(guest); err != nil {
-		s.fail(fmt.Errorf("fleet: VM %s on machine %d: %w", d.name, s.globalIndex(c.slot), err))
-		return
+		return fmt.Errorf("fleet: VM %s on machine %d: %w", d.name, s.globalIndex(c.slot), err)
 	}
 	d.guest, d.wl = guest, wl
 	s.resident[c.slot] = append(s.resident[c.slot], d)
 	if s.f.rec != nil {
-		s.observe(c.slot, d)
+		return s.observe(c.slot, d)
 	}
+	return nil
 }
 
 // observe opens a ledger residency segment at the host clock and
 // registers the ledger with the host, which accumulates attribution into
 // it quantum-exactly until the VM detaches.
-func (s *shard) observe(slot int32, d *dataVM) {
+func (s *shard) observe(slot int32, d *dataVM) error {
 	h := s.hosts[slot]
 	d.led.Attach(h.Now())
 	if err := h.ObserveVM(d.guest.ID(), &d.led); err != nil {
-		s.fail(fmt.Errorf("fleet: observe %s: %w", d.name, err))
+		return fmt.Errorf("fleet: observe %s: %w", d.name, err)
 	}
+	return nil
 }
 
 // detach removes the dataVM from the machine's resident list and its
@@ -580,37 +441,37 @@ func (s *shard) fold(slot int32, d *dataVM) (demanded, attained sim.Work) {
 	return dem, att
 }
 
-func (s *shard) execRemoveVM(c *command) {
+func (s *shard) execRemoveVM(c *command) error {
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	d := c.d
 	if err := s.detach(c.slot, d, "depart"); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
 	dem, att := s.fold(c.slot, d)
 	c.out.DemandedWork = dem.Units()
 	c.out.AttainedWork = att.Units()
 	c.out.SLA = slaOf(att, dem)
 	s.takeServing(d, c.out, false)
-	s.takeLedger(c.slot, d, c.out)
+	if err := s.takeLedger(c.slot, d, c.out); err != nil {
+		return err
+	}
 	s.f.putDataVM(d)
+	return nil
 }
 
 // takeLedger closes the VM's ledger residency at the host clock, checks
 // the conservation invariant (every residency microsecond in exactly one
 // bucket), and moves the buckets into the outcome slot.
-func (s *shard) takeLedger(slot int32, d *dataVM, out *VMOutcome) {
+func (s *shard) takeLedger(slot int32, d *dataVM, out *VMOutcome) error {
 	if s.f.rec == nil {
-		return
+		return nil
 	}
 	d.led.Detach(s.hosts[slot].Now())
 	if got := d.led.Sum(); got != d.led.SpanUs {
-		s.fail(fmt.Errorf("fleet: VM %s attribution ledger mismatch: %d us attributed, %d us resident",
-			d.name, got, d.led.SpanUs))
-		return
+		return fmt.Errorf("fleet: VM %s attribution ledger mismatch: %d us attributed, %d us resident",
+			d.name, got, d.led.SpanUs)
 	}
 	out.LifetimeUs = d.led.SpanUs
 	out.RunUs = d.led.RunUs
@@ -619,6 +480,7 @@ func (s *shard) takeLedger(slot int32, d *dataVM, out *VMOutcome) {
 	out.ContendedUs = d.led.ContendedUs
 	out.MigratingUs = d.led.MigratingUs
 	out.IdleUs = d.led.IdleUs
+	return nil
 }
 
 // takeServing moves a VM's serving tallies into its outcome slot and
@@ -648,21 +510,13 @@ func (s *shard) takeServing(d *dataVM, out *VMOutcome, live bool) {
 	}
 }
 
-func (s *shard) execMigrateOut(c *command) {
-	if s.err != nil {
-		c.ch <- nil // keep the destination shard from blocking forever
-		return
-	}
+func (s *shard) execMigrateOut(c *command) error {
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		c.ch <- nil
-		return
+		return err
 	}
 	d := c.d
 	if err := s.detach(c.slot, d, "migrate"); err != nil {
-		s.fail(err)
-		c.ch <- nil
-		return
+		return err
 	}
 	if s.f.rec != nil {
 		// Close the source residency segment at the source clock; the
@@ -671,55 +525,33 @@ func (s *shard) execMigrateOut(c *command) {
 		d.led.Detach(s.hosts[c.slot].Now())
 	}
 	d.guest = nil
-	c.ch <- d
+	return nil
 }
 
-func (s *shard) execMigrateIn(c *command) {
-	if s.err != nil {
-		return // the source's send is buffered; no drain needed
-	}
-	var d *dataVM
-	select {
-	case d = <-c.ch:
-	default:
-		// The source shard has not executed its MigrateOut yet. Release
-		// the gate slot while blocked so the source can run: this is the
-		// one place a worker waits on another worker.
-		s.f.gate.Release()
-		select {
-		case d = <-c.ch:
-		case <-s.f.abort:
-		}
-		s.f.gate.Acquire()
-	}
-	if d == nil {
-		s.poison(fmt.Errorf("fleet: migration into shard %d poisoned by peer failure", s.id))
-		return
-	}
+func (s *shard) execMigrateIn(c *command) error {
 	if err := s.sync(c.slot, c.at); err != nil {
-		s.fail(err)
-		return
+		return err
 	}
+	d := c.d
 	guest, err := vm.New(s.nextID[c.slot], vm.Config{Name: d.name, Credit: d.credit})
 	if err != nil {
-		s.fail(fmt.Errorf("fleet: migrate %s: %w", d.name, err))
-		return
+		return fmt.Errorf("fleet: migrate %s: %w", d.name, err)
 	}
 	s.nextID[c.slot]++
 	guest.SetWorkload(d.wl)
 	if err := s.hosts[c.slot].AddVM(guest); err != nil {
-		s.fail(fmt.Errorf("fleet: migrate %s to machine %d: %w", d.name, s.globalIndex(c.slot), err))
-		return
+		return fmt.Errorf("fleet: migrate %s to machine %d: %w", d.name, s.globalIndex(c.slot), err)
 	}
 	d.guest = guest
 	s.resident[c.slot] = append(s.resident[c.slot], d)
 	if s.f.rec != nil {
 		d.led.Migrating = false
-		s.observe(c.slot, d)
+		return s.observe(c.slot, d)
 	}
+	return nil
 }
 
-func (s *shard) execRecordLive(c *command) {
+func (s *shard) execRecordLive(c *command) error {
 	d := c.d
 	d.wl.Tick(s.hosts[c.slot].Now())
 	dem, att := d.demanded(), d.wl.CompletedWork()
@@ -730,7 +562,7 @@ func (s *shard) execRecordLive(c *command) {
 	// every cmdRecordLive) already advanced the server to the horizon,
 	// so the counters below are final.
 	s.takeServing(d, c.out, true)
-	s.takeLedger(c.slot, d, c.out)
+	return s.takeLedger(c.slot, d, c.out)
 }
 
 // execBarrier catches every powered-on machine of the shard up to t,
@@ -738,7 +570,7 @@ func (s *shard) execRecordLive(c *command) {
 // partials (exact integers: the machine -> shard reduction), and
 // occasionally audits the shard's internal consistency on its private
 // random stream.
-func (s *shard) execBarrier(t sim.Time) {
+func (s *shard) execBarrier(t sim.Time) error {
 	for slot := range s.hosts {
 		if !s.on[slot] {
 			continue
@@ -746,8 +578,7 @@ func (s *shard) execBarrier(t sim.Time) {
 		h := s.hosts[slot]
 		if h.Now() < t {
 			if err := h.RunUntil(t); err != nil {
-				s.fail(err)
-				return
+				return err
 			}
 		}
 		e := h.Energy().Total()
@@ -761,8 +592,9 @@ func (s *shard) execBarrier(t sim.Time) {
 		}
 	}
 	if s.rng.Intn(64) == 0 {
-		s.audit()
+		return s.audit()
 	}
+	return nil
 }
 
 // obsBarrier emits one powered-on machine's barrier telemetry: the
@@ -791,17 +623,16 @@ func (s *shard) obsBarrier(slot int32, t sim.Time) {
 // audit spot-checks shard invariants: powered-off machines host
 // nothing, powered-on machines have a constructed host. Sampled (1/64
 // of barriers) so million-machine shards pay nothing measurable.
-func (s *shard) audit() {
+func (s *shard) audit() error {
 	for slot := range s.hosts {
 		if !s.on[slot] && len(s.resident[slot]) > 0 {
-			s.fail(fmt.Errorf("fleet: shard %d: machine %d is off with %d resident VMs",
-				s.id, s.globalIndex(int32(slot)), len(s.resident[slot])))
-			return
+			return fmt.Errorf("fleet: shard %d: machine %d is off with %d resident VMs",
+				s.id, s.globalIndex(int32(slot)), len(s.resident[slot]))
 		}
 		if s.on[slot] && s.hosts[slot] == nil {
-			s.fail(fmt.Errorf("fleet: shard %d: machine %d is on without a host",
-				s.id, s.globalIndex(int32(slot))))
-			return
+			return fmt.Errorf("fleet: shard %d: machine %d is on without a host",
+				s.id, s.globalIndex(int32(slot)))
 		}
 	}
+	return nil
 }

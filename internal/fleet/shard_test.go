@@ -167,14 +167,18 @@ vm,d,3,120,tiny,0.4
 	}
 }
 
-// TestFleetShardDefaultsAndClamp covers the shard-count configuration
-// surface: negative rejected, zero defaulting to the worker count, and
-// clamping to the machine count.
+// TestFleetShardDefaultsAndClamp covers the shard- and worker-count
+// configuration surface: negatives rejected, zero shards defaulting to
+// the worker count, and clamping to the machine count.
 func TestFleetShardDefaultsAndClamp(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 3, Horizon: 10 * sim.Second})
 	if _, err := New(Config{Machines: testMachines(2, 0), Shards: -1}, tr); err == nil ||
 		!strings.Contains(err.Error(), "shard count") {
 		t.Errorf("negative shard count accepted: %v", err)
+	}
+	if _, err := New(Config{Machines: testMachines(2, 0), Workers: -1}, tr); err == nil ||
+		!strings.Contains(err.Error(), "worker count") {
+		t.Errorf("negative worker count accepted: %v", err)
 	}
 	f, err := New(Config{Machines: testMachines(2, 0), Shards: 64}, tr)
 	if err != nil {
@@ -189,6 +193,51 @@ func TestFleetShardDefaultsAndClamp(t *testing.T) {
 	}
 	if f.Shards() != 2 {
 		t.Errorf("shards=0 workers=2: got %d shards, want 2", f.Shards())
+	}
+}
+
+// TestFleetShardErrorSurfaces drives the data-plane error path: one
+// shard fails a command while the others execute ordinary ones, and the
+// barrier must return that command's error for every shard and worker
+// count. Shards never wait on each other, so a failed shard cannot hang
+// a peer or the coordinator; run under a -timeout so a regression that
+// hangs fails rather than stalls.
+func TestFleetShardErrorSurfaces(t *testing.T) {
+	horizon := 120 * sim.Second
+	tr := genTrace(t, GenConfig{Seed: 4, Arrivals: 12, Horizon: horizon, MeanLifetime: horizon})
+	for _, shards := range []int{1, 2, 4, 7} {
+		for _, workers := range []int{1, 4} {
+			f, err := New(Config{
+				Machines: testMachines(6, 4),
+				Policy:   NewFirstFit(),
+				Shards:   shards,
+				Workers:  workers,
+				Seed:     4,
+			}, tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arriveAll(t, f, tr, horizon)
+			f.now = 5 * sim.Second
+			bad := f.order[0]
+			if err := f.dispatch(bad.machine, command{kind: cmdResize, at: f.now, d: bad.d,
+				rz: resizeArgs{op: 99}}); err != nil {
+				t.Fatal(err)
+			}
+			// Ordinary commands on every shard, the failing one included.
+			for i := 0; i < f.nmach; i++ {
+				if err := f.powerOn(i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := "fleet: resize " + bad.req.Name + ": unknown op"
+			for i := 0; i < 2; i++ { // the shard's error sticks
+				if err := f.barrier(10 * sim.Second); err == nil || !strings.Contains(err.Error(), want) {
+					t.Errorf("shards=%d workers=%d: barrier %d returned %v, want %q",
+						shards, workers, i, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -270,7 +319,7 @@ func TestFleetJSONLSink(t *testing.T) {
 }
 
 // guardSink probes the fleet's accessors from inside the run (sinks are
-// called on the coordinator while the shard workers own the hosts).
+// called on the coordinator while the shards own the hosts).
 type guardSink struct {
 	t       *testing.T
 	f       *Fleet

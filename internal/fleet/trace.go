@@ -17,14 +17,16 @@
 // reporting barriers.
 //
 // Execution is sharded: machine i belongs to shard i % Shards, each
-// shard owning its hosts, departure heap and RNG stream, stepped by a
-// persistent worker. The event loop itself is a sequential control
-// plane — placement, consolidation planning and migration bookkeeping
-// run on the coordinator against bookkeeping-only MachineState — that
-// dispatches host work to shards as timestamped commands; cross-shard
-// migrations hand the VM off in (time, dispatch-sequence) order. All
-// reduced quantities are exact integers (sim.Work, energy.Energy), so
-// the machine → shard → fleet reduction is order-independent and the
+// shard owning its hosts and RNG stream. The event loop itself is a
+// sequential control plane — placement, consolidation planning and
+// migration bookkeeping run on the coordinator against bookkeeping-only
+// MachineState — that stages host work on the shards as timestamped
+// commands. A flush runs every shard's commands in coordinator order
+// through engine.RunParallel, at reporting barriers and wherever the
+// coordinator needs the data plane settled; a migration flushes the
+// source's detach before the destination attaches the VM. All reduced
+// quantities are exact integers (sim.Work, energy.Energy), so the
+// machine → shard → fleet reduction is order-independent and the
 // report is bit-identical for every shard and worker count. Results
 // can be streamed through Sink instead of (or alongside) the buffered
 // Report, keeping memory proportional to machines + live VMs.
