@@ -8,14 +8,17 @@
 //	pastrace -sched pas -load thrashing > fig9.csv
 //	pastrace -sched credit -gov paper -load exact -series V20_absolute_pct,freq_mhz
 //
-// Schedulers: credit, credit2, sedf, pas, pas-credit2. Governors:
-// performance, ondemand (stock), paper (the paper's smoothed governor),
-// none. Loads: exact, thrashing.
+// Schedulers: the machine builder's registry — pas, credit (alias
+// fix-credit), credit2, sedf, pas-credit2; the PAS family manages DVFS
+// itself and runs with -gov none only. Governors: performance, ondemand
+// (stock), paper (the paper's smoothed governor), none. Loads: exact,
+// thrashing.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -24,11 +27,12 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
+func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pastrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
 		schedName = fs.String("sched", "pas", "scheduler: "+experiments.TraceSchedulers)
 		govName   = fs.String("gov", "none", "governor: performance, ondemand, paper, none")
@@ -42,7 +46,7 @@ func run(args []string) int {
 	}
 	rec, err := experiments.Trace(*schedName, *govName, *loadName, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	var selected []*metrics.Series
@@ -60,28 +64,28 @@ func run(args []string) int {
 				}
 			}
 			if !found {
-				fmt.Fprintf(os.Stderr, "unknown series %q; available: %s\n",
+				fmt.Fprintf(stderr, "unknown series %q; available: %s\n",
 					name, strings.Join(rec.Names(), ", "))
 				return 1
 			}
 		}
 	}
-	w := os.Stdout
+	w := stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+			fmt.Fprintln(stderr, err)
 			return 1
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 		w = f
 	}
 	if err := metrics.WriteCSV(w, selected...); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintln(stderr, err)
 		return 1
 	}
 	return 0

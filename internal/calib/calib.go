@@ -15,7 +15,6 @@ import (
 
 	"pasched/internal/cpufreq"
 	"pasched/internal/host"
-	"pasched/internal/sched"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
 	"pasched/internal/workload"
@@ -82,15 +81,11 @@ func MeasureCF(prof *cpufreq.Profile, absLoadPct float64) (*CFResult, error) {
 // measureLoadAt runs the calibration web load with the processor pinned at
 // frequency f and returns the measured global load in [0,1].
 func measureLoadAt(prof *cpufreq.Profile, f cpufreq.Freq, absLoadPct float64) (float64, error) {
-	cpu, err := cpufreq.NewCPU(prof)
+	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof})
 	if err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}
-	if err := cpu.SetFreq(f, 0); err != nil {
-		return 0, fmt.Errorf("calib: %w", err)
-	}
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: sched.NewCredit(sched.CreditConfig{})})
-	if err != nil {
+	if err := h.CPU().SetFreq(f, 0); err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}
 	maxTp, err := prof.Throughput(prof.Max())
@@ -142,15 +137,11 @@ type ExecTimeResult struct {
 // run; an unfinished computation is an error.
 func MeasurePiTime(prof *cpufreq.Profile, f cpufreq.Freq, creditPct, work float64,
 	maxDuration sim.Time) (float64, error) {
-	cpu, err := cpufreq.NewCPU(prof)
+	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof})
 	if err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}
-	if err := cpu.SetFreq(f, 0); err != nil {
-		return 0, fmt.Errorf("calib: %w", err)
-	}
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: sched.NewCredit(sched.CreditConfig{})})
-	if err != nil {
+	if err := h.CPU().SetFreq(f, 0); err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}
 	pi, err := workload.NewPiApp(work)

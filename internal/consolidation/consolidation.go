@@ -15,7 +15,6 @@ import (
 	"pasched/internal/cpufreq"
 	"pasched/internal/energy"
 	"pasched/internal/host"
-	"pasched/internal/obs"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
 	"pasched/internal/workload"
@@ -212,7 +211,7 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 		scheduler = "pas"
 	}
 	for hi, group := range byHost {
-		h, err := NewHost(spec, HostOptions{Scheduler: scheduler})
+		h, err := host.NewMachine(scheduler, spec.Dom0ReservePct, host.Config{Profile: spec.Profile})
 		if err != nil {
 			return nil, fmt.Errorf("consolidation: host %d: %w", hi, err)
 		}
@@ -252,70 +251,4 @@ func Simulate(p *Placement, vms []VMSpec, spec HostSpec, dur sim.Time, usePAS bo
 	// converted to joules only here at the report edge.
 	rep.TotalJoules = total.Joules()
 	return rep, nil
-}
-
-// HostOptions tunes the assembled machine beyond the hardware spec.
-type HostOptions struct {
-	// Scheduler names the machine's scheduler, resolved against the
-	// scheduler registry (see SchedulerNames for the accepted values and
-	// Schedulers for descriptions). Empty selects "credit".
-	Scheduler string
-	// Reference forces the reference quantum-by-quantum stepping path
-	// (host.Config.Reference), for batched==reference equivalence tests.
-	Reference bool
-	// SampleEvery overrides the host recorder's sampling interval.
-	// Zero keeps the host default; negative disables recorder sampling
-	// entirely (fleet machines run this way — the fleet reports its own
-	// interval curves and never reads the per-host recorder, whose
-	// per-VM series would otherwise grow with every VM that ever lived
-	// on the host).
-	SampleEvery sim.Time
-	// Obs is the machine's flight-recorder lane (host.Config.Obs). Nil
-	// disables observation.
-	Obs *obs.MachineObs
-}
-
-// NewHost assembles one simulated machine from the spec: a CPU with the
-// spec's frequency ladder, the scheduler opts names (PAS-family
-// schedulers get the host bound as their load source), plus a Dom0 with
-// the reserved share. It is the machine constructor shared by Simulate
-// and the heterogeneous fleet (internal/fleet).
-func NewHost(spec HostSpec, opts HostOptions) (*host.Host, error) {
-	cpu, err := cpufreq.NewCPU(spec.Profile)
-	if err != nil {
-		return nil, err
-	}
-	name := opts.Scheduler
-	if name == "" {
-		name = "credit"
-	}
-	entry, ok := lookupScheduler(name)
-	if !ok {
-		return nil, fmt.Errorf("consolidation: unknown scheduler %q (%s)", name, SchedulerNames())
-	}
-	s, bind, err := entry.build(cpu, spec.Profile)
-	if err != nil {
-		return nil, err
-	}
-	h, err := host.New(host.Config{
-		CPU:            cpu,
-		Scheduler:      s,
-		Reference:      opts.Reference,
-		SampleInterval: opts.SampleEvery,
-		Obs:            opts.Obs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if bind != nil {
-		bind.BindLoadSource(h)
-	}
-	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: spec.Dom0ReservePct, Priority: 1})
-	if err != nil {
-		return nil, err
-	}
-	if err := h.AddVM(dom0); err != nil {
-		return nil, err
-	}
-	return h, nil
 }

@@ -214,59 +214,3 @@ func TestSimulateErrors(t *testing.T) {
 		t.Error("out-of-range assignment accepted")
 	}
 }
-
-// TestNewHost: HostOptions.Scheduler resolves names and aliases through
-// the registry, empty selecting credit; every machine boots with a lone
-// Dom0 holding the spec's reserve; and only the PAS family, whose load
-// source NewHost binds to the host, takes an idle machine below its
-// maximum frequency.
-func TestNewHost(t *testing.T) {
-	spec, err := hostSpec().WithDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tt := range []struct {
-		name, scheduler, want string
-		dvfs                  bool
-	}{
-		{"default", "", "credit", false},
-		{"credit", "credit", "credit", false},
-		{"fix-credit", "fix-credit", "credit", false},
-		{"pas", "pas", "pas", true},
-		{"credit2", "credit2", "credit2", false},
-		{"sedf", "sedf", "sedf", false},
-		{"pas-credit2", "pas-credit2", "pas-credit2", true},
-	} {
-		t.Run(tt.name, func(t *testing.T) {
-			h, err := NewHost(spec, HostOptions{Scheduler: tt.scheduler})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := h.Scheduler().Name(); got != tt.want {
-				t.Errorf("scheduler %q, want %q", got, tt.want)
-			}
-			vms := h.VMs()
-			if len(vms) != 1 || vms[0].Name() != "Dom0" || vms[0].Credit() != spec.Dom0ReservePct {
-				t.Errorf("machine boots with %v, want a lone Dom0 at %v%%", vms, spec.Dom0ReservePct)
-			}
-			if err := h.RunUntil(5 * sim.Second); err != nil {
-				t.Fatal(err)
-			}
-			top := spec.Profile.Max()
-			if lowered := h.CPU().Freq() < top; lowered != tt.dvfs {
-				t.Errorf("idle machine at %v (max %v): lowered = %v, want %v",
-					h.CPU().Freq(), top, lowered, tt.dvfs)
-			}
-		})
-	}
-	t.Run("unknown", func(t *testing.T) {
-		if _, err := NewHost(spec, HostOptions{Scheduler: "cfs"}); err == nil {
-			t.Error("unknown scheduler accepted")
-		}
-	})
-	t.Run("no profile", func(t *testing.T) {
-		if _, err := NewHost(HostSpec{MemoryMB: 4096}, HostOptions{}); err == nil {
-			t.Error("machine without a processor profile built")
-		}
-	})
-}

@@ -93,34 +93,20 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 		halfOn = 15 * sim.Second
 	)
 	prof := cpufreq.Optiplex755()
-	cpu, err := cpufreq.NewCPU(prof)
-	if err != nil {
-		return 0, 0, err
-	}
-	credit := sched.NewCredit(sched.CreditConfig{})
-
-	var s sched.Scheduler = credit
-	var pas *core.PAS
+	scheduler := "credit"
 	var gov governor.Governor
-	if variant == implInScheduler {
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, Credit: credit, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return 0, 0, err
-		}
-		s = pas
-	}
-	if variant == implUserCredit {
+	switch variant {
+	case implInScheduler:
+		scheduler = "pas"
+	case implUserCredit:
 		gov, err = governor.NewPaperOndemand(governor.PaperOndemandConfig{CF: prof.EfficiencyTable()})
 		if err != nil {
 			return 0, 0, err
 		}
 	}
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Governor: gov})
+	h, err := host.NewMachine(scheduler, 0, host.Config{Profile: prof, Governor: gov})
 	if err != nil {
 		return 0, 0, err
-	}
-	if pas != nil {
-		pas.BindLoadSource(h)
 	}
 
 	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
@@ -137,10 +123,13 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 			return 0, 0, err
 		}
 	}
+	// The user-level managers drive the machine's own CPU and Credit
+	// scheduler from outside the scheduler.
 	initCredits := map[vm.ID]float64{1: 20, 2: 70}
 	switch variant {
 	case implUserCredit:
-		mgr, err := core.NewCreditManager(cpu, credit, prof.EfficiencyTable(), sim.Second, initCredits)
+		mgr, err := core.NewCreditManager(h.CPU(), h.Scheduler().(*sched.Credit),
+			prof.EfficiencyTable(), sim.Second, initCredits)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -148,7 +137,8 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 			return 0, 0, err
 		}
 	case implUserDVFSCredit:
-		mgr, err := core.NewDVFSCreditManager(cpu, credit, h, prof.EfficiencyTable(), sim.Second, initCredits)
+		mgr, err := core.NewDVFSCreditManager(h.CPU(), h.Scheduler().(*sched.Credit), h,
+			prof.EfficiencyTable(), sim.Second, initCredits)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -223,16 +213,11 @@ func AblationImpl() (*Result, error) {
 // the fix-credit scheduler saves energy but violates the SLA; SEDF keeps
 // the SLA but pins the maximum frequency (no savings); PAS does both.
 func Energy() (*Result, error) {
-	type cfgRow struct {
-		name string
-		sk   schedKind
-		gk   govKind
-	}
-	rows := []cfgRow{
-		{"Credit + Performance", schedCredit, govPerformance},
-		{"Credit + our ondemand", schedCredit, govPaperOndemand},
-		{"SEDF + our ondemand", schedSEDF, govPaperOndemand},
-		{"PAS", schedPAS, govNone},
+	rows := []struct{ name, scheduler, gov string }{
+		{"Credit + Performance", "credit", "performance"},
+		{"Credit + our ondemand", "credit", "paper"},
+		{"SEDF + our ondemand", "sedf", "paper"},
+		{"PAS", "pas", "none"},
 	}
 	res := &Result{ID: "energy", Title: "Energy and QoS per scheduler/governor pair (thrashing load)"}
 	tb := metrics.NewTable("Energy over the Section 5.3 thrashing profile (700 s)",
@@ -245,7 +230,11 @@ func Energy() (*Result, error) {
 	}
 	outcomes := make(map[string]outcome, len(rows))
 	for _, r := range rows {
-		sc, err := newScenario(r.sk, r.gk, loadThrashing, 42)
+		g, err := scenarioGovernor(r.gov)
+		if err != nil {
+			return nil, err
+		}
+		sc, err := newScenario(r.scheduler, g, loadThrashing, 42)
 		if err != nil {
 			return nil, err
 		}

@@ -49,9 +49,13 @@ func Fig1() (*Result, error) {
 
 // figureScenario runs one Section 5.3 scenario and packages the usual
 // series (loads and frequency) into a Result.
-func figureScenario(id, title string, sk schedKind, gk govKind, lk loadKind,
+func figureScenario(id, title, scheduler, gov string, lk loadKind,
 	absolute bool) (*Result, *scenario, error) {
-	sc, err := newScenario(sk, gk, lk, 42)
+	g, err := scenarioGovernor(gov)
+	if err != nil {
+		return nil, nil, err
+	}
+	sc, err := newScenario(scheduler, g, lk, 42)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,7 +99,7 @@ func phaseMeans(s *metrics.Series) (p1, p2, p3 float64) {
 // scheduler at the maximum frequency (Performance governor), exact load.
 func Fig2() (*Result, error) {
 	res, sc, err := figureScenario("fig2", "Load profile (at the maximum frequency)",
-		schedCredit, govPerformance, loadExact, false)
+		"credit", "performance", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +124,7 @@ func Fig2() (*Result, error) {
 // the bursty web load.
 func Fig3() (*Result, error) {
 	res, sc, err := figureScenario("fig3", "Global loads with Ondemand governor / Credit scheduler / exact load",
-		schedCredit, govLinuxOndemand, loadExact, false)
+		"credit", "ondemand", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +145,7 @@ func Fig3() (*Result, error) {
 // overall behaviour without the oscillations.
 func Fig4() (*Result, error) {
 	res, sc, err := figureScenario("fig4", "Global loads with our governor / Credit scheduler / exact load",
-		schedCredit, govPaperOndemand, loadExact, false)
+		"credit", "paper", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +169,7 @@ func Fig4() (*Result, error) {
 // when V70's activity raises the frequency.
 func Fig5() (*Result, error) {
 	res, sc, err := figureScenario("fig5", "Absolute loads with our governor / Credit scheduler / exact load",
-		schedCredit, govPaperOndemand, loadExact, true)
+		"credit", "paper", loadExact, true)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +193,7 @@ func Fig5() (*Result, error) {
 // 20% absolute it needs, plus scheduling slack).
 func Fig6() (*Result, error) {
 	res, sc, err := figureScenario("fig6", "Global loads with our governor / SEDF scheduler / exact load",
-		schedSEDF, govPaperOndemand, loadExact, false)
+		"sedf", "paper", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +213,7 @@ func Fig6() (*Result, error) {
 // active phase.
 func Fig7() (*Result, error) {
 	res, sc, err := figureScenario("fig7", "Absolute loads with our governor / SEDF scheduler / exact load",
-		schedSEDF, govPaperOndemand, loadExact, true)
+		"sedf", "paper", loadExact, true)
 	if err != nil {
 		return nil, err
 	}
@@ -229,7 +233,7 @@ func Fig7() (*Result, error) {
 // provider neither enforces the 20% SLA nor saves energy.
 func Fig8() (*Result, error) {
 	res, sc, err := figureScenario("fig8", "Global or absolute loads with our governor / SEDF scheduler / thrashing load",
-		schedSEDF, govPaperOndemand, loadThrashing, false)
+		"sedf", "paper", loadThrashing, false)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +258,7 @@ func Fig8() (*Result, error) {
 // maximum frequency in phase 2.
 func Fig9() (*Result, error) {
 	res, sc, err := figureScenario("fig9", "Global loads with the PAS scheduler / thrashing load",
-		schedPAS, govNone, loadThrashing, false)
+		"pas", "none", loadThrashing, false)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +287,7 @@ func Fig9() (*Result, error) {
 // stays low whenever the host is underloaded.
 func Fig10() (*Result, error) {
 	res, sc, err := figureScenario("fig10", "Absolute loads with the PAS scheduler / thrashing load",
-		schedPAS, govNone, loadThrashing, true)
+		"pas", "none", loadThrashing, true)
 	if err != nil {
 		return nil, err
 	}

@@ -3,14 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
-	"pasched/internal/host"
 	"pasched/internal/metrics"
-	"pasched/internal/sched"
-	"pasched/internal/sim"
-	"pasched/internal/vm"
-	"pasched/internal/workload"
 )
 
 // AblationGovernors compares the governor families of Section 2.2 on the
@@ -55,7 +49,7 @@ func AblationGovernors() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		sc, err := governorScenario(g)
+		sc, err := newScenario("credit", g, loadExact, 42)
 		if err != nil {
 			return nil, err
 		}
@@ -104,70 +98,4 @@ func AblationGovernors() (*Result, error) {
 			cons.absP1 < 15 && stock.absP1 < 15 && ours.absP1 < 15),
 	)
 	return res, nil
-}
-
-// governorScenario builds the exact-load Section 5.3 scenario around an
-// explicit governor instance.
-func governorScenario(g governor.Governor) (*scenario, error) {
-	prof := cpufreq.Optiplex755()
-	cpu, err := cpufreq.NewCPU(prof)
-	if err != nil {
-		return nil, err
-	}
-	h, err := host.New(host.Config{
-		CPU:       cpu,
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
-		Governor:  g,
-	})
-	if err != nil {
-		return nil, err
-	}
-	maxTp, err := prof.Throughput(prof.Max())
-	if err != nil {
-		return nil, err
-	}
-	mkWeb := func(credit float64, start, end sim.Time, wseed uint64) (*workload.WebApp, error) {
-		return workload.NewWebApp(workload.WebAppConfig{
-			Phases: workload.ThreePhase(start, end,
-				workload.ExactRate(maxTp, credit, workload.DefaultRequestCost)),
-			Seed: wseed,
-		})
-	}
-	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
-	if err != nil {
-		return nil, err
-	}
-	dom0Web, err := workload.NewWebApp(workload.WebAppConfig{
-		RequestCost:   0.002 * 2667e6,
-		Deterministic: true,
-		Phases:        workload.ThreePhase(0, scenarioDur, workload.ExactRate(maxTp, dom0LoadPct, 0.002*2667e6)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	dom0.SetWorkload(dom0Web)
-	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
-	if err != nil {
-		return nil, err
-	}
-	w20, err := mkWeb(20, v20Start, v20End, 43)
-	if err != nil {
-		return nil, err
-	}
-	v20.SetWorkload(w20)
-	v70, err := vm.New(2, vm.Config{Name: "V70", Credit: 70})
-	if err != nil {
-		return nil, err
-	}
-	w70, err := mkWeb(70, v70Start, v70End, 44)
-	if err != nil {
-		return nil, err
-	}
-	v70.SetWorkload(w70)
-	for _, v := range []*vm.VM{dom0, v20, v70} {
-		if err := h.AddVM(v); err != nil {
-			return nil, err
-		}
-	}
-	return &scenario{host: h, v20: v20, v70: v70, dom0: dom0}, nil
 }

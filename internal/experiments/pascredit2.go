@@ -24,8 +24,8 @@ func ExtPASCredit2() (*Result, error) {
 		absP2  float64 // V20 absolute load under contention (phase 2)
 		served float64 // total executed work, units
 	}
-	run := func(sk schedKind) (outcome, *energy.Meter, error) {
-		sc, err := newScenario(sk, govNone, loadThrashing, 42)
+	run := func(scheduler string) (outcome, *energy.Meter, error) {
+		sc, err := newScenario(scheduler, nil, loadThrashing, 42)
 		if err != nil {
 			return outcome{}, nil, err
 		}
@@ -47,11 +47,11 @@ func ExtPASCredit2() (*Result, error) {
 		ID:    "ext-pas-credit2",
 		Title: "Extension: cap-based PAS vs Credit2-based PAS (weights at the 10 ms cadence)",
 	}
-	caps, capMeter, err := run(schedPAS)
+	caps, capMeter, err := run("pas")
 	if err != nil {
 		return nil, err
 	}
-	weights, weightMeter, err := run(schedPASCredit2)
+	weights, weightMeter, err := run("pas-credit2")
 	if err != nil {
 		return nil, err
 	}

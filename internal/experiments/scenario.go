@@ -3,11 +3,9 @@ package experiments
 import (
 	"fmt"
 
-	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
 	"pasched/internal/host"
-	"pasched/internal/sched"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
 	"pasched/internal/workload"
@@ -37,27 +35,6 @@ const thrashFactor = 5
 // dom0LoadPct is Dom0's steady background load in percent of the host.
 const dom0LoadPct = 1.0
 
-// SchedKind selects the scenario's VM scheduler.
-type schedKind int
-
-const (
-	schedCredit schedKind = iota + 1
-	schedCredit2
-	schedSEDF
-	schedPAS
-	schedPASCredit2
-)
-
-// govKind selects the scenario's governor.
-type govKind int
-
-const (
-	govPerformance govKind = iota + 1
-	govLinuxOndemand
-	govPaperOndemand
-	govNone
-)
-
 // loadKind selects exact vs thrashing intensity (Section 5.3).
 type loadKind int
 
@@ -69,80 +46,41 @@ const (
 // scenario is one instantiated Section 5.3 run.
 type scenario struct {
 	host *host.Host
-	pas  *core.PAS
-	pc2  *core.PASCredit2
-	v20  *vm.VM
-	v70  *vm.VM
-	dom0 *vm.VM
 }
 
-// newScenario builds the Section 5.3 host on the Optiplex 755.
-func newScenario(sk schedKind, gk govKind, lk loadKind, seed uint64) (*scenario, error) {
-	prof := cpufreq.Optiplex755()
-	cpu, err := cpufreq.NewCPU(prof)
-	if err != nil {
-		return nil, err
-	}
-
-	var s sched.Scheduler
-	var pas *core.PAS
-	var pc2 *core.PASCredit2
-	switch sk {
-	case schedCredit:
-		s = sched.NewCredit(sched.CreditConfig{})
-	case schedCredit2:
-		s = sched.NewCredit2()
-	case schedSEDF:
-		s = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
-	case schedPAS:
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, err
-		}
-		s = pas
-	case schedPASCredit2:
-		pc2, err = core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, err
-		}
-		s = pc2
-	default:
-		return nil, fmt.Errorf("unknown scheduler kind %d", sk)
-	}
-
-	var g governor.Governor
-	switch gk {
-	case govPerformance:
-		g = &governor.Performance{}
-	case govLinuxOndemand:
-		g, err = governor.NewLinuxOndemand(governor.LinuxOndemandConfig{})
-		if err != nil {
-			return nil, err
-		}
-	case govPaperOndemand:
-		g, err = governor.NewPaperOndemand(governor.PaperOndemandConfig{
-			CF: prof.EfficiencyTable(),
+// scenarioGovernor builds the named Section 5.3 governor: "performance",
+// "ondemand" (the stock Linux governor), "paper" (the paper's smoothed
+// governor with the Optiplex 755's cf table) or "none" (nil).
+func scenarioGovernor(name string) (governor.Governor, error) {
+	switch name {
+	case "performance":
+		return &governor.Performance{}, nil
+	case "ondemand":
+		return governor.NewLinuxOndemand(governor.LinuxOndemandConfig{})
+	case "paper":
+		return governor.NewPaperOndemand(governor.PaperOndemandConfig{
+			CF: cpufreq.Optiplex755().EfficiencyTable(),
 		})
-		if err != nil {
-			return nil, err
-		}
-	case govNone:
-		g = nil
+	case "none":
+		return nil, nil
 	default:
-		return nil, fmt.Errorf("unknown governor kind %d", gk)
+		return nil, fmt.Errorf("experiments: unknown governor %q (performance, ondemand, paper, none)", name)
 	}
+}
 
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Governor: g})
+// newScenario builds the Section 5.3 host on the Optiplex 755 under the
+// named registry scheduler and governor g (nil for none): Dom0 with its
+// background load, and the two web VMs whose arrivals draw from seed+1
+// (V20) and seed+2 (V70).
+func newScenario(scheduler string, g governor.Governor, lk loadKind, seed uint64) (*scenario, error) {
+	prof := cpufreq.Optiplex755()
+	h, err := host.NewMachine(scheduler, 10, host.Config{Profile: prof, Governor: g})
 	if err != nil {
 		return nil, err
 	}
-	if pas != nil {
-		pas.BindLoadSource(h)
+	if err := addDom0Load(h); err != nil {
+		return nil, err
 	}
-	if pc2 != nil {
-		pc2.BindLoadSource(h)
-	}
-
 	maxTp, err := prof.Throughput(prof.Max())
 	if err != nil {
 		return nil, err
@@ -151,54 +89,54 @@ func newScenario(sk schedKind, gk govKind, lk loadKind, seed uint64) (*scenario,
 	if lk == loadThrashing {
 		factor = thrashFactor
 	}
-	mkWeb := func(credit float64, start, end sim.Time, wseed uint64) (*workload.WebApp, error) {
-		rate := workload.ExactRate(maxTp, credit, workload.DefaultRequestCost) * factor
-		return workload.NewWebApp(workload.WebAppConfig{
-			Phases: workload.ThreePhase(start, end, rate),
-			Seed:   wseed,
+	for i, w := range []struct {
+		name       string
+		credit     float64
+		start, end sim.Time
+	}{
+		{"V20", 20, v20Start, v20End},
+		{"V70", 70, v70Start, v70End},
+	} {
+		v, err := vm.New(vm.ID(i+1), vm.Config{Name: w.name, Credit: w.credit})
+		if err != nil {
+			return nil, err
+		}
+		web, err := workload.NewWebApp(workload.WebAppConfig{
+			Phases: workload.ThreePhase(w.start, w.end,
+				workload.ExactRate(maxTp, w.credit, workload.DefaultRequestCost)*factor),
+			Seed: seed + uint64(i+1),
 		})
-	}
-
-	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
-	if err != nil {
-		return nil, err
-	}
-	dom0Web, err := workload.NewWebApp(workload.WebAppConfig{
-		RequestCost:   0.002 * 2667e6,
-		Deterministic: true,
-		Phases:        workload.ThreePhase(0, scenarioDur, workload.ExactRate(maxTp, dom0LoadPct, 0.002*2667e6)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	dom0.SetWorkload(dom0Web)
-
-	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
-	if err != nil {
-		return nil, err
-	}
-	w20, err := mkWeb(20, v20Start, v20End, seed+1)
-	if err != nil {
-		return nil, err
-	}
-	v20.SetWorkload(w20)
-
-	v70, err := vm.New(2, vm.Config{Name: "V70", Credit: 70})
-	if err != nil {
-		return nil, err
-	}
-	w70, err := mkWeb(70, v70Start, v70End, seed+2)
-	if err != nil {
-		return nil, err
-	}
-	v70.SetWorkload(w70)
-
-	for _, v := range []*vm.VM{dom0, v20, v70} {
+		if err != nil {
+			return nil, err
+		}
+		v.SetWorkload(web)
 		if err := h.AddVM(v); err != nil {
 			return nil, err
 		}
 	}
-	return &scenario{host: h, pas: pas, pc2: pc2, v20: v20, v70: v70, dom0: dom0}, nil
+	return &scenario{host: h}, nil
+}
+
+// addDom0Load gives the machine's Dom0 (VM 0) the evaluation's light
+// background load: dom0LoadPct of the host in short deterministic
+// requests, for the whole run.
+func addDom0Load(h *host.Host) error {
+	prof := h.CPU().Profile()
+	maxTp, err := prof.Throughput(prof.Max())
+	if err != nil {
+		return err
+	}
+	const cost = 0.002 * 2667e6
+	wl, err := workload.NewWebApp(workload.WebAppConfig{
+		RequestCost:   cost,
+		Deterministic: true,
+		Phases:        workload.ThreePhase(0, 1<<55, workload.ExactRate(maxTp, dom0LoadPct, cost)),
+	})
+	if err != nil {
+		return err
+	}
+	h.VM(0).SetWorkload(wl)
+	return nil
 }
 
 // run executes the full profile.

@@ -52,36 +52,21 @@ func Table1() (*Result, error) {
 // [270 s, 770 s), then lazy again; Dom0 keeps a 1% background load.
 func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, error) {
 	prof := cpufreq.Elite8300()
-	parts, err := p.NewParts(prof, mode)
+	scheduler, gov, err := p.Stack(prof, mode)
 	if err != nil {
 		return 0, err
 	}
-	h, err := host.New(host.Config{CPU: parts.CPU, Scheduler: parts.Scheduler, Governor: parts.Governor})
+	h, err := host.NewMachine(scheduler, 10, host.Config{Profile: prof, Governor: gov})
 	if err != nil {
 		return 0, err
 	}
-	if parts.PAS != nil && mode == platform.OnDemand {
-		parts.PAS.BindLoadSource(h)
+	if err := addDom0Load(h); err != nil {
+		return 0, err
 	}
 	maxTp, err := prof.Throughput(prof.Max())
 	if err != nil {
 		return 0, err
 	}
-
-	dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
-	if err != nil {
-		return 0, err
-	}
-	const dom0Cost = 0.002 * 2667e6
-	dom0Web, err := workload.NewWebApp(workload.WebAppConfig{
-		RequestCost:   dom0Cost,
-		Deterministic: true,
-		Phases:        workload.ThreePhase(0, 1<<55, workload.ExactRate(maxTp, dom0LoadPct, dom0Cost)),
-	})
-	if err != nil {
-		return 0, err
-	}
-	dom0.SetWorkload(dom0Web)
 
 	v20, err := vm.New(1, vm.Config{Name: "V20", Credit: 20})
 	if err != nil {
@@ -97,7 +82,7 @@ func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	for _, v := range []*vm.VM{dom0, v20, v70} {
+	for _, v := range []*vm.VM{v20, v70} {
 		if err := h.AddVM(v); err != nil {
 			return 0, err
 		}

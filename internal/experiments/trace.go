@@ -3,54 +3,23 @@ package experiments
 import (
 	"fmt"
 
-	"pasched/internal/consolidation"
+	"pasched/internal/host"
 	"pasched/internal/metrics"
 )
 
-// TraceSchedulers lists the scheduler names Trace accepts — the shared
-// scheduler registry (consolidation.SchedulerNames) — for CLI usage
-// strings and up-front flag validation.
-var TraceSchedulers = consolidation.SchedulerNames()
+// TraceSchedulers lists the scheduler names Trace accepts — the machine
+// builder's registry (host.SchedulerNames) — for CLI usage strings.
+var TraceSchedulers = host.SchedulerNames()
 
 // Trace runs one Section 5.3 scenario with the named configuration and
 // returns the full recorder, for CSV export by cmd/pastrace. Valid
 // schedulers: TraceSchedulers. Valid governors: "performance",
-// "ondemand" (stock), "paper", "none". Valid loads: "exact",
-// "thrashing".
+// "ondemand" (stock), "paper", "none"; the PAS family runs with "none"
+// only. Valid loads: "exact", "thrashing".
 func Trace(scheduler, gov, load string, seed uint64) (*metrics.Recorder, error) {
-	// Names and aliases resolve against the shared registry, so
-	// "fix-credit" means the same scheduler here as everywhere else.
-	canonical, ok := consolidation.CanonicalScheduler(scheduler)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown scheduler %q (%s)", scheduler, TraceSchedulers)
-	}
-	var sk schedKind
-	switch canonical {
-	case "credit":
-		sk = schedCredit
-	case "credit2":
-		sk = schedCredit2
-	case "sedf":
-		sk = schedSEDF
-	case "pas":
-		sk = schedPAS
-	case "pas-credit2":
-		sk = schedPASCredit2
-	default:
-		return nil, fmt.Errorf("experiments: scheduler %q has no Section 5.3 scenario", canonical)
-	}
-	var gk govKind
-	switch gov {
-	case "performance":
-		gk = govPerformance
-	case "ondemand":
-		gk = govLinuxOndemand
-	case "paper":
-		gk = govPaperOndemand
-	case "none":
-		gk = govNone
-	default:
-		return nil, fmt.Errorf("experiments: unknown governor %q (performance, ondemand, paper, none)", gov)
+	g, err := scenarioGovernor(gov)
+	if err != nil {
+		return nil, err
 	}
 	var lk loadKind
 	switch load {
@@ -61,10 +30,7 @@ func Trace(scheduler, gov, load string, seed uint64) (*metrics.Recorder, error) 
 	default:
 		return nil, fmt.Errorf("experiments: unknown load %q (exact, thrashing)", load)
 	}
-	if (sk == schedPAS || sk == schedPASCredit2) && gk != govNone {
-		return nil, fmt.Errorf("experiments: the %s scheduler manages DVFS itself; use -gov none", scheduler)
-	}
-	sc, err := newScenario(sk, gk, lk, seed)
+	sc, err := newScenario(scheduler, g, lk, seed)
 	if err != nil {
 		return nil, err
 	}

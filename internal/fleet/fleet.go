@@ -62,11 +62,12 @@ type Config struct {
 	// in total.
 	Machines []MachineClass
 	// Scheduler selects the per-machine scheduler by name, resolved
-	// against the scheduler registry shared with the consolidation
-	// package and the CLIs — see SchedulerNames for the accepted names
-	// and aliases, consolidation.Schedulers for descriptions. Empty
-	// selects "credit", the fix-credit baseline pinned at the maximum
-	// frequency; "pas" is the paper's DVFS with credit compensation.
+	// against the machine builder's registry (host.NewMachine), shared
+	// with the consolidation package, the paper experiments and the
+	// CLIs — see SchedulerNames for the accepted names and aliases.
+	// Empty selects "credit", the fix-credit baseline pinned at the
+	// maximum frequency; "pas" is the paper's DVFS with credit
+	// compensation.
 	Scheduler string
 	// Policy decides placement (and consolidation targets). Default
 	// first-fit.
@@ -211,14 +212,16 @@ type ServingConfig struct {
 }
 
 // SchedulerNames renders the scheduler names Config.Scheduler accepts —
-// the consolidation scheduler registry, the single source of truth
-// shared with every CLI — for usage strings and up-front validation.
-func SchedulerNames() string { return consolidation.SchedulerNames() }
+// the machine builder's scheduler registry (internal/host), the single
+// source of truth shared with every CLI — for usage strings and
+// up-front validation.
+func SchedulerNames() string { return host.SchedulerNames() }
 
 // ValidScheduler reports whether name is an accepted Config.Scheduler
 // value (the empty string selects "credit").
 func ValidScheduler(name string) bool {
-	return name == "" || consolidation.ValidScheduler(name)
+	_, ok := host.CanonicalScheduler(name)
+	return name == "" || ok
 }
 
 // withDefaults validates the configuration and fills defaults.
@@ -269,7 +272,7 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "credit"
 	} else {
-		cfg.Scheduler, _ = consolidation.CanonicalScheduler(cfg.Scheduler)
+		cfg.Scheduler, _ = host.CanonicalScheduler(cfg.Scheduler)
 	}
 	if !cfg.Obs.Enabled {
 		if cfg.Obs.Sink != nil {
@@ -740,11 +743,11 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 // the host — an O(arrivals) term at trace scale. mo is the machine's
 // flight-recorder lane; nil disables observation for this host.
 func newMachineHost(spec consolidation.HostSpec, cfg Config, mo *obs.MachineObs) (*host.Host, error) {
-	return consolidation.NewHost(spec, consolidation.HostOptions{
-		Scheduler:   cfg.Scheduler,
-		Reference:   cfg.Reference,
-		SampleEvery: -1,
-		Obs:         mo,
+	return host.NewMachine(cfg.Scheduler, spec.Dom0ReservePct, host.Config{
+		Profile:        spec.Profile,
+		Reference:      cfg.Reference,
+		SampleInterval: -1,
+		Obs:            mo,
 	})
 }
 
@@ -1185,18 +1188,11 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 	d := f.getDataVM()
 	d.name = ev.Name
 	d.credit = class.CreditPct
-	// The seed is a function of the global arrival index, assigned here
-	// in coordinator order — workloads draw identical randomness for
-	// every shard and worker count.
-	d.seed = f.cfg.Seed + uint64(f.arrived)*0x9e3779b97f4a7c15 + 1
+	d.seed = vmSeed(f.cfg.Seed, f.arrived, seedLaneWorkload)
 	d.phases = ev.demandPhases(class, f.horizon)
 	if f.cfg.Serving.Enabled {
 		d.class = f.classIdx[ev.Class]
-		// The serving clients draw from their own seed lane (offset 2
-		// against the workload's 1) of the same coordinator-ordered
-		// arrival index, so the two streams stay decorrelated and both
-		// are sharding-invariant.
-		d.serveSeed = f.cfg.Seed + uint64(f.arrived)*0x9e3779b97f4a7c15 + 2
+		d.serveSeed = vmSeed(f.cfg.Seed, f.arrived, seedLaneServing)
 	}
 	if err := f.dispatch(idx, command{kind: cmdAddVM, at: f.now, d: d}); err != nil {
 		return err
@@ -1215,6 +1211,21 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 	f.arrived++
 	f.iv.Arrivals++
 	return nil
+}
+
+// Seed lanes of an admitted VM: its demand workload and its serving
+// clients draw from decorrelated streams of the same arrival index.
+const (
+	seedLaneWorkload = 1
+	seedLaneServing  = 2
+)
+
+// vmSeed is the seed of one lane of the arrival-th admitted VM. It is a
+// function of the global arrival index, assigned in coordinator order,
+// so workloads draw identical randomness for every shard and worker
+// count.
+func vmSeed(seed uint64, arrival int, lane uint64) uint64 {
+	return seed + uint64(arrival)*0x9e3779b97f4a7c15 + lane
 }
 
 // checkPlacement validates a policy decision against the bookkeeping

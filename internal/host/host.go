@@ -4,6 +4,13 @@
 // (internal/governor), the VMs and their workloads, plus measurement
 // (internal/metrics) and energy accounting (internal/energy).
 //
+// NewMachine is the machine builder every layer uses — the facade, the
+// paper's experiments, calibration, the multicore cluster,
+// consolidation and the fleet: it builds the CPU and a scheduler from
+// the registry (SchedulerNames, CanonicalScheduler), binds the PAS
+// family to the host's Global load signal, and adds Dom0. New composes
+// a host from parts the caller built, for tests that need to.
+//
 // The host advances simulated time in fixed scheduling quanta (1 ms by
 // default, finer than Xen's 30 ms timeslice so that load traces are
 // smooth). Every quantum it fires due events, generates workload arrivals,

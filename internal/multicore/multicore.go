@@ -72,8 +72,9 @@ type Config struct {
 	SettleSteps int
 	// CapacityMargin is the PAS capacity margin; default 0.02.
 	CapacityMargin float64
-	// Scheduler selects the per-core VM scheduler: "credit" (default) is
-	// the fix-credit scheduler whose caps the coordinator compensates at
+	// Scheduler selects the per-core VM scheduler by its registry name
+	// (host.NewMachine): "credit" (default, alias "fix-credit") is the
+	// fix-credit scheduler whose caps the coordinator compensates at
 	// reduced frequencies; "credit2" is the weight-proportional
 	// work-conserving scheduler — a variable-credit scheduler in the
 	// paper's taxonomy, which needs no compensation, so the coordinator
@@ -151,30 +152,24 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "credit"
 	}
-	if cfg.Scheduler != "credit" && cfg.Scheduler != "credit2" {
-		return nil, fmt.Errorf("multicore: unknown scheduler %q (credit, credit2)", cfg.Scheduler)
+	// The coordinator sets every core's frequency and compensates Credit
+	// caps, so it runs the two Credit-family schedulers only; the PAS
+	// family would manage DVFS itself.
+	name, ok := host.CanonicalScheduler(cfg.Scheduler)
+	if !ok || (name != "credit" && name != "credit2") {
+		return nil, fmt.Errorf("multicore: scheduler %q cannot run under the cluster coordinator (credit (fix-credit), credit2)", cfg.Scheduler)
 	}
+	cfg.Scheduler = name
 	c := &Cluster{cfg: cfg, cf: cfg.Profile.EfficiencyTable()}
 	for i := 0; i < cfg.Cores; i++ {
-		cpu, err := cpufreq.NewCPU(cfg.Profile)
+		h, err := host.NewMachine(cfg.Scheduler, 0, host.Config{Profile: cfg.Profile, Reference: cfg.Reference})
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d: %w", i, err)
 		}
-		var s sched.Scheduler
-		var capper sched.CapSetter
-		if cfg.Scheduler == "credit2" {
-			s = sched.NewCredit2()
-		} else {
-			credit := sched.NewCredit(sched.CreditConfig{})
-			s, capper = credit, credit
-		}
-		h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Reference: cfg.Reference})
-		if err != nil {
-			return nil, fmt.Errorf("multicore: core %d: %w", i, err)
-		}
+		capper, _ := h.Scheduler().(sched.CapSetter) // credit2 has no caps
 		c.cores = append(c.cores, &coreState{
 			host:       h,
-			cpu:        cpu,
+			cpu:        h.CPU(),
 			capper:     capper,
 			initCredit: make(map[vm.ID]float64),
 		})

@@ -16,6 +16,13 @@
 //   - a CPU overhead factor relative to Xen, calibrated from the paper's
 //     Performance-governor row (e.g. Hyper-V 1601s vs Xen 1559s).
 //
+// Platform.Stack maps a platform and a Table 2 row to a scheduler name
+// of the machine builder's registry (host.NewMachine) and a governor.
+// Every Performance column is its scheduler family plus the performance
+// governor; for Xen/PAS that is credit plus the performance governor,
+// since PAS at the pinned maximum frequency schedules exactly like
+// Credit. Its OnDemand column is the in-scheduler PAS loop.
+//
 // These are approximations of closed-source systems; EXPERIMENTS.md
 // documents the calibration.
 package platform
@@ -23,10 +30,8 @@ package platform
 import (
 	"fmt"
 
-	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
-	"pasched/internal/sched"
 )
 
 // Family classifies a platform's scheduler in the paper's taxonomy
@@ -82,8 +87,8 @@ type Platform struct {
 	Name string
 	// Family is the scheduler classification.
 	Family Family
-	// PAS marks the Xen/PAS column, which replaces the governor with the
-	// in-scheduler PAS loop.
+	// PAS marks the Xen/PAS column, which replaces the OnDemand governor
+	// with the in-scheduler PAS loop.
 	PAS bool
 	// SEDF selects the SEDF scheduler for variable-credit platforms that
 	// use reservation-style scheduling; false selects the
@@ -95,16 +100,6 @@ type Platform struct {
 	// Overhead is the CPU overhead factor relative to Xen (work is
 	// multiplied by it), calibrated from Table 2's Performance row.
 	Overhead float64
-}
-
-// Parts is the platform-specific machinery for one host: the CPU, the
-// scheduler, the optional governor and, for the Xen/PAS column, the PAS
-// scheduler that needs a load source bound after host construction.
-type Parts struct {
-	CPU       *cpufreq.CPU
-	Scheduler sched.Scheduler
-	Governor  governor.Governor
-	PAS       *core.PAS
 }
 
 // Platforms returns the seven Table 2 columns in the paper's order.
@@ -130,58 +125,37 @@ func ByName(name string) (Platform, error) {
 	return Platform{}, fmt.Errorf("platform: unknown platform %q", name)
 }
 
-// NewParts builds the platform's scheduler/governor stack for the given
-// processor profile and governor mode.
-func (p Platform) NewParts(prof *cpufreq.Profile, mode GovernorMode) (*Parts, error) {
-	cpu, err := cpufreq.NewCPU(prof)
-	if err != nil {
-		return nil, fmt.Errorf("platform: %w", err)
-	}
-	parts := &Parts{CPU: cpu}
-
-	// Scheduler.
+// Stack returns the platform's stack for one Table 2 row: a scheduler
+// name of the machine builder's registry (host.NewMachine) and the
+// governor, nil when the scheduler manages DVFS itself (Xen/PAS under
+// OnDemand).
+func (p Platform) Stack(prof *cpufreq.Profile, mode GovernorMode) (scheduler string, gov governor.Governor, err error) {
 	switch {
-	case p.PAS:
-		pas, err := core.NewPAS(core.PASConfig{CPU: cpu, CF: prof.EfficiencyTable()})
-		if err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
-		}
-		parts.Scheduler = pas
-		parts.PAS = pas
 	case p.Family == VariableCredit && p.SEDF:
-		parts.Scheduler = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
+		scheduler = "sedf"
 	case p.Family == VariableCredit:
-		parts.Scheduler = sched.NewCredit2()
+		scheduler = "credit2"
 	default:
-		parts.Scheduler = sched.NewCredit(sched.CreditConfig{})
+		scheduler = "credit"
 	}
-
-	// Governor.
 	switch mode {
 	case Performance:
-		if !p.PAS {
-			parts.Governor = &governor.Performance{}
-		}
-		// Xen/PAS under "Performance" runs PAS without a load source,
-		// which keeps the boot (maximum) frequency — equivalent
-		// behaviour, frequency-wise, to the performance governor.
+		return scheduler, &governor.Performance{}, nil
 	case OnDemand:
 		if p.PAS {
-			break // PAS manages DVFS itself
+			return "pas", nil, nil
 		}
 		inner, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{
 			CF: prof.EfficiencyTable(),
 		})
 		if err != nil {
-			return nil, fmt.Errorf("platform: %w", err)
+			return "", nil, fmt.Errorf("platform: %w", err)
 		}
 		if p.FloorIndex > 0 {
-			parts.Governor = &governor.Clamped{Inner: inner, FloorIndex: p.FloorIndex}
-		} else {
-			parts.Governor = inner
+			return scheduler, &governor.Clamped{Inner: inner, FloorIndex: p.FloorIndex}, nil
 		}
+		return scheduler, inner, nil
 	default:
-		return nil, fmt.Errorf("platform: unknown governor mode %d", mode)
+		return "", nil, fmt.Errorf("platform: unknown governor mode %d", mode)
 	}
-	return parts, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pasched/internal/cpufreq"
+	"pasched/internal/host"
 	"pasched/internal/sched"
 )
 
@@ -58,17 +59,17 @@ func TestGovernorModeString(t *testing.T) {
 	}
 }
 
-func TestNewPartsSchedulers(t *testing.T) {
+func TestStackSchedulers(t *testing.T) {
 	prof := cpufreq.Elite8300()
 	tests := []struct {
-		name      string
-		wantSched string
-		wantPAS   bool
+		name           string
+		perf, ondemand string
 	}{
-		{"Hyper-V", "credit", false},
-		{"Xen/PAS", "pas", true},
-		{"Xen/SEDF", "sedf", false},
-		{"KVM", "credit2", false},
+		{"Hyper-V", "credit", "credit"},
+		{"Xen/credit", "credit", "credit"},
+		{"Xen/PAS", "credit", "pas"},
+		{"Xen/SEDF", "sedf", "sedf"},
+		{"KVM", "credit2", "credit2"},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -76,34 +77,32 @@ func TestNewPartsSchedulers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			parts, err := p.NewParts(prof, OnDemand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := parts.Scheduler.Name(); got != tt.wantSched {
-				t.Errorf("scheduler = %q, want %q", got, tt.wantSched)
-			}
-			if (parts.PAS != nil) != tt.wantPAS {
-				t.Errorf("PAS present = %v, want %v", parts.PAS != nil, tt.wantPAS)
+			for mode, want := range map[GovernorMode]string{Performance: tt.perf, OnDemand: tt.ondemand} {
+				got, _, err := p.Stack(prof, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					t.Errorf("%v scheduler = %q, want %q", mode, got, want)
+				}
 			}
 		})
 	}
 }
 
-func TestNewPartsGovernors(t *testing.T) {
+func TestStackGovernors(t *testing.T) {
 	prof := cpufreq.Elite8300()
 
-	// Performance mode: a plain performance governor (except Xen/PAS).
-	hv, err := ByName("Hyper-V")
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := hv.NewParts(prof, Performance)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts.Governor == nil || parts.Governor.Name() != "performance" {
-		t.Errorf("Hyper-V/Performance governor = %v", parts.Governor)
+	// Performance mode: a plain performance governor on every platform,
+	// Xen/PAS included.
+	for _, p := range Platforms() {
+		_, gov, err := p.Stack(prof, Performance)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gov == nil || gov.Name() != "performance" {
+			t.Errorf("%s/Performance governor = %v", p.Name, gov)
+		}
 	}
 
 	// OnDemand with a floor: a clamped governor.
@@ -111,12 +110,12 @@ func TestNewPartsGovernors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err = vw.NewParts(prof, OnDemand)
+	_, gov, err := vw.Stack(prof, OnDemand)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parts.Governor == nil || !strings.Contains(parts.Governor.Name(), "clamped") {
-		t.Errorf("VMware/OnDemand governor = %v, want clamped", parts.Governor)
+	if gov == nil || !strings.Contains(gov.Name(), "clamped") {
+		t.Errorf("VMware/OnDemand governor = %v, want clamped", gov)
 	}
 
 	// PAS under OnDemand: no external governor.
@@ -124,33 +123,37 @@ func TestNewPartsGovernors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err = pas.NewParts(prof, OnDemand)
-	if err != nil {
+	if _, gov, err = pas.Stack(prof, OnDemand); err != nil {
 		t.Fatal(err)
 	}
-	if parts.Governor != nil {
-		t.Errorf("Xen/PAS/OnDemand has external governor %v", parts.Governor)
+	if gov != nil {
+		t.Errorf("Xen/PAS/OnDemand has external governor %v", gov)
 	}
 
 	// Unknown mode errors.
-	if _, err := pas.NewParts(prof, GovernorMode(0)); err == nil {
-		t.Error("NewParts(unknown mode) succeeded")
+	if _, _, err := pas.Stack(prof, GovernorMode(0)); err == nil {
+		t.Error("Stack(unknown mode) succeeded")
 	}
 }
 
-func TestNewPartsSchedulerIsCapSetterForFixCredit(t *testing.T) {
+// TestStackBuildsFixCreditMachines: every stack builds through the
+// machine builder, and the fix-credit columns get a scheduler with caps
+// in both modes.
+func TestStackBuildsFixCreditMachines(t *testing.T) {
 	prof := cpufreq.Elite8300()
-	for _, name := range []string{"Hyper-V", "VMware", "Xen/credit", "Xen/PAS"} {
-		p, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts, err := p.NewParts(prof, Performance)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := parts.Scheduler.(sched.CapSetter); !ok {
-			t.Errorf("%s: scheduler is not a CapSetter", name)
+	for _, p := range Platforms() {
+		for _, mode := range []GovernorMode{Performance, OnDemand} {
+			scheduler, gov, err := p.Stack(prof, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := host.NewMachine(scheduler, 10, host.Config{Profile: prof, Governor: gov})
+			if err != nil {
+				t.Fatalf("%s/%v: %v", p.Name, mode, err)
+			}
+			if _, caps := h.Scheduler().(sched.CapSetter); p.Family == FixCredit && !caps {
+				t.Errorf("%s/%v: scheduler %s is not a CapSetter", p.Name, mode, h.Scheduler().Name())
+			}
 		}
 	}
 }

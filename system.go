@@ -7,8 +7,6 @@ import (
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
 	"pasched/internal/host"
-	"pasched/internal/sched"
-	"pasched/internal/sim"
 	"pasched/internal/vm"
 )
 
@@ -16,25 +14,18 @@ import (
 // convenience methods for adding VMs and running the simulation.
 type System struct {
 	host *host.Host
-	cpu  *cpufreq.CPU
-	pas  *core.PAS
-	pc2  *core.PASCredit2
 	next vm.ID
 }
 
 // Option configures NewSystem.
 type Option func(*systemConfig) error
 
+// systemConfig is what the options record: a scheduler registry name,
+// the host configuration, and whether to add the paper's Dom0.
 type systemConfig struct {
-	profile    *cpufreq.Profile
-	scheduler  sched.Scheduler
-	governor   governor.Governor
-	pas        bool
-	pasCredit2 bool
-	pasCF      []float64
-	quantum    sim.Time
-	dom0       bool
-	reference  bool
+	scheduler string
+	host      host.Config
+	dom0      bool
 }
 
 // WithProfile selects the processor architecture. Default: Optiplex755.
@@ -43,96 +34,50 @@ func WithProfile(p *Profile) Option {
 		if p == nil {
 			return fmt.Errorf("pasched: nil profile")
 		}
-		c.profile = p
+		c.host.Profile = p
 		return nil
 	}
 }
 
-// WithScheduler installs an explicit scheduler (e.g. one built from the
-// internal packages in advanced use). Mutually exclusive with WithPAS,
-// WithCreditScheduler and WithSEDFScheduler.
-func WithScheduler(s Scheduler) Option {
+// withScheduler selects a scheduler by its registry name; the scheduler
+// options are mutually exclusive.
+func withScheduler(name string) Option {
 	return func(c *systemConfig) error {
-		if s == nil {
-			return fmt.Errorf("pasched: nil scheduler")
-		}
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
+		if c.scheduler != "" && c.scheduler != name {
 			return fmt.Errorf("pasched: scheduler already configured")
 		}
-		c.scheduler = s
+		c.scheduler = name
 		return nil
 	}
 }
 
 // WithCreditScheduler selects the Xen Credit scheduler (fix credit): each
 // VM's credit is guaranteed and hard-capped.
-func WithCreditScheduler() Option {
-	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.scheduler = sched.NewCredit(sched.CreditConfig{})
-		return nil
-	}
-}
+func WithCreditScheduler() Option { return withScheduler("credit") }
 
 // WithSEDFScheduler selects the Xen SEDF scheduler with extratime
 // (variable credit): unused slices are donated to busy VMs.
-func WithSEDFScheduler() Option {
-	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.scheduler = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true})
-		return nil
-	}
-}
+func WithSEDFScheduler() Option { return withScheduler("sedf") }
 
 // WithPAS selects the paper's Power-Aware Scheduler: Credit scheduling
 // with per-tick DVFS management and frequency-compensated credits.
-func WithPAS() Option {
-	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pasCredit2 {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.pas = true
-		return nil
-	}
-}
+func WithPAS() Option { return withScheduler("pas") }
 
 // WithPASCredit2 selects the Credit2-based PAS variant: the same
 // per-tick DVFS policy as PAS, but enforcement through
 // weight-proportional work-conserving Credit2 scheduling (weights
 // refreshed from the contracted credits at the PAS cadence) instead of
 // hard compensated caps.
-func WithPASCredit2() Option {
-	return func(c *systemConfig) error {
-		if c.scheduler != nil || c.pas {
-			return fmt.Errorf("pasched: scheduler already configured")
-		}
-		c.pasCredit2 = true
-		return nil
-	}
-}
+func WithPASCredit2() Option { return withScheduler("pas-credit2") }
 
-// WithPASCF supplies a measured per-P-state cf table for PAS (see
-// internal/calib); by default PAS uses the profile's ground-truth
-// efficiency table.
-func WithPASCF(cf []float64) Option {
-	return func(c *systemConfig) error {
-		c.pasCF = cf
-		return nil
-	}
-}
-
-// WithGovernor installs a DVFS governor. Ignored (and rejected) with
-// WithPAS, which manages the frequency itself.
+// WithGovernor installs a DVFS governor. Rejected with WithPAS and
+// WithPASCredit2, which manage the frequency themselves.
 func WithGovernor(g Governor) Option {
 	return func(c *systemConfig) error {
 		if g == nil {
 			return fmt.Errorf("pasched: nil governor")
 		}
-		c.governor = g
+		c.host.Governor = g
 		return nil
 	}
 }
@@ -140,7 +85,7 @@ func WithGovernor(g Governor) Option {
 // WithPerformanceGovernor pins the frequency at the maximum.
 func WithPerformanceGovernor() Option {
 	return func(c *systemConfig) error {
-		c.governor = &governor.Performance{}
+		c.host.Governor = &governor.Performance{}
 		return nil
 	}
 }
@@ -152,7 +97,7 @@ func WithOndemandGovernor() Option {
 		if err != nil {
 			return err
 		}
-		c.governor = g
+		c.host.Governor = g
 		return nil
 	}
 }
@@ -163,7 +108,7 @@ func WithQuantum(q Time) Option {
 		if q <= 0 {
 			return fmt.Errorf("pasched: quantum must be positive, got %v", q)
 		}
-		c.quantum = q
+		c.host.Quantum = q
 		return nil
 	}
 }
@@ -185,82 +130,36 @@ func WithDom0() Option {
 // reference semantics.
 func WithReferenceStepping() Option {
 	return func(c *systemConfig) error {
-		c.reference = true
+		c.host.Reference = true
 		return nil
 	}
 }
 
-// NewSystem builds a simulated virtualized host. With no options it is an
-// Optiplex 755 under the PAS scheduler.
+// NewSystem builds a simulated virtualized host through the machine
+// builder (host.NewMachine). With no options it is an Optiplex 755 under
+// the PAS scheduler.
 func NewSystem(opts ...Option) (*System, error) {
-	cfg := systemConfig{}
+	var cfg systemConfig
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {
 			return nil, err
 		}
 	}
-	if cfg.profile == nil {
-		cfg.profile = cpufreq.Optiplex755()
+	if cfg.host.Profile == nil {
+		cfg.host.Profile = cpufreq.Optiplex755()
 	}
-	if cfg.scheduler == nil && !cfg.pas && !cfg.pasCredit2 {
-		cfg.pas = true
+	if cfg.scheduler == "" {
+		cfg.scheduler = "pas"
 	}
-	if (cfg.pas || cfg.pasCredit2) && cfg.governor != nil {
-		return nil, fmt.Errorf("pasched: PAS manages DVFS itself; do not install a governor")
-	}
-
-	cpu, err := cpufreq.NewCPU(cfg.profile)
-	if err != nil {
-		return nil, err
-	}
-	var pas *core.PAS
-	var pc2 *core.PASCredit2
-	s := cfg.scheduler
-	cf := cfg.pasCF
-	if cf == nil {
-		cf = cfg.profile.EfficiencyTable()
-	}
-	if cfg.pas {
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu, CF: cf})
-		if err != nil {
-			return nil, err
-		}
-		s = pas
-	}
-	if cfg.pasCredit2 {
-		pc2, err = core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: cf})
-		if err != nil {
-			return nil, err
-		}
-		s = pc2
-	}
-	h, err := host.New(host.Config{
-		CPU:       cpu,
-		Scheduler: s,
-		Governor:  cfg.governor,
-		Quantum:   cfg.quantum,
-		Reference: cfg.reference,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if pas != nil {
-		pas.BindLoadSource(h)
-	}
-	if pc2 != nil {
-		pc2.BindLoadSource(h)
-	}
-	sys := &System{host: h, cpu: cpu, pas: pas, pc2: pc2, next: 1}
+	dom0 := 0.0
 	if cfg.dom0 {
-		dom0, err := vm.New(0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
-		if err != nil {
-			return nil, err
-		}
-		if err := h.AddVM(dom0); err != nil {
-			return nil, err
-		}
+		dom0 = 10
 	}
-	return sys, nil
+	h, err := host.NewMachine(cfg.scheduler, dom0, cfg.host)
+	if err != nil {
+		return nil, err
+	}
+	return &System{host: h, next: 1}, nil
 }
 
 // AddVM creates and registers a VM with the given name and credit
@@ -292,15 +191,21 @@ func (s *System) Now() Time { return s.host.Now() }
 func (s *System) Host() *Host { return s.host }
 
 // CPU returns the simulated processor.
-func (s *System) CPU() *CPU { return s.cpu }
+func (s *System) CPU() *CPU { return s.host.CPU() }
 
 // PAS returns the PAS scheduler, or nil when another scheduler was
 // selected.
-func (s *System) PAS() *PAS { return s.pas }
+func (s *System) PAS() *PAS {
+	p, _ := s.host.Scheduler().(*core.PAS)
+	return p
+}
 
 // PASCredit2 returns the Credit2-based PAS scheduler, or nil when
 // another scheduler was selected.
-func (s *System) PASCredit2() *PASCredit2 { return s.pc2 }
+func (s *System) PASCredit2() *PASCredit2 {
+	p, _ := s.host.Scheduler().(*core.PASCredit2)
+	return p
+}
 
 // Recorder returns the recorded time series (loads, frequency, caps).
 func (s *System) Recorder() *Recorder { return s.host.Recorder() }

@@ -69,9 +69,6 @@ func TestSchedulerOptionsAreExclusive(t *testing.T) {
 	if _, err := pasched.NewSystem(pasched.WithProfile(nil)); err == nil {
 		t.Error("nil profile accepted")
 	}
-	if _, err := pasched.NewSystem(pasched.WithScheduler(nil)); err == nil {
-		t.Error("nil scheduler accepted")
-	}
 	if _, err := pasched.NewSystem(pasched.WithGovernor(nil)); err == nil {
 		t.Error("nil governor accepted")
 	}
