@@ -10,7 +10,7 @@
 //	pasfleet -vmtrace trace.csv -sched credit -csv intervals.csv -json report.json
 //	pasfleet -arrivals 200 -write-trace trace.csv
 //	pasfleet -machines 1000000 -shards 8 -stream csv:intervals.csv -no-report
-//	pasfleet -machines 100000 -arrivals 10000000 -gen-stream -stream jsonl -no-report
+//	pasfleet -machines 100000 -arrivals 10000000 -stream jsonl -no-report
 //	pasfleet -serve -report 2 -sched credit2   # request latency percentiles
 //	pasfleet -trace perfetto:run.json -status  # flight recorder + heartbeat
 //
@@ -27,10 +27,10 @@
 // Large estates run sharded (-shards, -workers) with streaming output
 // (-stream) so memory stays proportional to the live fleet, not to the
 // run's history. The report — and the recorder's event stream — is
-// bit-identical for every shard and worker count. -gen-stream generates
-// the synthetic trace lazily (and -vmtrace always reads its CSV
-// lazily), so trace memory is O(1) too: a 10M-arrival run holds only
-// the machines and the live VMs.
+// bit-identical for every shard and worker count. The trace streams
+// into the run too — the generator emits it lazily and -vmtrace reads
+// its CSV lazily — so trace memory is O(1): a 10M-arrival run holds
+// only the machines and the live VMs.
 //
 // Exit status is non-zero on simulation errors, making the command
 // usable as a smoke gate in CI.
@@ -71,7 +71,6 @@ func run(args []string, out, errOut io.Writer) int {
 		arrivals    = fs.Int("arrivals", 1000, "number of VM lifecycles to generate")
 		horizon     = fs.Float64("horizon", 600, "simulated horizon in seconds")
 		seed        = fs.Uint64("seed", 42, "trace and workload seed")
-		genStream   = fs.Bool("gen-stream", false, "generate the synthetic trace lazily and stream it into the run (memory stays O(machines + live VMs))")
 		lifetime    = fs.Float64("lifetime", 0, "mean VM lifetime in seconds (0 = horizon/10); shorter lifetimes bound the live population of arrival-heavy runs")
 		policyName  = fs.String("policy", "first-fit", "placement policy: first-fit, best-fit or dvfs-aware")
 		schedName   = fs.String("sched", "pas", "per-machine scheduler: "+fleet.SchedulerNames())
@@ -110,6 +109,21 @@ func run(args []string, out, errOut io.Writer) int {
 			*schedName, fleet.SchedulerNames())
 		return 2
 	}
+	policy, err := fleet.PolicyByName(*policyName)
+	if err != nil {
+		fmt.Fprintf(errOut, "pasfleet: unknown placement policy %q (accepted: first-fit, best-fit, dvfs-aware)\n", *policyName)
+		return 2
+	}
+	// The Config zero values mean "default" and "off", so an interval
+	// that rounds to zero must fail here instead of running silently.
+	if !(*report > 0) || sim.FromSeconds(*report) <= 0 {
+		fmt.Fprintf(errOut, "pasfleet: invalid reporting interval %g (accepted: a positive duration in seconds)\n", *report)
+		return 2
+	}
+	if !(*consolidate >= 0) {
+		fmt.Fprintf(errOut, "pasfleet: invalid consolidation interval %g (accepted: 0 to disable, or a positive interval in seconds)\n", *consolidate)
+		return 2
+	}
 	if *autoPolicy != "" && !autoscale.Valid(*autoPolicy) {
 		fmt.Fprintf(errOut, "pasfleet: unknown autoscale policy %q (accepted: %s)\n",
 			*autoPolicy, autoscale.Names())
@@ -137,10 +151,6 @@ func run(args []string, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "pasfleet: invalid mean lifetime %g (accepted: 0 for horizon/10, or a positive duration in seconds)\n", *lifetime)
 		return 2
 	}
-	if *genStream && *vmTracePath != "" {
-		fmt.Fprintln(errOut, "pasfleet: -gen-stream conflicts with -vmtrace (the trace is read, not generated)")
-		return 2
-	}
 	if *noReport && *stream == "" && *csvPath == "" && *jsonPath == "" {
 		fmt.Fprintln(errOut, "pasfleet: -no-report without -stream discards every result; add -stream csv[:path] or jsonl[:path]")
 		return 2
@@ -153,7 +163,6 @@ func run(args []string, out, errOut io.Writer) int {
 	// address is a flag error, reported with exit 2 like the rest.
 	var metricsLn net.Listener
 	if *metricsAddr != "" {
-		var err error
 		metricsLn, err = net.Listen("tcp", *metricsAddr)
 		if err != nil {
 			fmt.Fprintf(errOut, "pasfleet: invalid metrics address %q: %v (accepted: host:port, e.g. localhost:6060 or :0)\n",
@@ -194,23 +203,11 @@ func run(args []string, out, errOut io.Writer) int {
 		}()
 	}
 
-	// The trace flows into the run as a pull-based source. -vmtrace and
-	// -gen-stream never materialize the event list — CSV rows (or
-	// generator output) stream straight into the fleet as Run pulls them
-	// — so trace memory stays O(1) regardless of arrival count. The
-	// default generator path still materializes, preserving the exact
-	// historical behavior (and error timing) of small runs.
-	genCfg := fleet.GenConfig{
-		Seed:         *seed,
-		Arrivals:     *arrivals,
-		Horizon:      sim.FromSeconds(*horizon),
-		MeanLifetime: sim.FromSeconds(*lifetime),
-	}
-	var tr *fleet.Trace
+	// The trace flows into the run as a pull-based source: CSV rows (or
+	// generator output) stream straight into the fleet as Run pulls
+	// them, so trace memory stays O(1) regardless of arrival count.
 	var src fleet.TraceSource
-	var err error
-	switch {
-	case *vmTracePath != "":
+	if *vmTracePath != "" {
 		f, ferr := os.Open(*vmTracePath)
 		if ferr != nil {
 			fmt.Fprintln(errOut, ferr)
@@ -218,37 +215,27 @@ func run(args []string, out, errOut io.Writer) int {
 		}
 		defer f.Close() // the source reads rows lazily during Run
 		src, err = fleet.ParseTraceStream(f)
-	case *genStream:
-		src, err = fleet.GenerateStream(genCfg)
-	default:
-		tr, err = fleet.Generate(genCfg)
+	} else {
+		src, err = fleet.GenerateStream(fleet.GenConfig{
+			Seed:         *seed,
+			Arrivals:     *arrivals,
+			Horizon:      sim.FromSeconds(*horizon),
+			MeanLifetime: sim.FromSeconds(*lifetime),
+		})
 	}
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1
 	}
 	if *writeTrace != "" {
-		if src == nil {
-			src = tr.Source()
-		}
 		if err := writeFile(*writeTrace, func(w io.Writer) error {
 			return fleet.WriteCSVStream(src, w)
 		}); err != nil {
 			fmt.Fprintln(errOut, err)
 			return 1
 		}
-		if tr != nil {
-			fmt.Fprintf(out, "wrote %d VM lifecycles to %s\n", len(tr.Events), *writeTrace)
-		} else {
-			fmt.Fprintf(out, "streamed VM lifecycle trace to %s\n", *writeTrace)
-		}
+		fmt.Fprintf(out, "wrote VM lifecycle trace to %s\n", *writeTrace)
 		return 0
-	}
-
-	policy, err := fleet.PolicyByName(*policyName)
-	if err != nil {
-		fmt.Fprintln(errOut, err)
-		return 1
 	}
 
 	var sinks []fleet.Sink
@@ -307,12 +294,7 @@ func run(args []string, out, errOut io.Writer) int {
 			},
 		},
 	}
-	var fl *fleet.Fleet
-	if src != nil {
-		fl, err = fleet.NewStream(fleetCfg, src)
-	} else {
-		fl, err = fleet.New(fleetCfg, tr)
-	}
+	fl, err := fleet.NewStream(fleetCfg, src)
 	if err != nil {
 		fmt.Fprintln(errOut, err)
 		return 1

@@ -91,9 +91,8 @@ func arriveAll(t *testing.T, f *Fleet, tr *Trace, horizon sim.Time) {
 }
 
 // TestDVFSPlacementNoAllocs pins the dvfs-aware query path at zero
-// allocations: an index query, an update of an already-ON machine (the
-// reserve/release refresh), and the linear Place once its power tables
-// are warm.
+// allocations: an index query and an update of an already-ON machine
+// (the reserve/release refresh).
 func TestDVFSPlacementNoAllocs(t *testing.T) {
 	h, queries := benchEstate(NewDVFSAware(), 1000)
 	x := h.pidx.(*dvfsIndex)
@@ -105,7 +104,7 @@ func TestDVFSPlacementNoAllocs(t *testing.T) {
 	cases := map[string]func(){
 		"index place": func() {
 			for _, q := range queries {
-				x.place(q)
+				x.place(q, true)
 			}
 		},
 		"index update": func() {
@@ -116,14 +115,8 @@ func TestDVFSPlacementNoAllocs(t *testing.T) {
 			st.OfferedLoadPct--
 			x.update(i)
 		},
-		"linear place": func() {
-			for _, q := range queries {
-				h.pol.Place(h.states, q)
-			}
-		},
 	}
 	for name, run := range cases {
-		run() // warm the policy's table memo
 		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
 			t.Errorf("%s allocates %.2f per run, want 0", name, allocs)
 		}

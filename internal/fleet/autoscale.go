@@ -161,7 +161,7 @@ func (f *Fleet) scaleOut(t sim.Time, p *ctlVM) error {
 		MemoryMB:     p.req.MemoryMB,
 		MeanActivity: p.req.MeanActivity,
 	}
-	idx, ok := f.place(req)
+	idx, ok := f.pidx.place(req, true)
 	if !ok {
 		f.asRejected++
 		if f.cobs != nil {

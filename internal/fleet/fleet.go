@@ -69,8 +69,8 @@ type Config struct {
 	// maximum frequency; "pas" is the paper's DVFS with credit
 	// compensation.
 	Scheduler string
-	// Policy decides placement (and consolidation targets). Default
-	// first-fit.
+	// Policy decides placement (and consolidation targets). The zero
+	// value is first-fit.
 	Policy Policy
 	// ReportEvery is the reporting barrier interval: all shards
 	// synchronize, energy and SLA reduce into one interval sample, and
@@ -238,9 +238,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	}
 	if total < 1 {
 		return cfg, fmt.Errorf("fleet: need at least 1 machine, got %d", total)
-	}
-	if cfg.Policy == nil {
-		cfg.Policy = NewFirstFit()
 	}
 	if cfg.ReportEvery == 0 {
 		cfg.ReportEvery = 30 * sim.Second
@@ -474,10 +471,9 @@ type Fleet struct {
 	prevArr  sim.Time // order validation across Next calls
 	prevName string
 
-	// pidx is the placement index answering Policy.Place queries
-	// incrementally for the built-in policies; nil for custom policies
-	// (linear-scan fallback). stateChanged keeps it in sync with every
-	// states[i] mutation.
+	// pidx is the policy's placement index, the fleet's only placement
+	// code: arrivals, replicas and consolidation all query it. Every
+	// states[i] mutation calls pidx.update(i).
 	pidx placeIndex
 
 	// serving reduction state (Serving.Enabled only): the VM-class index
@@ -512,9 +508,9 @@ type Fleet struct {
 	progLive   atomic.Int64
 
 	// control-plane per-machine scan state, struct-of-arrays: states is
-	// the persistent policy view updated in place (never rebuilt), the
+	// the persistent placement view updated in place (never rebuilt), the
 	// int32/bool arrays are what the coordinator scans every barrier.
-	states  []MachineState
+	states  []machineState
 	vmCount []int32
 	inbound []int32
 	everOn  []bool
@@ -541,8 +537,8 @@ type Fleet struct {
 	outFree    []*VMOutcome
 	dataPool   sync.Pool
 	outPending []*VMOutcome // outcome slots of the current interval
-	consStates []MachineState
 	movingBuf  []*ctlVM
+	hiddenBuf  []int
 	planBuf    []consMove
 
 	now     sim.Time
@@ -583,9 +579,12 @@ type Fleet struct {
 	below95          int
 }
 
+// consMove is one planned consolidation move: the VM, its target, and
+// the target's state before the move's trial booking.
 type consMove struct {
-	p  *ctlVM
-	to int
+	p    *ctlVM
+	to   int
+	prev machineState
 }
 
 // New builds a fleet from the configuration and a materialized trace,
@@ -662,15 +661,12 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 			i++
 		}
 	}
-	f.states = make([]MachineState, total)
+	f.states = make([]machineState, total)
 	for i := range f.states {
 		ci := f.classOf[i]
-		f.states[i] = MachineState{
-			Index:         i,
-			Class:         cfg.Machines[ci].Name,
+		f.states[i] = machineState{
 			FreeMemMB:     f.specs[ci].MemoryMB,
 			FreeCreditPct: f.caps[ci],
-			Profile:       f.specs[ci].Profile,
 		}
 	}
 	f.vmCount = make([]int32, total)
@@ -732,7 +728,11 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 		f.shards[si] = s
 		f.runs[si] = s.run
 	}
-	f.pidx = newPlaceIndex(cfg.Policy, f.states, f.classOf, len(cfg.Machines))
+	profiles := make([]*cpufreq.Profile, len(f.specs))
+	for ci, spec := range f.specs {
+		profiles[ci] = spec.Profile
+	}
+	f.pidx = newPlaceIndex(cfg.Policy, f.states, f.classOf, profiles)
 	return f, nil
 }
 
@@ -872,13 +872,13 @@ func (f *Fleet) putDataVM(d *dataVM) {
 // bookkeeping helpers -------------------------------------------------
 
 // reserve books a request's resources on a machine in the persistent
-// policy view; release is its exact inverse.
+// placement view; release is its inverse.
 func (f *Fleet) reserve(i int, r Request) {
 	st := &f.states[i]
 	st.FreeMemMB -= r.MemoryMB
 	st.FreeCreditPct -= r.CreditPct
 	st.OfferedLoadPct += r.CreditPct * r.MeanActivity
-	f.stateChanged(i)
+	f.pidx.update(i)
 }
 
 func (f *Fleet) release(i int, r Request) {
@@ -886,25 +886,7 @@ func (f *Fleet) release(i int, r Request) {
 	st.FreeMemMB += r.MemoryMB
 	st.FreeCreditPct += r.CreditPct
 	st.OfferedLoadPct -= r.CreditPct * r.MeanActivity
-	f.stateChanged(i)
-}
-
-// stateChanged keeps the placement index in sync with states[i]; every
-// mutation site (reserve, release, power cycling) calls it.
-func (f *Fleet) stateChanged(i int) {
-	if f.pidx != nil {
-		f.pidx.update(i)
-	}
-}
-
-// place picks a machine for the request: the incremental index for the
-// built-in policies, the policy's own linear scan otherwise. The two
-// paths return identical decisions (FuzzIndexedPlacement).
-func (f *Fleet) place(r Request) (int, bool) {
-	if f.pidx != nil {
-		return f.pidx.place(r)
-	}
-	return f.cfg.Policy.Place(f.states, r)
+	f.pidx.update(i)
 }
 
 // dispatch stages one data-plane command on the owning shard. Each
@@ -1141,7 +1123,7 @@ func (f *Fleet) powerOn(idx int) error {
 		return nil
 	}
 	st.On = true
-	f.stateChanged(idx)
+	f.pidx.update(idx)
 	f.everOn[idx] = true
 	f.poweredOn++
 	if f.cobs != nil {
@@ -1150,9 +1132,9 @@ func (f *Fleet) powerOn(idx int) error {
 	return f.dispatch(idx, command{kind: cmdPowerOn, at: f.now})
 }
 
-// arrive handles one trace arrival: the policy picks a machine from the
-// persistent bookkeeping view, the coordinator books the resources, and
-// the owning shard attaches the VM.
+// arrive handles one trace arrival: the placement index picks a machine
+// from the persistent bookkeeping view, the coordinator books the
+// resources, and the owning shard attaches the VM.
 func (f *Fleet) arrive(ev *VMEvent) error {
 	if _, live := f.vms[ev.Name]; live {
 		// The streamed-source analogue of Trace.Validate's global name
@@ -1166,7 +1148,7 @@ func (f *Fleet) arrive(ev *VMEvent) error {
 		MemoryMB:     class.MemoryMB,
 		MeanActivity: ev.Activity,
 	}
-	idx, ok := f.place(req)
+	idx, ok := f.pidx.place(req, true)
 	if !ok {
 		f.rejected++
 		f.iv.Rejected++
@@ -1348,23 +1330,30 @@ func slaOf(attained, demanded sim.Work) float64 {
 }
 
 // consolidate tries to empty the least-offered-load machine through live
-// migrations chosen by the policy. Only machines already carrying load
-// are eligible targets — moving a victim's VMs onto an empty machine
-// cannot reduce the active count, it just ping-pongs the load. Rounds
-// are skipped while migrations are in flight, and abandoned (without
-// partial moves) when the victim cannot be fully emptied — a partial
-// move cannot free a machine. Planning is pure control plane: no host
-// is touched until a migration completes.
+// migrations chosen by the placement index. Only machines already
+// carrying load are eligible targets — moving a victim's VMs onto an
+// empty machine cannot reduce the active count, it just ping-pongs the
+// load — so the round hides the victim and the empty powered-on
+// machines from the index. Rounds are skipped while migrations are in
+// flight, and abandoned (without partial moves) when the victim cannot
+// be fully emptied — a partial move cannot free a machine. Planning is
+// pure control plane: no host is touched until a migration completes.
 func (f *Fleet) consolidate() error {
 	// f.migs is the exact in-flight census: completions and aborts both
 	// delete from it, while canceled entries linger in the migQ heap
-	// until their original completion time pops.
+	// until their original completion time pops. With none in flight,
+	// no machine has an inbound reservation and no VM is migrating.
 	if len(f.migs) > 0 {
 		return nil
 	}
 	victim, loaded := -1, 0
+	hidden := f.hiddenBuf[:0]
 	for i := 0; i < f.nmach; i++ {
-		if !f.states[i].On || f.vmCount[i] == 0 || f.inbound[i] > 0 {
+		if !f.states[i].On {
+			continue
+		}
+		if f.vmCount[i] == 0 {
+			hidden = append(hidden, i)
 			continue
 		}
 		loaded++
@@ -1375,64 +1364,52 @@ func (f *Fleet) consolidate() error {
 	if victim < 0 || loaded < 2 {
 		return nil
 	}
+	hidden = append(hidden, victim)
+	f.hiddenBuf = hidden
 	moving := f.movingBuf[:0]
 	for _, p := range f.order {
-		if !p.gone && p.machine == victim && p.mig == nil {
+		if !p.gone && p.machine == victim {
 			moving = append(moving, p)
 		}
 	}
 	f.movingBuf = moving[:0]
-	if len(moving) == 0 {
-		return nil
-	}
-	// Tentative placement against a scratch copy of the state, restricted
-	// to loaded machines, largest memory first (the classic FFD order).
-	states := f.consStates[:0]
-	for i := 0; i < f.nmach; i++ {
-		if i == victim || !f.states[i].On {
-			continue
-		}
-		if f.vmCount[i] > 0 || f.inbound[i] > 0 {
-			states = append(states, f.states[i])
-		}
-	}
-	f.consStates = states[:0]
+	// Largest memory first (the classic FFD order).
 	sort.Slice(moving, func(i, j int) bool {
 		if moving[i].req.MemoryMB != moving[j].req.MemoryMB {
 			return moving[i].req.MemoryMB > moving[j].req.MemoryMB
 		}
 		return moving[i].req.Name < moving[j].req.Name
 	})
+	for _, i := range hidden {
+		f.states[i].hidden = true
+		f.pidx.update(i)
+	}
+	// Book each move as it is planned, so the next query sees it. An
+	// abandoned round puts the saved states back newest first: releasing
+	// the bookings instead would leave sub-ulp float dust behind.
 	plan := f.planBuf[:0]
 	defer func() { f.planBuf = plan[:0] }()
 	for _, p := range moving {
-		idx, ok := f.cfg.Policy.Place(states, p.req)
+		to, ok := f.pidx.place(p.req, false)
 		if !ok {
-			return nil // victim cannot be emptied this round
-		}
-		found := false
-		for si := range states {
-			if states[si].Index == idx {
-				if !states[si].On || !states[si].Fits(p.req) {
-					return f.placementError(idx, p.req)
-				}
-				states[si].FreeMemMB -= p.req.MemoryMB
-				states[si].FreeCreditPct -= p.req.CreditPct
-				states[si].OfferedLoadPct += p.req.CreditPct * p.req.MeanActivity
-				found = true
-				break
+			for k := len(plan) - 1; k >= 0; k-- {
+				f.states[plan[k].to] = plan[k].prev
+				f.pidx.update(plan[k].to)
 			}
+			plan = plan[:0]
+			break
 		}
-		if !found {
-			return f.placementError(idx, p.req)
-		}
-		plan = append(plan, consMove{p: p, to: idx})
-	}
-	for _, mv := range plan {
-		if err := f.checkPlacement(mv.to, mv.p.req, true); err != nil {
+		if err := f.checkPlacement(to, p.req, true); err != nil {
 			return err
 		}
-		f.reserve(mv.to, mv.p.req)
+		plan = append(plan, consMove{p: p, to: to, prev: f.states[to]})
+		f.reserve(to, p.req)
+	}
+	for _, i := range hidden {
+		f.states[i].hidden = false
+		f.pidx.update(i)
+	}
+	for _, mv := range plan {
 		f.inbound[mv.to]++
 		dur := sim.FromSeconds(float64(mv.p.req.MemoryMB) / migrationBandwidthMBps)
 		mg := &migration{name: mv.p.req.Name, from: victim, to: mv.to, done: f.now + dur}
@@ -1450,13 +1427,6 @@ func (f *Fleet) consolidate() error {
 		}
 	}
 	return nil
-}
-
-// placementError reports a consolidation pick the fleet state disagrees
-// with.
-func (f *Fleet) placementError(idx int, req Request) error {
-	return fmt.Errorf("fleet: policy %s: migrate %s to machine %d: not an eligible target",
-		f.cfg.Policy.Name(), req.Name, idx)
 }
 
 // abortMigration cancels an in-flight migration (the VM is departing),
@@ -1645,7 +1615,7 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 			st.FreeMemMB = f.specs[ci].MemoryMB
 			st.FreeCreditPct = f.caps[ci]
 			st.OfferedLoadPct = 0
-			f.stateChanged(i)
+			f.pidx.update(i)
 			f.poweredOff++
 			if f.cobs != nil {
 				f.cobs.Emit(t, obs.KindPowerOff, "", int64(i), 0)

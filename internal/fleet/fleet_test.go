@@ -256,22 +256,43 @@ func TestFleetRejectsWhenFull(t *testing.T) {
 	}
 }
 
-// badPolicy returns an out-of-range machine, exercising the diagnosable
-// failure path.
-type badPolicy struct{}
-
-func (badPolicy) Name() string                              { return "bad" }
-func (badPolicy) Place([]MachineState, Request) (int, bool) { return 999, true }
-
-func TestFleetDiagnosesBadPolicy(t *testing.T) {
+// TestFleetDiagnosesBadPlacement: checkPlacement turns a pick the
+// bookkeeping disagrees with into a diagnosable error instead of silent
+// misaccounting — an out-of-range machine, a powered-off migration
+// target, and a machine without room.
+func TestFleetDiagnosesBadPlacement(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 5, Horizon: 30 * sim.Second})
-	f, err := New(Config{Machines: testMachines(2, 0), Policy: badPolicy{}}, tr)
+	f, err := New(Config{Machines: testMachines(2, 1)}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = f.Run(30 * sim.Second)
-	if err == nil || !strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("bad policy not diagnosed: %v", err)
+	f.states[0].On = true
+	f.states[0].FreeCreditPct = 5
+	f.states[2].On = true
+	f.states[2].FreeMemMB = 100
+	req := Request{Name: "v", CreditPct: 10, MemoryMB: 512}
+	for _, tc := range []struct {
+		idx       int
+		migrating bool
+		want      string
+	}{
+		{999, false, "first-fit: place v on machine 999: out of range [0,3)"},
+		{-1, true, "migrate v on machine -1: out of range"},
+		{1, true, "migrate v on machine 1: machine is powered off"},
+		{0, true, "migrate v on machine 0: credit"},
+		{2, true, "migrate v on machine 2: memory 16284+512 > 16384 MB"},
+		{1, false, ""}, // an arrival may land on an off machine
+	} {
+		err := f.checkPlacement(tc.idx, req, tc.migrating)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("machine %d migrating=%v: %v", tc.idx, tc.migrating, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("machine %d migrating=%v: error %v, want %q", tc.idx, tc.migrating, err, tc.want)
+		}
 	}
 }
 

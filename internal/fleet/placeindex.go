@@ -3,47 +3,52 @@ package fleet
 import (
 	"math"
 	"math/bits"
+
+	"pasched/internal/cpufreq"
 )
 
-// placeIndex answers Policy.Place queries for one of the built-in
-// policies from an incrementally-maintained index instead of a linear
-// scan over every machine. The contract is exact: place returns the
-// same (index, ok) the policy's Place method would return on the same
-// states slice, bit for bit — the linear scan stays in policy.go as the
-// reference oracle, and FuzzIndexedPlacement holds the two together.
+// placeIndex is the fleet's placement code: one incrementally
+// maintained index per built-in policy. place returns the machine the
+// policy picks for r, or ok=false to reject it. With powerOn the query
+// may return an off machine (placing powers it on), which the policies
+// take only when no running machine fits — or, for dvfs-aware, when
+// powering one on is cheapest. Without it the only candidates are the
+// placeable machines, powered on and not hidden: consolidation's
+// targets. Outside a consolidation round no machine is hidden.
+//
+// The contract is exact: each index returns what its policy's linear
+// scan over the same states returns, bit for bit. The scans live in
+// placeindex_test.go as the oracle (linearPlace), and
+// FuzzIndexedPlacement and FuzzConsolidationPlan hold the two together.
 //
 // The fleet calls update(i) after every mutation of states[i] (reserve,
-// release, power-on, power-off); queries and updates both run on the
-// single-threaded coordinator loop.
+// release, power-on, power-off, hiding); queries and updates both run
+// on the single-threaded coordinator loop.
 type placeIndex interface {
-	place(r Request) (int, bool)
+	place(r Request, powerOn bool) (int, bool)
 	update(i int)
 }
 
-// newPlaceIndex returns the index matching the fleet's policy, or nil
-// for custom policies (the fleet then falls back to the linear scan).
-// states is the fleet's live machine array — the index reads it in
-// place; classOf/specMem/caps describe the per-class pristine capacity
-// an off machine snaps back to.
-func newPlaceIndex(pol Policy, states []MachineState, classOf []int32, nClasses int) placeIndex {
-	switch p := pol.(type) {
-	case FirstFit:
-		x := &ffIndex{states: states}
-		x.off.init(states, classOf, nClasses)
+// newPlaceIndex returns the index for the fleet's policy. states is the
+// fleet's live machine array — the index reads it in place; classOf
+// maps machines to classes, and profiles holds each class's processor,
+// which the dvfs-aware index turns into one power table per class.
+func newPlaceIndex(pol Policy, states []machineState, classOf []int32, profiles []*cpufreq.Profile) placeIndex {
+	var off offIndex
+	off.init(states, classOf, len(profiles))
+	switch pol.kind {
+	case bestFit:
+		x := &bfIndex{states: states, off: off}
 		x.init()
 		return x
-	case BestFit:
-		x := &bfIndex{states: states}
-		x.off.init(states, classOf, nClasses)
-		x.init()
-		return x
-	case DVFSAware:
-		x := &dvfsIndex{states: states, scale: 1 + p.Margin}
-		x.off.init(states, classOf, nClasses)
-		x.init(p, nClasses)
+	case dvfsAware:
+		x := &dvfsIndex{states: states, off: off}
+		x.init(profiles)
 		return x
 	default:
-		return nil
+		x := &ffIndex{states: states, off: off}
+		x.init()
+		return x
 	}
 }
 
@@ -54,7 +59,7 @@ func newPlaceIndex(pol Policy, states []MachineState, classOf []int32, nClasses 
 // off machine of a class answers any "which off machine" question for
 // that class, and min runs in O(machines/4096) words.
 type offIndex struct {
-	states  []MachineState
+	states  []machineState
 	classOf []int32
 	// words[ci] has bit i set iff machine i (of class ci) is off;
 	// sum[ci] has bit w set iff words[ci][w] is nonzero.
@@ -62,7 +67,7 @@ type offIndex struct {
 	sum   [][]uint64
 }
 
-func (o *offIndex) init(states []MachineState, classOf []int32, nClasses int) {
+func (o *offIndex) init(states []machineState, classOf []int32, nClasses int) {
 	o.states = states
 	o.classOf = classOf
 	n := len(states)
@@ -126,14 +131,14 @@ func (o *offIndex) lowestFit(r Request) (int, bool) {
 	return best, true
 }
 
-// ffIndex serves FirstFit: a segment tree over machine index whose
+// ffIndex serves first-fit: a segment tree over machine index whose
 // nodes carry the subtree maxima of free memory and free credit for
-// powered-on machines (off leaves are sentinel-empty). The query
-// descends leftmost-first with both maxima as the pruning test, so the
-// first leaf reached is the lowest-index on machine that fits; the off
-// phase is the shared per-class bitmap.
+// placeable machines (off and hidden leaves are sentinel-empty). The
+// query descends leftmost-first with both maxima as the pruning test,
+// so the first leaf reached is the lowest-index placeable machine that
+// fits; the off phase is the shared per-class bitmap.
 type ffIndex struct {
-	states []MachineState
+	states []machineState
 	off    offIndex
 
 	base int // leaves live at [base, base+n)
@@ -161,7 +166,7 @@ func (x *ffIndex) init() {
 func (x *ffIndex) update(i int) {
 	x.off.update(i)
 	pos := x.base + i
-	if m := &x.states[i]; m.On {
+	if m := &x.states[i]; m.On && !m.hidden {
 		x.mem[pos] = int32(m.FreeMemMB)
 		x.cred[pos] = m.FreeCreditPct
 	} else {
@@ -203,14 +208,17 @@ func (x *ffIndex) query(node int, memNeed int32, credNeed float64) int {
 	return node - x.base
 }
 
-func (x *ffIndex) place(r Request) (int, bool) {
+func (x *ffIndex) place(r Request, powerOn bool) (int, bool) {
 	if i := x.query(1, int32(r.MemoryMB), r.CreditPct); i >= 0 {
 		return i, true
+	}
+	if !powerOn {
+		return 0, false
 	}
 	return x.off.lowestFit(r)
 }
 
-// bfIndex serves BestFit: a treap over the powered-on machines keyed by
+// bfIndex serves best-fit: a treap over the placeable machines keyed by
 // (FreeCreditPct, index) with a subtree free-memory maximum, so the
 // tightest-fitting machine is the first in-order node with credit >=
 // the request and memory that fits — O(log machines) instead of a full
@@ -226,7 +234,7 @@ func (x *ffIndex) place(r Request) (int, bool) {
 // taking the lowest index — headroom is monotone in credit, so the walk
 // stops at the first strictly larger value.
 type bfIndex struct {
-	states []MachineState
+	states []machineState
 	off    offIndex
 
 	root    int32
@@ -316,7 +324,7 @@ func (x *bfIndex) update(i int) {
 		x.root = x.merge(l, r2)
 		x.inTree[id] = false
 	}
-	if m := &x.states[i]; m.On {
+	if m := &x.states[i]; m.On && !m.hidden {
 		x.keyCred[id] = m.FreeCreditPct
 		x.mem[id] = int32(m.FreeMemMB)
 		x.maxMem[id] = x.mem[id]
@@ -345,10 +353,13 @@ func (x *bfIndex) firstGE(t int32, cred float64, memNeed int32) int32 {
 	return x.firstGE(x.right[t], cred, memNeed)
 }
 
-func (x *bfIndex) place(r Request) (int, bool) {
+func (x *bfIndex) place(r Request, powerOn bool) (int, bool) {
 	memNeed := int32(r.MemoryMB)
 	n := x.firstGE(x.root, r.CreditPct, memNeed)
 	if n < 0 {
+		if !powerOn {
+			return 0, false
+		}
 		return x.off.lowestFit(r)
 	}
 	best := int(n)
@@ -367,7 +378,7 @@ func (x *bfIndex) place(r Request) (int, bool) {
 	return best, true
 }
 
-// dvfsIndex serves DVFSAware: the powered-on machines in dense arrays
+// dvfsIndex serves dvfs-aware: the placeable machines in dense arrays
 // (each has its own offered load, so each must be scored) plus one
 // representative per machine class for the powered-off pool — every off
 // machine of a class is pristine, so its power-on cost is identical and
@@ -383,12 +394,11 @@ func (x *bfIndex) place(r Request) (int, bool) {
 // E(load+add) - base is the linear scan's to the bit, since base is the
 // same estimate of the same load.
 type dvfsIndex struct {
-	states []MachineState
-	scale  float64 // 1 + the policy's margin
+	states []machineState
 	off    offIndex
 	tabs   []*powerTable // per machine class
 
-	pos []int32 // machine -> position in the ON arrays, -1 if off
+	pos []int32 // machine -> position in the ON arrays, -1 if absent
 
 	// The ON arrays, unordered.
 	on   []int32
@@ -399,14 +409,17 @@ type dvfsIndex struct {
 	tab  []*powerTable
 }
 
-func (x *dvfsIndex) init(pol DVFSAware, nClasses int) {
-	x.tabs = make([]*powerTable, nClasses)
+// dvfsScale is the load multiplier of the dvfs-aware estimate.
+const dvfsScale = 1 + dvfsMargin
+
+func (x *dvfsIndex) init(profiles []*cpufreq.Profile) {
+	x.tabs = make([]*powerTable, len(profiles))
+	for ci, prof := range profiles {
+		x.tabs[ci] = newPowerTable(prof)
+	}
 	x.pos = make([]int32, len(x.states))
 	for i := range x.pos {
 		x.pos[i] = -1
-		if ci := x.off.classOf[i]; x.tabs[ci] == nil {
-			x.tabs[ci] = pol.table(x.states[i].Profile)
-		}
 	}
 	for i := range x.states {
 		x.update(i)
@@ -417,7 +430,7 @@ func (x *dvfsIndex) update(i int) {
 	x.off.update(i)
 	m := &x.states[i]
 	p := x.pos[i]
-	if !m.On {
+	if !m.On || m.hidden {
 		if p >= 0 {
 			last := len(x.on) - 1
 			moved := x.on[last]
@@ -443,10 +456,10 @@ func (x *dvfsIndex) update(i int) {
 	x.mem[p] = m.FreeMemMB
 	x.cred[p] = m.FreeCreditPct
 	x.load[p] = m.OfferedLoadPct
-	x.base[p] = x.tab[p].watts(m.OfferedLoadPct, x.scale)
+	x.base[p] = x.tab[p].watts(m.OfferedLoadPct, dvfsScale)
 }
 
-func (x *dvfsIndex) place(r Request) (int, bool) {
+func (x *dvfsIndex) place(r Request, powerOn bool) (int, bool) {
 	add := r.CreditPct * r.MeanActivity
 	best, bestCost := -1, 0.0
 	// Equal-length views let the compiler drop the loop's bounds checks.
@@ -455,22 +468,24 @@ func (x *dvfsIndex) place(r Request) (int, bool) {
 	// The ON list is unordered, so the linear scan's first-wins tie
 	// handling becomes an explicit lexicographic (cost, index) minimum.
 	for p, mem := range x.mem[:n] {
-		if !(mem >= r.MemoryMB && cred[p] >= r.CreditPct) { // MachineState.Fits
+		if !(mem >= r.MemoryMB && cred[p] >= r.CreditPct) { // machineState.Fits
 			continue
 		}
-		cost := tab[p].watts(load[p]+add, x.scale) - base[p]
+		cost := tab[p].watts(load[p]+add, dvfsScale) - base[p]
 		if i := int(on[p]); best < 0 || cost < bestCost || (cost == bestCost && i < best) {
 			best, bestCost = i, cost
 		}
 	}
-	for ci, t := range x.tabs {
-		rep := x.off.min(int32(ci))
-		if rep < 0 || !x.states[rep].Fits(r) {
-			continue
-		}
-		cost := t.watts(add, x.scale)
-		if best < 0 || cost < bestCost || (cost == bestCost && rep < best) {
-			best, bestCost = rep, cost
+	if powerOn {
+		for ci, t := range x.tabs {
+			rep := x.off.min(int32(ci))
+			if rep < 0 || !x.states[rep].Fits(r) {
+				continue
+			}
+			cost := t.watts(add, dvfsScale)
+			if best < 0 || cost < bestCost || (cost == bestCost && rep < best) {
+				best, bestCost = rep, cost
+			}
 		}
 	}
 	if best < 0 {

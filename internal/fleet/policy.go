@@ -6,7 +6,7 @@ import (
 	"pasched/internal/cpufreq"
 )
 
-// Request is a VM the fleet asks a policy to place: the class-derived
+// Request is a VM the fleet asks its policy to place: the class-derived
 // resources plus the mean activity of its demand profile (the policy's
 // load estimate; the true demand is only known as it unfolds).
 type Request struct {
@@ -19,16 +19,16 @@ type Request struct {
 	MeanActivity float64
 }
 
-// MachineState is the policy-visible view of one machine. Policies see
-// the fleet's bookkeeping (reservations included), never the live hosts —
-// placement needs no host synchronization.
-type MachineState struct {
-	// Index is the machine's fleet-wide index; policies return it.
-	Index int
-	// Class is the machine-class name.
-	Class string
+// machineState is the placement view of one machine: the fleet's
+// bookkeeping (reservations included), never the live host — placement
+// needs no host synchronization. It holds no pointers.
+type machineState struct {
 	// On reports the power state. Placing on an off machine powers it on.
 	On bool
+	// hidden removes a powered-on machine from the placement indexes
+	// for one consolidation round (the victim and the empty machines);
+	// it is false outside consolidate.
+	hidden bool
 	// FreeMemMB and FreeCreditPct are the remaining capacities after all
 	// resident VMs and in-flight migration reservations.
 	FreeMemMB     int
@@ -37,171 +37,68 @@ type MachineState struct {
 	// CreditPct x MeanActivity over resident and reserved VMs, in percent
 	// of this machine's capacity at maximum frequency.
 	OfferedLoadPct float64
-	// Profile is the machine's processor architecture (its frequency
-	// ladder and power curve), for DVFS-aware decisions.
-	Profile *cpufreq.Profile
 }
 
 // Fits reports whether the machine has room for the request.
-func (m MachineState) Fits(r Request) bool {
+func (m machineState) Fits(r Request) bool {
 	return m.FreeMemMB >= r.MemoryMB && m.FreeCreditPct >= r.CreditPct
 }
 
-// Policy decides placement. Place receives every machine (on and off) and
-// returns the index of the chosen one, or ok=false to reject the VM.
-// Returning an off machine powers it on. For consolidation moves the
-// fleet passes only the eligible machines (powered-on, excluding the
-// migration source); the MachineState.Index field always carries the
-// fleet-wide index to return.
-//
-// Place must treat the slice as read-only and must not retain it: the
-// fleet keeps its machine state in place and passes the same backing
-// array on every call.
-type Policy interface {
-	Name() string
-	Place(machines []MachineState, r Request) (int, bool)
+// Policy names one of the three built-in placement policies, which
+// decide both where an arrival lands and where consolidation migrates
+// running VMs. The zero value is first-fit.
+type Policy struct{ kind policyKind }
+
+type policyKind uint8
+
+const (
+	firstFit policyKind = iota
+	bestFit
+	dvfsAware
+)
+
+// NewFirstFit returns the first-fit policy: it places on the
+// lowest-indexed powered-on machine with room, powering on the
+// lowest-indexed off machine only when no running one fits. It is the
+// classic baseline: cheap, and it packs low indices.
+func NewFirstFit() Policy { return Policy{firstFit} }
+
+// NewBestFit returns the best-fit-by-credit-headroom policy: it places
+// on the powered-on machine whose credit headroom after placement is
+// smallest (the tightest fit, lowest index on ties), so big headroom —
+// and with it whole machines — is preserved for later arrivals. Off
+// machines are powered on only when nothing running fits.
+func NewBestFit() Policy { return Policy{bestFit} }
+
+// NewDVFSAware returns the DVFS-aware packing policy: it places where
+// the fleet's estimated power draw grows least, using each machine
+// class's own frequency ladder and power curve. For every candidate it
+// computes the lowest frequency whose credit-compensated capacity
+// absorbs the machine's offered load after placement (the PAS operating
+// point, equation 5 of the paper) and compares the resulting power
+// deltas, lowest index on ties. Machines that can stay at a reduced
+// frequency with PAS compensating the credits therefore attract load
+// before machines that would have to speed up — and powering on a new
+// machine competes against those deltas at its full (static + dynamic)
+// cost, so it happens only when it is genuinely cheaper than cramming.
+func NewDVFSAware() Policy { return Policy{dvfsAware} }
+
+// Name returns the policy's canonical name, as PolicyByName accepts it.
+func (p Policy) Name() string {
+	switch p.kind {
+	case bestFit:
+		return "best-fit"
+	case dvfsAware:
+		return "dvfs-aware"
+	default:
+		return "first-fit"
+	}
 }
 
-// FirstFit places on the lowest-indexed powered-on machine with room,
-// powering on the lowest-indexed off machine only when no running one
-// fits. It is the classic baseline: cheap, and it packs low indices.
-type FirstFit struct{}
-
-// NewFirstFit returns the first-fit policy.
-func NewFirstFit() FirstFit { return FirstFit{} }
-
-// Name implements Policy.
-func (FirstFit) Name() string { return "first-fit" }
-
-// Place implements Policy.
-func (FirstFit) Place(machines []MachineState, r Request) (int, bool) {
-	for _, m := range machines {
-		if m.On && m.Fits(r) {
-			return m.Index, true
-		}
-	}
-	for _, m := range machines {
-		if !m.On && m.Fits(r) {
-			return m.Index, true
-		}
-	}
-	return 0, false
-}
-
-// BestFit places on the powered-on machine whose credit headroom after
-// placement is smallest (the tightest fit), so big headroom — and with it
-// whole machines — is preserved for later arrivals. Off machines are
-// powered on only when nothing running fits.
-type BestFit struct{}
-
-// NewBestFit returns the best-fit-by-credit-headroom policy.
-func NewBestFit() BestFit { return BestFit{} }
-
-// Name implements Policy.
-func (BestFit) Name() string { return "best-fit" }
-
-// Place implements Policy.
-func (BestFit) Place(machines []MachineState, r Request) (int, bool) {
-	best, bestLeft := -1, 0.0
-	for _, m := range machines {
-		if !m.On || !m.Fits(r) {
-			continue
-		}
-		left := m.FreeCreditPct - r.CreditPct
-		if best < 0 || left < bestLeft {
-			best, bestLeft = m.Index, left
-		}
-	}
-	if best >= 0 {
-		return best, true
-	}
-	for _, m := range machines {
-		if !m.On && m.Fits(r) {
-			return m.Index, true
-		}
-	}
-	return 0, false
-}
-
-// DVFSAware places where the fleet's estimated power draw grows least,
-// using each machine class's own frequency ladder and power curve: for
-// every candidate it computes the lowest frequency whose
-// credit-compensated capacity absorbs the machine's offered load after
-// placement (the PAS operating point, equation 5 of the paper) and
-// compares the resulting power deltas. Machines that can stay at a
-// reduced frequency with PAS compensating the credits therefore attract
-// load before machines that would have to speed up — and powering on a
-// new machine competes against those deltas at its full (static +
-// dynamic) cost, so it happens only when it is genuinely cheaper than
-// cramming.
-type DVFSAware struct {
-	// Margin is the capacity headroom kept above the estimated load when
-	// choosing the operating frequency, as in core.PASConfig; the
-	// constructor sets 0.05.
-	Margin float64
-	// tabs memoizes each profile's power table, shared by every copy of
-	// the policy: the estimate runs for every candidate machine of every
-	// arrival, so it must not rebuild per-state constants or allocate.
-	// Tables do not depend on Margin. A zero-value policy has no memo and
-	// builds a table per call. Policies run on the single-threaded fleet
-	// loop, so a plain map is fine.
-	tabs map[*cpufreq.Profile]*powerTable
-}
-
-// NewDVFSAware returns the DVFS-aware packing policy.
-func NewDVFSAware() DVFSAware {
-	return DVFSAware{Margin: 0.05, tabs: make(map[*cpufreq.Profile]*powerTable)}
-}
-
-// Name implements Policy.
-func (DVFSAware) Name() string { return "dvfs-aware" }
-
-// Place implements Policy.
-func (p DVFSAware) Place(machines []MachineState, r Request) (int, bool) {
-	add := r.CreditPct * r.MeanActivity
-	scale := 1 + p.Margin
-	// Machines of a class are adjacent in the fleet's states, so one
-	// table lookup serves a whole run of them.
-	var prof *cpufreq.Profile
-	var tab *powerTable
-	best, bestCost := -1, 0.0
-	for i := range machines {
-		m := &machines[i]
-		if !m.Fits(r) {
-			continue
-		}
-		if tab == nil || m.Profile != prof {
-			prof, tab = m.Profile, p.table(m.Profile)
-		}
-		var cost float64
-		if m.On {
-			cost = tab.watts(m.OfferedLoadPct+add, scale) - tab.watts(m.OfferedLoadPct, scale)
-		} else {
-			// Powering on pays the machine's whole draw, idle floor
-			// included.
-			cost = tab.watts(add, scale)
-		}
-		if best < 0 || cost < bestCost {
-			best, bestCost = m.Index, cost
-		}
-	}
-	if best < 0 {
-		return 0, false
-	}
-	return best, true
-}
-
-// table returns prof's power table from the memo, building it on a miss.
-func (p DVFSAware) table(prof *cpufreq.Profile) *powerTable {
-	if t := p.tabs[prof]; t != nil { // nil-map reads are fine for a zero-value policy
-		return t
-	}
-	t := newPowerTable(prof)
-	if p.tabs != nil {
-		p.tabs[prof] = t
-	}
-	return t
-}
+// dvfsMargin is the capacity headroom the dvfs-aware policy keeps above
+// the estimated load when choosing the operating frequency, as in
+// core.PASConfig.
+const dvfsMargin = 0.05
 
 // powerTable is one processor profile's power estimate at the PAS
 // operating point, reduced to per-state constants. watts applies the
@@ -243,7 +140,7 @@ func newPowerTable(prof *cpufreq.Profile) *powerTable {
 // absLoadPct percent of its maximum capacity at the PAS operating point:
 // the lowest ladder state whose compensated capacity covers the load
 // times scale (1 + the policy's margin), else the top state. It stays
-// small enough to inline into the placement loops.
+// small enough to inline into the placement loop.
 func (t *powerTable) watts(absLoadPct, scale float64) float64 {
 	x := absLoadPct * scale
 	s := t.states
@@ -270,6 +167,6 @@ func PolicyByName(name string) (Policy, error) {
 	case "dvfs-aware", "dvfs":
 		return NewDVFSAware(), nil
 	default:
-		return nil, fmt.Errorf("fleet: unknown policy %q (want first-fit, best-fit or dvfs-aware)", name)
+		return Policy{}, fmt.Errorf("fleet: unknown policy %q (want first-fit, best-fit or dvfs-aware)", name)
 	}
 }

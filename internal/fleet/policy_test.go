@@ -29,21 +29,21 @@ func refEstimate(prof *cpufreq.Profile, margin, absLoadPct float64) float64 {
 }
 
 // TestPowerTableBitExact holds the table estimator to the reference
-// bit for bit (math.Float64bits) on every shipped profile and the three
-// margins in use, at the loads where a rounding slip would show: each
-// ladder threshold divided by 1+Margin and one ulp either side, zero,
-// the tiny negative residues paired float reserve/release leaves behind,
-// and a dense sweep past 100% where the utilization clamp engages.
+// bit for bit (math.Float64bits) on every shipped profile and three
+// margins — none, the policy's dvfsMargin and a wide 0.2, since watts
+// takes the scale as an argument — at the loads where a rounding slip
+// would show: each ladder threshold divided by 1+margin and one ulp
+// either side, zero, the tiny negative residues paired float
+// reserve/release leaves behind, and a dense sweep past 100% where the
+// utilization clamp engages.
 func TestPowerTableBitExact(t *testing.T) {
 	profiles := cpufreq.Table1Profiles()
 	for _, mc := range DefaultEstate(3) {
 		profiles = append(profiles, mc.Spec.Profile)
 	}
-	withMargin := NewDVFSAware()
-	withMargin.Margin = 0.2
-	for _, pol := range []DVFSAware{{}, NewDVFSAware(), withMargin} {
+	for _, margin := range []float64{0, dvfsMargin, 0.2} {
 		for _, prof := range profiles {
-			scale := 1 + pol.Margin
+			scale := 1 + margin
 			loads := []float64{0, math.Copysign(0, -1), -1e-13, -1e-15, 1e-13, 100, 1000}
 			for i, s := range prof.States {
 				thr := prof.Ratio(s.Freq) * 100 * prof.EfficiencyTable()[i]
@@ -53,12 +53,12 @@ func TestPowerTableBitExact(t *testing.T) {
 			for k := 0; k <= 15000; k++ {
 				loads = append(loads, float64(k)/100)
 			}
-			tab := pol.table(prof)
+			tab := newPowerTable(prof)
 			for _, load := range loads {
-				got, want := tab.watts(load, scale), refEstimate(prof, pol.Margin, load)
+				got, want := tab.watts(load, scale), refEstimate(prof, margin, load)
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s margin %v load %v (%#x): table %v (%#x) != reference %v (%#x)",
-						prof.Name, pol.Margin, load, math.Float64bits(load),
+						prof.Name, margin, load, math.Float64bits(load),
 						got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			}

@@ -2,10 +2,11 @@
 // scale: hundreds to thousands of physical machines of several hardware
 // classes (different core ladders, power curves and memory sizes), fed by
 // a VM lifecycle trace — VMs arrive, run a demand profile for a
-// heavy-tailed lifetime, and depart. A pluggable placement policy decides
-// which machine hosts each arrival (and where consolidation migrates
-// running VMs), machines power on and off with the population, and the
-// fleet reports cluster-level energy, active-machine and SLA curves.
+// heavy-tailed lifetime, and depart. One of three built-in placement
+// policies decides which machine hosts each arrival (and where
+// consolidation migrates running VMs), machines power on and off with
+// the population, and the fleet reports cluster-level energy,
+// active-machine and SLA curves.
 //
 // It is the Section 2.3 scenario of the paper — dynamic consolidation
 // packing VMs onto a minimal set of machines and switching the rest off —
@@ -18,9 +19,10 @@
 //
 // Execution is sharded: machine i belongs to shard i % Shards, each
 // shard owning its hosts and RNG stream. The event loop itself is a
-// sequential control plane — placement, consolidation planning and
-// migration bookkeeping run on the coordinator against bookkeeping-only
-// MachineState — that stages host work on the shards as timestamped
+// sequential control plane — placement and consolidation planning
+// through the policy's placement index, and migration bookkeeping, run
+// on the coordinator against bookkeeping-only machine state — that
+// stages host work on the shards as timestamped
 // commands. A flush runs every shard's commands in coordinator order
 // through engine.RunParallel, at reporting barriers and wherever the
 // coordinator needs the data plane settled; a migration flushes the
