@@ -25,9 +25,6 @@ const DefaultPASInterval = 10 * sim.Millisecond
 type PASConfig struct {
 	// CPU is the processor whose frequency PAS manages. Required.
 	CPU *cpufreq.CPU
-	// Credit is the underlying Xen Credit scheduler PAS extends; nil
-	// builds one with default configuration.
-	Credit *sched.Credit
 	// CF is the per-P-state calibration factor table (the paper's CF[]),
 	// in ladder order. Nil assumes cf = 1 everywhere; use the measured
 	// table from internal/calib for non-ideal architectures.
@@ -60,10 +57,15 @@ type PASConfig struct {
 // its contracted capacity at the maximum frequency (Listing 1.2 /
 // equation 4).
 //
-// PAS implements sched.Scheduler by extending Credit, so it plugs into the
-// host like any other scheduler. The load signal is bound after host
-// construction with BindLoadSource; until then PAS schedules exactly like
-// Credit at a fixed frequency.
+// PAS implements sched.Scheduler by extending a Credit scheduler it builds
+// and owns, so it plugs into the host like any other scheduler. The load
+// signal is bound after host construction with BindLoadSource; until then
+// PAS schedules exactly like Credit at a fixed frequency.
+//
+// Only PAS writes the inner scheduler's caps, so it knows when they all
+// hold the compensation for one (ratio, cf) pair: a recomputation that
+// keeps the frequency and that pair, with no Add or SetCap since the last
+// full pass, leaves every cap as it is instead of rewriting it.
 type PAS struct {
 	credit      *sched.Credit
 	cpu         *cpufreq.CPU
@@ -75,8 +77,14 @@ type PAS struct {
 	next        sim.Time
 	loads       LoadSource
 	initCredit  map[vm.ID]float64
-	recomputes  int
-	tracer      sched.Tracer
+	// compRatio and compCF are the (ratio, cf) pair the last full
+	// recompensation applied to every VM; compValid is false until the
+	// first one and after any Add or SetCap, whose caps it does not cover.
+	compRatio  float64
+	compCF     float64
+	compValid  bool
+	recomputes int
+	tracer     sched.Tracer
 }
 
 var (
@@ -94,9 +102,6 @@ var (
 func NewPAS(cfg PASConfig) (*PAS, error) {
 	if cfg.CPU == nil {
 		return nil, fmt.Errorf("core: PAS requires a CPU")
-	}
-	if cfg.Credit == nil {
-		cfg.Credit = sched.NewCredit(sched.CreditConfig{})
 	}
 	if cfg.Interval == 0 {
 		cfg.Interval = DefaultPASInterval
@@ -121,7 +126,7 @@ func NewPAS(cfg PASConfig) (*PAS, error) {
 		cfg.SettleTime = 400 * sim.Millisecond
 	}
 	return &PAS{
-		credit:     cfg.Credit,
+		credit:     sched.NewCredit(sched.CreditConfig{}),
 		cpu:        cfg.CPU,
 		cf:         cfg.CF,
 		interval:   cfg.Interval,
@@ -140,12 +145,14 @@ func (p *PAS) BindLoadSource(ls LoadSource) { p.loads = ls }
 func (p *PAS) Name() string { return "pas" }
 
 // Add implements sched.Scheduler. The VM's configured credit is remembered
-// as its initial credit C_init — the SLA the compensation preserves.
+// as its initial credit C_init — the SLA the compensation preserves. The
+// VM runs at that raw credit until the next recomputation compensates it.
 func (p *PAS) Add(v *vm.VM) error {
 	if err := p.credit.Add(v); err != nil {
 		return err
 	}
 	p.initCredit[v.ID()] = v.Credit()
+	p.compValid = false
 	return nil
 }
 
@@ -246,33 +253,38 @@ func (p *PAS) updateDvfsAndCredits(now sim.Time) {
 	cf := cfAt(p.cf, newIdx)
 	changed := newFreq != p.cpu.Freq()
 	compensated := int64(0)
-	for id, init := range p.initCredit {
-		if init <= 0 {
-			continue // null-credit VMs have no SLA to compensate
+	// Skip on the pair, not on cpu.Freq(): the frequency lags a pending
+	// switch whose target the last pass compensated for. A frequency
+	// change still takes the full pass, so its event counts every VM.
+	if changed || !p.compValid || ratio != p.compRatio || cf != p.compCF {
+		for id, init := range p.initCredit {
+			if init <= 0 {
+				continue // null-credit VMs have no SLA to compensate
+			}
+			// Compensation failing, or the cap setter rejecting a VM that
+			// was registered through Add, would leave the VM capped for
+			// the old frequency with no trace — an accounting invariant
+			// violation, not a recoverable condition. init > 0 was
+			// checked, ratio and cf come from the validated ladder, and
+			// every id is registered, so both are impossible; enforce it.
+			newCredit, err := CompensatedCredit(init, ratio, cf)
+			if err != nil {
+				panic(fmt.Sprintf("core: PAS recompensation for VM %d (init %v, ratio %v, cf %v): %v",
+					id, init, ratio, cf, err))
+			}
+			if err := p.credit.SetCap(id, newCredit); err != nil {
+				panic(fmt.Sprintf("core: PAS recompensated cap for VM %d rejected: %v", id, err))
+			}
+			compensated++
 		}
-		// Compensation failing, or the cap setter rejecting a VM that was
-		// registered through Add, would leave the VM capped for the old
-		// frequency with no trace — an accounting invariant violation, not
-		// a recoverable condition. init > 0 was checked, ratio and cf come
-		// from the validated ladder, and every id is registered, so both
-		// are impossible; enforce it.
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			panic(fmt.Sprintf("core: PAS recompensation for VM %d (init %v, ratio %v, cf %v): %v",
-				id, init, ratio, cf, err))
-		}
-		if err := p.credit.SetCap(id, newCredit); err != nil {
-			panic(fmt.Sprintf("core: PAS recompensated cap for VM %d rejected: %v", id, err))
-		}
-		compensated++
+		p.compRatio, p.compCF, p.compValid = ratio, cf, true
 	}
 	if changed {
 		_ = p.cpu.SetFreq(newFreq, now) // ladder-validated above
 		p.settleUntil = now + p.settle
-		// One decision event per recomputation that changed the enforced
-		// caps (recompensating at an unchanged frequency rewrites identical
-		// values); a single event keeps the emission independent of the
-		// initCredit map's iteration order.
+		// One decision event per frequency change, which is when the
+		// compensated caps move; a single event keeps the emission
+		// independent of the initCredit map's iteration order.
 		if rt, ok := p.tracer.(sched.RecompensateTracer); ok {
 			rt.TraceRecompensate(now, int64(newFreq), compensated)
 		}
@@ -292,6 +304,7 @@ func (p *PAS) SetCap(id vm.ID, pct float64) error {
 		return fmt.Errorf("core: negative credit %v for VM %d", pct, id)
 	}
 	p.initCredit[id] = pct
+	p.compValid = false
 	prof := p.cpu.Profile()
 	idx, err := prof.Index(p.cpu.Freq())
 	if err != nil {

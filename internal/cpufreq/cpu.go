@@ -13,10 +13,12 @@ import (
 type CPU struct {
 	prof        *Profile
 	cur         Freq
+	curIdx      int      // ladder position of cur
 	pending     Freq     // target of an in-flight transition, 0 if none
+	pendingIdx  int      // ladder position of pending
 	switchAt    sim.Time // when the in-flight transition completes
 	transitions int
-	residency   map[Freq]sim.Time // accumulated time per frequency
+	residency   []sim.Time // accumulated time per ladder position
 	lastUpdate  sim.Time
 	rateFreq    Freq     // frequency the cached WorkRate was computed for
 	rate        sim.Work // cached exact work rate at rateFreq, per microsecond
@@ -32,7 +34,8 @@ func NewCPU(prof *Profile) (*CPU, error) {
 	return &CPU{
 		prof:      prof,
 		cur:       prof.Max(),
-		residency: make(map[Freq]sim.Time, prof.Levels()),
+		curIdx:    prof.Levels() - 1,
+		residency: make([]sim.Time, prof.Levels()),
 	}, nil
 }
 
@@ -47,14 +50,21 @@ func (c *CPU) Freq() Freq { return c.cur }
 func (c *CPU) Transitions() int { return c.transitions }
 
 // Residency returns the accumulated simulated time spent at frequency f, as
-// of the last Advance call.
-func (c *CPU) Residency(f Freq) sim.Time { return c.residency[f] }
+// of the last Advance call; 0 for a frequency outside the ladder.
+func (c *CPU) Residency(f Freq) sim.Time {
+	i, err := c.prof.Index(f)
+	if err != nil {
+		return 0
+	}
+	return c.residency[i]
+}
 
 // SetFreq requests a switch to frequency f at time now. The switch
 // completes after the profile's transition latency; requesting the current
 // frequency is a no-op. Unsupported frequencies return an error.
 func (c *CPU) SetFreq(f Freq, now sim.Time) error {
-	if _, err := c.prof.Index(f); err != nil {
+	idx, err := c.prof.Index(f)
+	if err != nil {
 		return fmt.Errorf("cpufreq: set frequency: %w", err)
 	}
 	if f == c.cur && c.pending == 0 {
@@ -63,7 +73,7 @@ func (c *CPU) SetFreq(f Freq, now sim.Time) error {
 	if c.pending != 0 && f == c.pending {
 		return nil
 	}
-	c.pending = f
+	c.pending, c.pendingIdx = f, idx
 	c.switchAt = now + c.prof.TransitionLatency
 	return nil
 }
@@ -84,12 +94,12 @@ func (c *CPU) PendingSwitch() (Freq, sim.Time, bool) {
 // the CPU's throughput.
 func (c *CPU) Advance(now sim.Time) {
 	if now > c.lastUpdate {
-		c.residency[c.cur] += now - c.lastUpdate
+		c.residency[c.curIdx] += now - c.lastUpdate
 		c.lastUpdate = now
 	}
 	if c.pending != 0 && now >= c.switchAt {
 		if c.pending != c.cur {
-			c.cur = c.pending
+			c.cur, c.curIdx = c.pending, c.pendingIdx
 			c.transitions++
 		}
 		c.pending = 0

@@ -297,6 +297,30 @@ func TestCPUResidencyAccounting(t *testing.T) {
 	if gotMin < 2900*sim.Millisecond || gotMin > 3*sim.Second {
 		t.Errorf("residency(1600) = %v, want ~3s", gotMin)
 	}
+	if got := c.Residency(1700); got != 0 {
+		t.Errorf("residency(1700), off the ladder, = %v, want 0", got)
+	}
+
+	// Across a transition the old frequency keeps accruing until the
+	// switch completes, and the new one from then on.
+	if err := c.SetFreq(2133, 5*sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	c.Advance(5*sim.Second + 50*sim.Microsecond) // still in flight
+	if got := c.Freq(); got != 1600 {
+		t.Fatalf("frequency mid-transition = %v, want 1600", got)
+	}
+	c.Advance(5*sim.Second + 100*sim.Microsecond) // completes
+	c.Advance(5*sim.Second + 300*sim.Microsecond)
+	if got := c.Residency(1600); got != gotMin+100*sim.Microsecond {
+		t.Errorf("residency(1600) after the transition = %v, want %v", got, gotMin+100*sim.Microsecond)
+	}
+	if got := c.Residency(2133); got != 200*sim.Microsecond {
+		t.Errorf("residency(2133) = %v, want 200us", got)
+	}
+	if got := c.Residency(2667); got != gotMax {
+		t.Errorf("residency(2667) moved to %v, want %v", got, gotMax)
+	}
 }
 
 func TestQuickNearestIsSupported(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"pasched/internal/cpufreq"
 	"pasched/internal/host"
-	"pasched/internal/sched"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
 	"pasched/internal/workload"
@@ -13,16 +12,16 @@ import (
 
 // TestHostStepNoAllocsWithoutObs proves the flight-recorder hooks cost
 // the disabled hot path nothing: with Config.Obs nil, steady-state host
-// stepping — both the contended multi-VM pattern path and the
-// single-runnable batched path — performs zero allocations per advance.
+// stepping — the contended multi-VM pattern path, the single-runnable
+// batched path, and PAS with its recomputation every 10 ms — performs
+// zero allocations per advance.
 // The sampling intervals are pushed beyond the measured window so the
 // recorder's (amortized, pre-existing) series appends stay out of the
 // measurement.
 func TestHostStepNoAllocsWithoutObs(t *testing.T) {
-	build := func(credits []float64) *host.Host {
-		h, err := host.New(host.Config{
+	build := func(scheduler string, credits []float64) *host.Host {
+		h, err := host.NewMachine(scheduler, 0, host.Config{
 			Profile:        cpufreq.Optiplex755(),
-			Scheduler:      sched.NewCredit(sched.CreditConfig{}),
 			SampleInterval: 3600 * sim.Second,
 			MeterInterval:  3600 * sim.Second,
 		})
@@ -42,14 +41,16 @@ func TestHostStepNoAllocsWithoutObs(t *testing.T) {
 		return h
 	}
 	for _, tc := range []struct {
-		name    string
-		credits []float64
+		name      string
+		scheduler string
+		credits   []float64
 	}{
-		{"single-runnable", []float64{20}},
-		{"contended-pattern", []float64{20, 30, 40}},
+		{"single-runnable", "credit", []float64{20}},
+		{"contended-pattern", "credit", []float64{20, 30, 40}},
+		{"pas-contended", "pas", []float64{20, 30, 40}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := build(tc.credits)
+			h := build(tc.scheduler, tc.credits)
 			// Warm up past transients (first refills, slice growth).
 			if err := h.Run(5 * sim.Second); err != nil {
 				t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/host"
 	"pasched/internal/sched"
@@ -14,14 +13,11 @@ import (
 )
 
 // benchHost builds a 3-VM host for throughput benchmarks.
-func benchHost(b *testing.B, s sched.Scheduler, bind func(h *host.Host)) *host.Host {
+func benchHost(b *testing.B, s sched.Scheduler) *host.Host {
 	b.Helper()
 	h, err := host.New(host.Config{Profile: cpufreq.Optiplex755(), Scheduler: s})
 	if err != nil {
 		b.Fatal(err)
-	}
-	if bind != nil {
-		bind(h)
 	}
 	for i, credit := range []float64{10, 20, 70} {
 		v, err := vm.New(vm.ID(i), vm.Config{Credit: credit})
@@ -44,7 +40,9 @@ func benchHost(b *testing.B, s sched.Scheduler, bind func(h *host.Host)) *host.H
 // three-hog Credit2 host whose smallest-vruntime merge must fold through
 // the pattern-certification path, and the "sedf-contended" pair on a
 // three-hog extratime SEDF host whose frozen EDF order (slice phases,
-// then extratime rotations) must fold between deadline boundaries.
+// then extratime rotations) must fold between deadline boundaries; and
+// the "pas-contended" pair on a 10/20/70 three-hog PAS host, whose
+// frequency and cap recomputation every 10 ms is a scheduler boundary.
 func BenchmarkHostStep(b *testing.B) {
 	scenarios := []struct {
 		name  string
@@ -111,6 +109,26 @@ func BenchmarkHostStep(b *testing.B) {
 			}
 			return h
 		}},
+		{"pas-contended-batched", func(b *testing.B, reference bool) *host.Host {
+			h, err := host.NewMachine("pas", 0, host.Config{
+				Profile:   cpufreq.Optiplex755(),
+				Reference: reference,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i, credit := range []float64{10, 20, 70} {
+				v, err := vm.New(vm.ID(i), vm.Config{Credit: credit})
+				if err != nil {
+					b.Fatal(err)
+				}
+				v.SetWorkload(&workload.Hog{})
+				if err := h.AddVM(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return h
+		}},
 	}
 	for _, sc := range scenarios {
 		for _, mode := range []struct {
@@ -145,41 +163,7 @@ func BenchmarkHostStep(b *testing.B) {
 // BenchmarkHostStepCredit measures simulation throughput (quanta/op) with
 // the Credit scheduler: one op advances one simulated second (1000 quanta).
 func BenchmarkHostStepCredit(b *testing.B) {
-	h := benchHost(b, sched.NewCredit(sched.CreditConfig{}), nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := h.Run(sim.Second); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkHostStepPAS measures simulation throughput with the full PAS
-// loop (per-tick frequency and credit recomputation) enabled.
-func BenchmarkHostStepPAS(b *testing.B) {
-	cpu, err := cpufreq.NewCPU(cpufreq.Optiplex755())
-	if err != nil {
-		b.Fatal(err)
-	}
-	pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
-	if err != nil {
-		b.Fatal(err)
-	}
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: pas})
-	if err != nil {
-		b.Fatal(err)
-	}
-	pas.BindLoadSource(h)
-	for i, credit := range []float64{10, 20, 70} {
-		v, err := vm.New(vm.ID(i), vm.Config{Credit: credit})
-		if err != nil {
-			b.Fatal(err)
-		}
-		v.SetWorkload(&workload.Hog{})
-		if err := h.AddVM(v); err != nil {
-			b.Fatal(err)
-		}
-	}
+	h := benchHost(b, sched.NewCredit(sched.CreditConfig{}))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.Run(sim.Second); err != nil {

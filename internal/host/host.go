@@ -531,19 +531,9 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	if h.cfg.Reference || h.schedBR == nil || (h.gov != nil && h.govDH == nil) {
 		return 0, nil
 	}
-	// Cheapest disqualifier first: more than one runnable VM interleaves
-	// picks, which needs the scheduler's pattern certification — without
-	// it only the reference path models the contention.
-	var single *vm.VM
-	runnable := 0
-	for _, v := range h.vms {
-		if v.Runnable() {
-			if runnable++; runnable > 1 && h.schedPattern == nil {
-				return 0, nil
-			}
-			single = v
-		}
-	}
+	// Cheapest disqualifier first: the quantum holding a scheduler
+	// boundary (every PAS recomputation, every Credit refill) always runs
+	// through the reference path, whoever is runnable.
 	n := max
 	if b := h.schedBR.NextBoundary(now); b != sim.Never {
 		if b <= now {
@@ -555,6 +545,19 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	}
 	if n < 2 {
 		return 0, nil
+	}
+	// More than one runnable VM interleaves picks, which needs the
+	// scheduler's pattern certification — without it only the reference
+	// path models the contention.
+	var single *vm.VM
+	runnable := 0
+	for _, v := range h.vms {
+		if v.Runnable() {
+			if runnable++; runnable > 1 && h.schedPattern == nil {
+				return 0, nil
+			}
+			single = v
+		}
 	}
 	// Completing a due frequency transition first (as the reference step
 	// would at this quantum start) both matches reference semantics and

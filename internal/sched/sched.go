@@ -203,11 +203,10 @@ type TraceSetter interface {
 // RecompensateTracer is an optional Tracer extension for schedulers that
 // rewrite their enforcement when the processor frequency changes (the
 // PAS credit recompensation of Listing 1.2). TraceRecompensate fires
-// once per recomputation that changed the enforced caps — exactly the
-// frequency transitions, since recompensating at an unchanged frequency
-// rewrites identical caps — with the new frequency and how many VMs were
-// recompensated. One event per recomputation (not per VM) keeps the
-// emission independent of the scheduler's map iteration order.
+// once per recomputation that changes the processor frequency, with the
+// new frequency and how many VMs were recompensated. One event per
+// recomputation (not per VM) keeps the emission independent of the
+// scheduler's map iteration order.
 type RecompensateTracer interface {
 	TraceRecompensate(now sim.Time, freqMHz, vms int64)
 }
