@@ -14,18 +14,21 @@ import (
 
 	"pasched"
 	"pasched/internal/autoscale"
+	"pasched/internal/experiments"
 	"pasched/internal/fleet"
 	"pasched/internal/sim"
 	"pasched/internal/workload"
 )
 
 // runExperiment executes one experiment per benchmark iteration and
-// returns the last result.
+// returns the last result. Every iteration starts from a cold scenario
+// memo, so it times the simulations rather than memo lookups.
 func runExperiment(b *testing.B, id string) *pasched.ExperimentResult {
 	b.Helper()
 	var res *pasched.ExperimentResult
 	var err error
 	for i := 0; i < b.N; i++ {
+		experiments.ForgetScenarios()
 		res, err = pasched.RunExperiment(id)
 		if err != nil {
 			b.Fatalf("experiment %s: %v", id, err)

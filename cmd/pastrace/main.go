@@ -10,9 +10,10 @@
 //
 // Schedulers: the machine builder's registry — pas, credit (alias
 // fix-credit), credit2, sedf, pas-credit2; the PAS family manages DVFS
-// itself and runs with -gov none only. Governors: performance, ondemand
-// (stock), paper (the paper's smoothed governor), none. Loads: exact,
-// thrashing.
+// itself and runs with -gov none only. Governors: the experiments'
+// scenario governor table — performance, powersave, conservative,
+// ondemand (stock), paper (the paper's smoothed governor), paper-cf1
+// (the same governor assuming cf=1), none. Loads: exact, thrashing.
 package main
 
 import (
@@ -35,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		schedName = fs.String("sched", "pas", "scheduler: "+experiments.TraceSchedulers)
-		govName   = fs.String("gov", "none", "governor: performance, ondemand, paper, none")
+		govName   = fs.String("gov", "none", "governor: "+experiments.TraceGovernors)
 		loadName  = fs.String("load", "thrashing", "load intensity: exact, thrashing")
 		seed      = fs.Uint64("seed", 42, "workload arrival seed")
 		series    = fs.String("series", "", "comma-separated series names (default: all)")

@@ -4,10 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"pasched/internal/platform"
 )
 
 func TestRegistryIsConsistent(t *testing.T) {
@@ -201,17 +206,196 @@ func TestTraceConfigurations(t *testing.T) {
 }
 
 func TestScenarioBuilderValidation(t *testing.T) {
-	if _, err := newScenario("cfs", nil, loadExact, 1); err == nil {
+	if _, err := newScenario("cfs", "none", loadExact, 1); err == nil {
 		t.Error("unknown scheduler accepted")
 	}
-	if _, err := scenarioGovernor("nope"); err == nil {
+	if _, err := newScenario("credit", "nope", loadExact, 1); err == nil {
 		t.Error("unknown governor accepted")
 	}
-	g, err := scenarioGovernor("paper")
-	if err != nil {
+	for _, g := range scenarioGovernors {
+		_, err := newScenario("credit", g.name, loadExact, 1)
+		if err != nil {
+			t.Errorf("credit with governor %q: %v", g.name, err)
+		}
+		_, err = newScenario("pas", g.name, loadExact, 1)
+		if g.name == "none" && err != nil {
+			t.Errorf("PAS without a governor: %v", err)
+		}
+		if g.name != "none" && err == nil {
+			t.Errorf("PAS with governor %q accepted", g.name)
+		}
+	}
+}
+
+// TestScenarioMemoSimulatesEachRunOnce runs every experiment concurrently
+// from a cold memo: the Section 5.3 experiments request 20 runs, of which
+// 12 are distinct, and each distinct run simulates once.
+func TestScenarioMemoSimulatesEachRunOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment runs in -short mode")
+	}
+	ForgetScenarios()
+	req0, sim0 := scenarioRequests.Load(), scenarioSimulations.Load()
+	ids := IDs()
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = Run(id)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newScenario("pas", g, loadExact, 1); err == nil {
-		t.Error("PAS with a governor accepted")
+	if got := scenarioRequests.Load() - req0; got != 20 {
+		t.Errorf("Section 5.3 runs requested: %d, want 20", got)
+	}
+	if got := scenarioSimulations.Load() - sim0; got != 12 {
+		t.Errorf("Section 5.3 runs simulated: %d, want 12", got)
+	}
+}
+
+// TestScenarioMemoConcurrentFirstRequests: concurrent first requests for
+// one key simulate once and share one outcome.
+func TestScenarioMemoConcurrentFirstRequests(t *testing.T) {
+	ForgetScenarios()
+	sim0 := scenarioSimulations.Load()
+	runs := make([]*scenarioRun, 8)
+	errs := make([]error, len(runs))
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runs[i], errs[i] = runScenario("credit", "performance", loadExact, scenarioSeed)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if got := scenarioSimulations.Load() - sim0; got != 1 {
+		t.Errorf("%d concurrent first requests simulated %d times, want 1", len(runs), got)
+	}
+	for i, r := range runs {
+		if r != runs[0] {
+			t.Errorf("request %d got a different outcome", i)
+		}
+	}
+}
+
+// TestScenarioMemoMatchesFreshRun: a memoized outcome equals a fresh
+// newScenario + run bit for bit — every kept series, the energy total
+// and the cumulative work — for one key per scheduler family.
+func TestScenarioMemoMatchesFreshRun(t *testing.T) {
+	for _, k := range []scenarioKey{
+		{scheduler: "credit", governor: "paper", load: loadExact, seed: scenarioSeed},
+		{scheduler: "sedf", governor: "paper", load: loadThrashing, seed: scenarioSeed},
+		{scheduler: "pas", governor: "none", load: loadThrashing, seed: scenarioSeed},
+	} {
+		t.Run(k.scheduler, func(t *testing.T) {
+			run, err := runScenario(k.scheduler, k.governor, k.load, k.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sc, err := newScenario(k.scheduler, k.governor, k.load, k.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.run(); err != nil {
+				t.Fatal(err)
+			}
+			recorded := make(map[string]bool)
+			for _, name := range sc.host.Recorder().Names() {
+				recorded[name] = true
+			}
+			for _, name := range keptSeries {
+				got, err := run.series(name)
+				if !recorded[name] {
+					if err == nil {
+						t.Errorf("%s: kept although the run did not record it", name)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", name, err)
+					continue
+				}
+				want := sc.host.Recorder().Series(name)
+				if len(got.T) != len(want.T) || len(got.V) != len(want.V) {
+					t.Errorf("%s: %d/%d points, fresh run %d/%d", name, len(got.T), len(got.V), len(want.T), len(want.V))
+					continue
+				}
+				if cap(got.T) != len(got.T) || cap(got.V) != len(got.V) {
+					t.Errorf("%s: not an exact-length copy (cap %d/%d, len %d)", name, cap(got.T), cap(got.V), len(got.T))
+				}
+				for i := range want.T {
+					if math.Float64bits(got.T[i]) != math.Float64bits(want.T[i]) ||
+						math.Float64bits(got.V[i]) != math.Float64bits(want.V[i]) {
+						t.Errorf("%s point %d: memo (%v, %v), fresh (%v, %v)", name, i, got.T[i], got.V[i], want.T[i], want.V[i])
+						break
+					}
+				}
+			}
+			if got, want := run.energy.Total(), sc.host.Energy().Total(); got != want {
+				t.Errorf("energy: memo %v, fresh %v", got, want)
+			}
+			if got, want := run.work, sc.host.CumulativeWork(); got != want {
+				t.Errorf("cumulative work: memo %v, fresh %v", got, want)
+			}
+			if _, err := run.series("global_load_pct"); err == nil {
+				t.Error("lookup of a series the memo does not keep succeeded")
+			}
+		})
+	}
+}
+
+// TestResultsDoNotAliasMemo: mutating a returned Result's series leaves a
+// later Result of the same key unchanged.
+func TestResultsDoNotAliasMemo(t *testing.T) {
+	for _, id := range []string{"fig4", "fig9"} {
+		first, err := Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := experimentDigest(first)
+		for _, s := range first.Series {
+			for i := range s.T {
+				s.T[i], s.V[i] = -1, -1
+			}
+		}
+		again, err := Run(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := experimentDigest(again); got != want {
+			t.Errorf("%s: mutating an earlier Result moved a later one", id)
+		}
+	}
+}
+
+// TestTable2SimulatesDistinctCells: of Table 2's 14 cells, Xen/credit and
+// Xen/PAS under Performance share one stack, so 13 simulate.
+func TestTable2SimulatesDistinctCells(t *testing.T) {
+	cells := make(map[table2Cell][]string)
+	for _, p := range platform.Platforms() {
+		for _, mode := range []platform.GovernorMode{platform.Performance, platform.OnDemand} {
+			cell, _, err := table2Stack(p, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells[cell] = append(cells[cell], p.Name+"/"+mode.String())
+		}
+	}
+	if len(cells) != 13 {
+		t.Errorf("%d distinct Table 2 cells, want 13", len(cells))
+	}
+	for _, names := range cells {
+		if len(names) > 1 && !slices.Equal(names, []string{"Xen/credit/Performance", "Xen/PAS/Performance"}) {
+			t.Errorf("cells %v share one simulation", names)
+		}
 	}
 }

@@ -230,23 +230,20 @@ func Energy() (*Result, error) {
 	}
 	outcomes := make(map[string]outcome, len(rows))
 	for _, r := range rows {
-		g, err := scenarioGovernor(r.gov)
+		run, err := runScenario(r.scheduler, r.gov, loadThrashing, scenarioSeed)
 		if err != nil {
 			return nil, err
 		}
-		sc, err := newScenario(r.scheduler, g, loadThrashing, 42)
+		a20, err := run.series("V20_absolute_pct")
 		if err != nil {
 			return nil, err
 		}
-		if err := sc.run(); err != nil {
-			return nil, err
-		}
-		m := sc.host.Energy()
+		m := run.energy
 		if baseline == nil {
 			baseline = m
 		}
 		sav := energy.Savings(baseline, m) * 100
-		absP1, _ := sc.host.Recorder().Series("V20_absolute_pct").MeanBetween(p1Lo, p1Hi)
+		absP1, _ := a20.MeanBetween(p1Lo, p1Hi)
 		outcomes[r.name] = outcome{joules: m.Joules(), savings: sav, absP1: absP1}
 		tb.AddRow(r.name, metrics.Fmt(m.Joules(), 0), metrics.Fmt(m.AveragePower(), 1),
 			metrics.Fmt(sav, 1), metrics.Fmt(absP1, 1))

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"pasched/internal/calib"
@@ -47,44 +48,49 @@ func Fig1() (*Result, error) {
 	return res, nil
 }
 
-// figureScenario runs one Section 5.3 scenario and packages the usual
-// series (loads and frequency) into a Result.
+// figureRun is one figure's read-only view of a memoized run: V20's and
+// V70's loads of the figure's kind (global or absolute) and the
+// frequency.
+type figureRun struct {
+	*scenarioRun
+	v20, v70, freq *metrics.Series
+}
+
+// figureScenario reads one Section 5.3 run through the memo and packages
+// the usual series (loads and frequency) into a Result, copied so the
+// Result never aliases the memo.
 func figureScenario(id, title, scheduler, gov string, lk loadKind,
-	absolute bool) (*Result, *scenario, error) {
-	g, err := scenarioGovernor(gov)
+	absolute bool) (*Result, *figureRun, error) {
+	run, err := runScenario(scheduler, gov, lk, scenarioSeed)
 	if err != nil {
 		return nil, nil, err
 	}
-	sc, err := newScenario(scheduler, g, lk, 42)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sc.run(); err != nil {
-		return nil, nil, err
-	}
-	rec := sc.host.Recorder()
 	suffix := "_global_pct"
 	kind := "global"
 	if absolute {
 		suffix = "_absolute_pct"
 		kind = "absolute"
 	}
-	res := &Result{ID: id, Title: title}
-	v20 := rec.Series("V20" + suffix)
-	v70 := rec.Series("V70" + suffix)
-	freq := rec.Series("freq_mhz")
+	fr := &figureRun{scenarioRun: run}
+	var err20, err70, errF error
+	fr.v20, err20 = run.series("V20" + suffix)
+	fr.v70, err70 = run.series("V70" + suffix)
+	fr.freq, errF = run.series("freq_mhz")
+	if err := errors.Join(err20, err70, errF); err != nil {
+		return nil, nil, err
+	}
 	// Figure series: loads in percent plus the frequency scaled to fit the
 	// same chart (right axis in the paper).
 	freqScaled := metrics.NewSeries("frequency (MHz/26.67, right axis)")
-	for i := range freq.T {
-		freqScaled.Add(freq.T[i], freq.V[i]/26.67)
+	for i := range fr.freq.T {
+		freqScaled.Add(fr.freq.T[i], fr.freq.V[i]/26.67)
 	}
-	v20c := metrics.NewSeries("V20 " + kind + " load (%)")
-	v20c.T, v20c.V = v20.T, v20.V
-	v70c := metrics.NewSeries("V70 " + kind + " load (%)")
-	v70c.T, v70c.V = v70.T, v70.V
-	res.Series = append(res.Series, v20c, v70c, freqScaled)
-	return res, sc, nil
+	res := &Result{ID: id, Title: title}
+	res.Series = append(res.Series,
+		cloneSeries("V20 "+kind+" load (%)", fr.v20),
+		cloneSeries("V70 "+kind+" load (%)", fr.v70),
+		freqScaled)
+	return res, fr, nil
 }
 
 // phaseMeans summarizes a series over the three phase windows.
@@ -98,15 +104,14 @@ func phaseMeans(s *metrics.Series) (p1, p2, p3 float64) {
 // Fig2 reproduces Figure 2: the execution profile with the Credit
 // scheduler at the maximum frequency (Performance governor), exact load.
 func Fig2() (*Result, error) {
-	res, sc, err := figureScenario("fig2", "Load profile (at the maximum frequency)",
+	res, fr, err := figureScenario("fig2", "Load profile (at the maximum frequency)",
 		"credit", "performance", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	v20p1, v20p2, _ := phaseMeans(rec.Series("V20_global_pct"))
-	_, v70p2, v70p3 := phaseMeans(rec.Series("V70_global_pct"))
-	fMean := rec.Series("freq_mhz").Mean()
+	v20p1, v20p2, _ := phaseMeans(fr.v20)
+	_, v70p2, v70p3 := phaseMeans(fr.v70)
+	fMean := fr.freq.Mean()
 	res.Checks = append(res.Checks,
 		checkNear("V20 global load, phase 1 (%)", "20", v20p1, 20, 1.5),
 		checkNear("V20 global load, phase 2 (%)", "20", v20p2, 20, 1.5),
@@ -123,14 +128,13 @@ func Fig2() (*Result, error) {
 // scheduler is aggressive and unstable — the frequency oscillates under
 // the bursty web load.
 func Fig3() (*Result, error) {
-	res, sc, err := figureScenario("fig3", "Global loads with Ondemand governor / Credit scheduler / exact load",
+	res, fr, err := figureScenario("fig3", "Global loads with Ondemand governor / Credit scheduler / exact load",
 		"credit", "ondemand", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	trans := rec.Series("freq_mhz").Transitions(1)
-	v20p1, _, _ := phaseMeans(rec.Series("V20_global_pct"))
+	trans := fr.freq.Transitions(1)
+	v20p1, _, _ := phaseMeans(fr.v20)
 	res.Checks = append(res.Checks,
 		checkBetween("frequency transitions across 1s samples", "aggressive and unstable (oscillates)",
 			float64(trans), 20, 1e9),
@@ -144,15 +148,14 @@ func Fig3() (*Result, error) {
 // Fig4 reproduces Figure 4: the paper's own governor shows the same
 // overall behaviour without the oscillations.
 func Fig4() (*Result, error) {
-	res, sc, err := figureScenario("fig4", "Global loads with our governor / Credit scheduler / exact load",
+	res, fr, err := figureScenario("fig4", "Global loads with our governor / Credit scheduler / exact load",
 		"credit", "paper", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	trans := rec.Series("freq_mhz").Transitions(1)
-	v20p1, v20p2, _ := phaseMeans(rec.Series("V20_global_pct"))
-	_, v70p2, _ := phaseMeans(rec.Series("V70_global_pct"))
+	trans := fr.freq.Transitions(1)
+	v20p1, v20p2, _ := phaseMeans(fr.v20)
+	_, v70p2, _ := phaseMeans(fr.v70)
 	res.Checks = append(res.Checks,
 		checkBetween("frequency transitions across 1s samples", "stable (no oscillations)",
 			float64(trans), 0, 12),
@@ -168,14 +171,13 @@ func Fig4() (*Result, error) {
 // while V70 is lazy and the frequency is scaled down, and recovers only
 // when V70's activity raises the frequency.
 func Fig5() (*Result, error) {
-	res, sc, err := figureScenario("fig5", "Absolute loads with our governor / Credit scheduler / exact load",
+	res, fr, err := figureScenario("fig5", "Absolute loads with our governor / Credit scheduler / exact load",
 		"credit", "paper", loadExact, true)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	a20p1, a20p2, _ := phaseMeans(rec.Series("V20_absolute_pct"))
-	f1, _ := rec.Series("freq_mhz").MeanBetween(p1Lo, p1Hi)
+	a20p1, a20p2, _ := phaseMeans(fr.v20)
+	f1, _ := fr.freq.MeanBetween(p1Lo, p1Hi)
 	res.Checks = append(res.Checks,
 		// 20% of the CPU at 1600/2667 MHz is 12% absolute; the paper reads
 		// "close to 10%" off its figure.
@@ -192,14 +194,13 @@ func Fig5() (*Result, error) {
 // global load rises to ~35% in phase 1 (33% of the CPU at 1600 MHz is the
 // 20% absolute it needs, plus scheduling slack).
 func Fig6() (*Result, error) {
-	res, sc, err := figureScenario("fig6", "Global loads with our governor / SEDF scheduler / exact load",
+	res, fr, err := figureScenario("fig6", "Global loads with our governor / SEDF scheduler / exact load",
 		"sedf", "paper", loadExact, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	v20p1, v20p2, _ := phaseMeans(rec.Series("V20_global_pct"))
-	_, v70p2, _ := phaseMeans(rec.Series("V70_global_pct"))
+	v20p1, v20p2, _ := phaseMeans(fr.v20)
+	_, v70p2, _ := phaseMeans(fr.v70)
 	res.Checks = append(res.Checks,
 		checkBetween("V20 global load, phase 1 (%)", "35", v20p1, 30, 38),
 		checkNear("V20 global load, phase 2 (%)", "ends up with 20", v20p2, 20, 2),
@@ -212,13 +213,12 @@ func Fig6() (*Result, error) {
 // compensate the lowered frequency — V20 holds 20% absolute throughout its
 // active phase.
 func Fig7() (*Result, error) {
-	res, sc, err := figureScenario("fig7", "Absolute loads with our governor / SEDF scheduler / exact load",
+	res, fr, err := figureScenario("fig7", "Absolute loads with our governor / SEDF scheduler / exact load",
 		"sedf", "paper", loadExact, true)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	a20p1, a20p2, _ := phaseMeans(rec.Series("V20_absolute_pct"))
+	a20p1, a20p2, _ := phaseMeans(fr.v20)
 	res.Checks = append(res.Checks,
 		checkNear("V20 absolute load, phase 1 (%)", "20 during the entire experiment", a20p1, 20, 1.5),
 		checkNear("V20 absolute load, phase 2 (%)", "20 during the entire experiment", a20p2, 20, 1.5),
@@ -232,14 +232,13 @@ func Fig7() (*Result, error) {
 // ~85%+ of the processor and the frequency is pinned at the maximum — the
 // provider neither enforces the 20% SLA nor saves energy.
 func Fig8() (*Result, error) {
-	res, sc, err := figureScenario("fig8", "Global or absolute loads with our governor / SEDF scheduler / thrashing load",
+	res, fr, err := figureScenario("fig8", "Global or absolute loads with our governor / SEDF scheduler / thrashing load",
 		"sedf", "paper", loadThrashing, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	v20p1, v20p2, _ := phaseMeans(rec.Series("V20_global_pct"))
-	f1, _ := rec.Series("freq_mhz").MeanBetween(p1Lo, p1Hi)
+	v20p1, v20p2, _ := phaseMeans(fr.v20)
+	f1, _ := fr.freq.MeanBetween(p1Lo, p1Hi)
 	res.Checks = append(res.Checks,
 		checkBetween("V20 global load, phase 1 (%)", "85 (allowed to consume far beyond its credit)",
 			v20p1, 85, 100),
@@ -257,19 +256,22 @@ func Fig8() (*Result, error) {
 // compensated 33% cap at 1600 MHz in phase 1 and returns it to 20% at the
 // maximum frequency in phase 2.
 func Fig9() (*Result, error) {
-	res, sc, err := figureScenario("fig9", "Global loads with the PAS scheduler / thrashing load",
+	res, fr, err := figureScenario("fig9", "Global loads with the PAS scheduler / thrashing load",
 		"pas", "none", loadThrashing, false)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	v20p1, v20p2, _ := phaseMeans(rec.Series("V20_global_pct"))
-	_, v70p2, _ := phaseMeans(rec.Series("V70_global_pct"))
-	cap1, _ := rec.Series("V20_cap_pct").MeanBetween(p1Lo, p1Hi)
-	cap2, _ := rec.Series("V20_cap_pct").MeanBetween(p2Lo, p2Hi)
-	f1, _ := rec.Series("freq_mhz").MeanBetween(p1Lo, p1Hi)
-	f2, _ := rec.Series("freq_mhz").MeanBetween(p2Lo, p2Hi)
-	res.Series = append(res.Series, rec.Series("V20_cap_pct"))
+	capS, err := fr.series("V20_cap_pct")
+	if err != nil {
+		return nil, err
+	}
+	v20p1, v20p2, _ := phaseMeans(fr.v20)
+	_, v70p2, _ := phaseMeans(fr.v70)
+	cap1, _ := capS.MeanBetween(p1Lo, p1Hi)
+	cap2, _ := capS.MeanBetween(p2Lo, p2Hi)
+	f1, _ := fr.freq.MeanBetween(p1Lo, p1Hi)
+	f2, _ := fr.freq.MeanBetween(p2Lo, p2Hi)
+	res.Series = append(res.Series, cloneSeries(capS.Name, capS))
 	res.Checks = append(res.Checks,
 		checkNear("frequency, phase 1 (MHz)", "1600", f1, 1600, 30),
 		checkNear("V20 enforced cap, phase 1 (%)", "33 (compensates the low frequency)", cap1, 33.3, 1),
@@ -286,15 +288,14 @@ func Fig9() (*Result, error) {
 // exactly its contracted credit for the whole run, while the frequency
 // stays low whenever the host is underloaded.
 func Fig10() (*Result, error) {
-	res, sc, err := figureScenario("fig10", "Absolute loads with the PAS scheduler / thrashing load",
+	res, fr, err := figureScenario("fig10", "Absolute loads with the PAS scheduler / thrashing load",
 		"pas", "none", loadThrashing, true)
 	if err != nil {
 		return nil, err
 	}
-	rec := sc.host.Recorder()
-	a20p1, a20p2, _ := phaseMeans(rec.Series("V20_absolute_pct"))
-	_, a70p2, a70p3 := phaseMeans(rec.Series("V70_absolute_pct"))
-	f1, _ := rec.Series("freq_mhz").MeanBetween(p1Lo, p1Hi)
+	a20p1, a20p2, _ := phaseMeans(fr.v20)
+	_, a70p2, a70p3 := phaseMeans(fr.v70)
+	f1, _ := fr.freq.MeanBetween(p1Lo, p1Hi)
 	res.Checks = append(res.Checks,
 		checkNear("V20 absolute load, phase 1 (%)", "20 (consistent with credit allocations)", a20p1, 20, 1),
 		checkNear("V20 absolute load, phase 2 (%)", "20", a20p2, 20, 1),

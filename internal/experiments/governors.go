@@ -1,9 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
-	"pasched/internal/governor"
 	"pasched/internal/metrics"
 )
 
@@ -14,22 +14,13 @@ import (
 // It quantifies the stability/energy/QoS triangle the paper describes in
 // prose.
 func AblationGovernors() (*Result, error) {
-	type row struct {
-		name  string
-		build func() (governor.Governor, error)
-	}
-	rows := []row{
-		{"performance", func() (governor.Governor, error) { return &governor.Performance{}, nil }},
-		{"powersave", func() (governor.Governor, error) { return &governor.Powersave{}, nil }},
-		{"conservative", func() (governor.Governor, error) {
-			return governor.NewConservative(governor.ConservativeConfig{})
-		}},
-		{"ondemand (stock)", func() (governor.Governor, error) {
-			return governor.NewLinuxOndemand(governor.LinuxOndemandConfig{})
-		}},
-		{"our governor", func() (governor.Governor, error) {
-			return governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-		}},
+	// Rows: table label and scenario governor name.
+	rows := []struct{ name, gov string }{
+		{"performance", "performance"},
+		{"powersave", "powersave"},
+		{"conservative", "conservative"},
+		{"ondemand (stock)", "ondemand"},
+		{"our governor", "paper-cf1"},
 	}
 
 	res := &Result{
@@ -45,22 +36,19 @@ func AblationGovernors() (*Result, error) {
 		absP1  float64
 	}, len(rows))
 	for _, r := range rows {
-		g, err := r.build()
+		run, err := runScenario("credit", r.gov, loadExact, scenarioSeed)
 		if err != nil {
 			return nil, err
 		}
-		sc, err := newScenario("credit", g, loadExact, 42)
-		if err != nil {
+		freq, errF := run.series("freq_mhz")
+		a20, errA := run.series("V20_absolute_pct")
+		if err := errors.Join(errF, errA); err != nil {
 			return nil, err
 		}
-		if err := sc.run(); err != nil {
-			return nil, err
-		}
-		rec := sc.host.Recorder()
-		freqMean := rec.Series("freq_mhz").Mean()
-		trans := rec.Series("freq_mhz").Transitions(1)
-		absP1, _ := rec.Series("V20_absolute_pct").MeanBetween(p1Lo, p1Hi)
-		joules := sc.host.Energy().Joules()
+		freqMean := freq.Mean()
+		trans := freq.Transitions(1)
+		absP1, _ := a20.MeanBetween(p1Lo, p1Hi)
+		joules := run.energy.Joules()
 		outcomes[r.name] = struct {
 			trans  int
 			joules float64

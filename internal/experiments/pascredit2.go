@@ -24,34 +24,34 @@ func ExtPASCredit2() (*Result, error) {
 		absP2  float64 // V20 absolute load under contention (phase 2)
 		served float64 // total executed work, units
 	}
-	run := func(scheduler string) (outcome, *energy.Meter, error) {
-		sc, err := newScenario(scheduler, nil, loadThrashing, 42)
+	measure := func(scheduler string) (outcome, *energy.Meter, error) {
+		run, err := runScenario(scheduler, "none", loadThrashing, scenarioSeed)
 		if err != nil {
 			return outcome{}, nil, err
 		}
-		if err := sc.run(); err != nil {
+		a20, err := run.series("V20_absolute_pct")
+		if err != nil {
 			return outcome{}, nil, err
 		}
-		rec := sc.host.Recorder()
-		p1, _ := rec.Series("V20_absolute_pct").MeanBetween(p1Lo, p1Hi)
-		p2, _ := rec.Series("V20_absolute_pct").MeanBetween(p2Lo, p2Hi)
+		p1, _ := a20.MeanBetween(p1Lo, p1Hi)
+		p2, _ := a20.MeanBetween(p2Lo, p2Hi)
 		return outcome{
-			joules: sc.host.Energy().Joules(),
+			joules: run.energy.Joules(),
 			absP1:  p1,
 			absP2:  p2,
-			served: sc.host.CumulativeWork().Units(),
-		}, sc.host.Energy(), nil
+			served: run.work.Units(),
+		}, run.energy, nil
 	}
 
 	res := &Result{
 		ID:    "ext-pas-credit2",
 		Title: "Extension: cap-based PAS vs Credit2-based PAS (weights at the 10 ms cadence)",
 	}
-	caps, capMeter, err := run("pas")
+	caps, capMeter, err := measure("pas")
 	if err != nil {
 		return nil, err
 	}
-	weights, weightMeter, err := run("pas-credit2")
+	weights, weightMeter, err := measure("pas-credit2")
 	if err != nil {
 		return nil, err
 	}

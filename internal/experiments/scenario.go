@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
 	"pasched/internal/cpufreq"
 	"pasched/internal/governor"
@@ -43,36 +44,74 @@ const (
 	loadThrashing
 )
 
+// scenarioSeed is the arrival seed every experiment runs the Section 5.3
+// profile with.
+const scenarioSeed = 42
+
 // scenario is one instantiated Section 5.3 run.
 type scenario struct {
 	host *host.Host
 }
 
-// scenarioGovernor builds the named Section 5.3 governor: "performance",
-// "ondemand" (the stock Linux governor), "paper" (the paper's smoothed
-// governor with the Optiplex 755's cf table) or "none" (nil).
-func scenarioGovernor(name string) (governor.Governor, error) {
-	switch name {
-	case "performance":
-		return &governor.Performance{}, nil
-	case "ondemand":
+// scenarioGovernors is the one table of Section 5.3 governor names; each
+// build returns a fresh governor, nil for "none". The PAS family manages
+// DVFS itself and runs with "none" only.
+var scenarioGovernors = []struct {
+	name  string
+	build func() (governor.Governor, error)
+}{
+	{"performance", func() (governor.Governor, error) { return &governor.Performance{}, nil }},
+	{"powersave", func() (governor.Governor, error) { return &governor.Powersave{}, nil }},
+	{"conservative", func() (governor.Governor, error) {
+		return governor.NewConservative(governor.ConservativeConfig{})
+	}},
+	// The stock Linux ondemand governor.
+	{"ondemand", func() (governor.Governor, error) {
 		return governor.NewLinuxOndemand(governor.LinuxOndemandConfig{})
-	case "paper":
+	}},
+	// The paper's smoothed governor with the Optiplex 755's cf table.
+	{"paper", func() (governor.Governor, error) {
 		return governor.NewPaperOndemand(governor.PaperOndemandConfig{
 			CF: cpufreq.Optiplex755().EfficiencyTable(),
 		})
-	case "none":
-		return nil, nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown governor %q (performance, ondemand, paper, none)", name)
+	}},
+	// The same governor assuming cf=1 at every P-state.
+	{"paper-cf1", func() (governor.Governor, error) {
+		return governor.NewPaperOndemand(governor.PaperOndemandConfig{})
+	}},
+	{"none", func() (governor.Governor, error) { return nil, nil }},
+}
+
+// TraceGovernors lists the governor names Trace accepts — the scenario
+// governor table — for CLI usage strings.
+var TraceGovernors = func() string {
+	names := make([]string, len(scenarioGovernors))
+	for i, g := range scenarioGovernors {
+		names[i] = g.name
 	}
+	return strings.Join(names, ", ")
+}()
+
+// scenarioGovernor builds the named Section 5.3 governor from
+// scenarioGovernors.
+func scenarioGovernor(name string) (governor.Governor, error) {
+	for _, g := range scenarioGovernors {
+		if g.name == name {
+			return g.build()
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown governor %q (%s)", name, TraceGovernors)
 }
 
 // newScenario builds the Section 5.3 host on the Optiplex 755 under the
-// named registry scheduler and governor g (nil for none): Dom0 with its
+// named registry scheduler and scenario governor: Dom0 with its
 // background load, and the two web VMs whose arrivals draw from seed+1
 // (V20) and seed+2 (V70).
-func newScenario(scheduler string, g governor.Governor, lk loadKind, seed uint64) (*scenario, error) {
+func newScenario(scheduler, gov string, lk loadKind, seed uint64) (*scenario, error) {
+	g, err := scenarioGovernor(gov)
+	if err != nil {
+		return nil, err
+	}
 	prof := cpufreq.Optiplex755()
 	h, err := host.NewMachine(scheduler, 10, host.Config{Profile: prof, Governor: g})
 	if err != nil {

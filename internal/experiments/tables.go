@@ -5,6 +5,7 @@ import (
 
 	"pasched/internal/calib"
 	"pasched/internal/cpufreq"
+	"pasched/internal/governor"
 	"pasched/internal/host"
 	"pasched/internal/metrics"
 	"pasched/internal/platform"
@@ -46,17 +47,41 @@ func Table1() (*Result, error) {
 	return res, nil
 }
 
-// table2Scenario measures the execution time of V20's job on one platform
-// under one governor mode: V20 runs a pi job sized to 1559 s at 20% of the
-// Elite 8300's full capacity; V70 is lazy, then fully active during
-// [270 s, 770 s), then lazy again; Dom0 keeps a 1% background load.
-func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, error) {
-	prof := cpufreq.Elite8300()
-	scheduler, gov, err := p.Stack(prof, mode)
+// table2Cell identifies one distinct Table 2 simulation. Under
+// Performance a platform's stack is its scheduler plus the performance
+// governor, so two platforms with the same scheduler and overhead (Xen/
+// credit and Xen/PAS) measure the same run; under OnDemand the stack also
+// depends on the platform's floor depth and PAS flag, so the platform
+// name keys it.
+type table2Cell struct {
+	scheduler string
+	mode      platform.GovernorMode
+	platform  string // OnDemand only
+	overhead  float64
+}
+
+// table2Stack returns a platform's stack for one Table 2 row on the
+// Elite 8300 and the cell that measures it.
+func table2Stack(p platform.Platform, mode platform.GovernorMode) (table2Cell, governor.Governor, error) {
+	scheduler, gov, err := p.Stack(cpufreq.Elite8300(), mode)
 	if err != nil {
-		return 0, err
+		return table2Cell{}, nil, err
 	}
-	h, err := host.NewMachine(scheduler, 10, host.Config{Profile: prof, Governor: gov})
+	cell := table2Cell{scheduler: scheduler, mode: mode, overhead: p.Overhead}
+	if mode == platform.OnDemand {
+		cell.platform = p.Name
+	}
+	return cell, gov, nil
+}
+
+// table2Scenario measures the execution time of V20's job on one
+// platform stack: V20 runs a pi job sized to 1559 s at 20% of the Elite
+// 8300's full capacity, times the platform overhead; V70 is lazy, then
+// fully active during [270 s, 770 s), then lazy again; Dom0 keeps a 1%
+// background load.
+func table2Scenario(cell table2Cell, gov governor.Governor) (float64, error) {
+	prof := cpufreq.Elite8300()
+	h, err := host.NewMachine(cell.scheduler, 10, host.Config{Profile: prof, Governor: gov})
 	if err != nil {
 		return 0, err
 	}
@@ -72,7 +97,7 @@ func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	pi, err := workload.NewPiApp(workload.PiWorkFor(maxTp, 20, 1559) * p.Overhead)
+	pi, err := workload.NewPiApp(workload.PiWorkFor(maxTp, 20, 1559) * cell.overhead)
 	if err != nil {
 		return 0, err
 	}
@@ -98,7 +123,7 @@ func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, e
 	}
 	at, ok := pi.CompletionTime()
 	if !ok {
-		return 0, fmt.Errorf("table2: %s/%s: job unfinished after %v", p.Name, mode, limit)
+		return 0, fmt.Errorf("job unfinished after %v", limit)
 	}
 	return at.Seconds(), nil
 }
@@ -106,6 +131,7 @@ func table2Scenario(p platform.Platform, mode platform.GovernorMode) (float64, e
 // Table2 reproduces Table 2: V20's execution time on seven virtualization
 // platforms under the Performance and OnDemand governors, with the
 // degradation row computed as the paper does: (T_od - T_perf) / T_od.
+// Each distinct cell (table2Cell) simulates once.
 func Table2() (*Result, error) {
 	plats := platform.Platforms()
 	paperPerf := map[string]float64{
@@ -134,14 +160,30 @@ func Table2() (*Result, error) {
 	odRow := []string{"OnDemand"}
 	degRow := []string{"Degradation(%)"}
 	res := &Result{ID: "table2", Title: "Execution Times on Different Virtualization Platforms"}
+	times := make(map[table2Cell]float64, 2*len(plats))
+	measure := func(p platform.Platform, mode platform.GovernorMode) (float64, error) {
+		cell, gov, err := table2Stack(p, mode)
+		if err != nil {
+			return 0, err
+		}
+		if t, ok := times[cell]; ok {
+			return t, nil
+		}
+		t, err := table2Scenario(cell, gov)
+		if err != nil {
+			return 0, fmt.Errorf("table2: %s/%s: %w", p.Name, mode, err)
+		}
+		times[cell] = t
+		return t, nil
+	}
 	var xenPerf float64
 	var varPerfMax float64
 	for _, p := range plats {
-		tPerf, err := table2Scenario(p, platform.Performance)
+		tPerf, err := measure(p, platform.Performance)
 		if err != nil {
 			return nil, err
 		}
-		tOd, err := table2Scenario(p, platform.OnDemand)
+		tOd, err := measure(p, platform.OnDemand)
 		if err != nil {
 			return nil, err
 		}
