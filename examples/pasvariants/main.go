@@ -8,10 +8,11 @@
 //     the reduced frequency, so a thrashing VM gets exactly its
 //     contracted capacity and nothing more;
 //   - PAS-credit2 (the ROADMAP follow-up enabled by the Credit2
-//     certification) refreshes Credit2 weights from the contracted
-//     credits instead: proportional sharing needs no frequency
-//     compensation, but being work-conserving it lets a thrashing VM
-//     absorb whatever capacity its neighbours leave idle.
+//     certification) sets Credit2 weights from the contracted credits
+//     instead, once per VM and again only when it is re-contracted:
+//     proportional sharing needs no frequency compensation, but being
+//     work-conserving it lets a thrashing VM absorb whatever capacity
+//     its neighbours leave idle.
 //
 // One overloaded customer (V20, offered 5x its 20% share) next to one
 // lazy customer (V70, idle) makes the difference stark: caps hold V20 at

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -169,19 +170,162 @@ func TestQuickComputeNewFreqIsSufficientAndMinimal(t *testing.T) {
 	}
 }
 
+// TestChooseFreq checks Listing 1.1 on a live CPU. The Global load is read
+// at the CPU's running P-state (its ratio and cf) and inflated by the
+// margin; the Target is the lowest P-state whose capacity exceeds that
+// (the maximum if none does), with its own ratio and cf, which is what
+// Compensate is handed next.
+func TestChooseFreq(t *testing.T) {
+	for _, tt := range []struct {
+		name string
+		prof *cpufreq.Profile
+		cf   bool
+	}{
+		{"optiplex755", cpufreq.Optiplex755(), false},
+		{"elite8300-cf", cpufreq.Elite8300(), true},
+		{"xeon-e5-2620-cf", cpufreq.XeonE5_2620(), true},
+	} {
+		tt := tt
+		t.Run(tt.name, func(t *testing.T) {
+			prof := tt.prof
+			var cf []float64
+			if tt.cf {
+				cf = prof.EfficiencyTable()
+			}
+			capacity := func(i int) float64 {
+				return prof.Ratio(prof.States[i].Freq) * 100 * core.CFAt(cf, i)
+			}
+			cpu, err := cpufreq.NewCPU(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := sim.Time(0)
+			for r, s := range prof.States {
+				if err := cpu.SetFreq(s.Freq, now); err != nil {
+					t.Fatal(err)
+				}
+				now += prof.TransitionLatency
+				cpu.Advance(now)
+				if cpu.Freq() != s.Freq {
+					t.Fatalf("CPU runs %v, want %v", cpu.Freq(), s.Freq)
+				}
+				for _, margin := range []float64{0, core.CapacityMargin, 0.2} {
+					for g := 0; g <= 20; g++ {
+						load := float64(g) / 20
+						got := core.ChooseFreq(cpu, cf, load, margin)
+						need := core.AbsoluteLoad(load*100, prof.Ratio(s.Freq), core.CFAt(cf, r)) * (1 + margin)
+						i, err := prof.Index(got.Freq)
+						if err != nil {
+							t.Fatalf("at %v, load %v: off-ladder choice: %v", s.Freq, load, err)
+						}
+						if capacity(i) <= need && got.Freq != prof.Max() {
+							t.Errorf("at %v, load %v, margin %v: %v holds %v of %v",
+								s.Freq, load, margin, got.Freq, capacity(i), need)
+						}
+						if i > 0 && capacity(i-1) > need {
+							t.Errorf("at %v, load %v, margin %v: chose %v, %v suffices",
+								s.Freq, load, margin, got.Freq, prof.States[i-1].Freq)
+						}
+						if got.Ratio != prof.Ratio(got.Freq) || got.CF != core.CFAt(cf, i) {
+							t.Errorf("at %v, load %v: target %+v carries the wrong ratio or cf",
+								s.Freq, load, got)
+						}
+					}
+				}
+			}
+		})
+	}
+	// The margin is what lifts a load just under a capacity boundary to
+	// the next P-state: 59% at 2667 MHz fits 1600 MHz (capacity 59.99%)
+	// only without it.
+	cpu, err := cpufreq.NewCPU(cpufreq.Optiplex755())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := core.ChooseFreq(cpu, nil, 0.59, 0).Freq; got != 1600 {
+		t.Errorf("ChooseFreq(0.59, no margin) = %v, want 1600", got)
+	}
+	if got := core.ChooseFreq(cpu, nil, 0.59, core.CapacityMargin).Freq; got != 1867 {
+		t.Errorf("ChooseFreq(0.59, CapacityMargin) = %v, want 1867", got)
+	}
+}
+
+// TestCompensate checks Listing 1.2's credit loop: every VM with a positive
+// contract is capped at its equation (4) credit, a null-credit VM keeps
+// its cap, and the two can't-happen errors panic.
+func TestCompensate(t *testing.T) {
+	build := func(t *testing.T) *sched.Credit {
+		t.Helper()
+		credit := sched.NewCredit()
+		for id, c := range map[vm.ID]float64{1: 20, 2: 70, 3: 0} {
+			v, err := vm.New(id, vm.Config{Credit: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := credit.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return credit
+	}
+	mustPanic := func(t *testing.T, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Error("Compensate did not panic")
+			}
+		}()
+		f()
+	}
+	t.Run("caps contracted VMs", func(t *testing.T) {
+		credit := build(t)
+		if err := credit.SetCap(3, 15); err != nil {
+			t.Fatal(err)
+		}
+		const ratio, cf = 1600.0 / 2667.0, 0.9
+		contracts := map[vm.ID]float64{1: 20, 2: 70, 3: 0}
+		if n := core.Compensate(credit, contracts, ratio, cf); n != 2 {
+			t.Errorf("Compensate capped %d VMs, want 2", n)
+		}
+		for id, init := range map[vm.ID]float64{1: 20, 2: 70} {
+			want, err := core.CompensatedCredit(init, ratio, cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := credit.Cap(id); err != nil || got != want {
+				t.Errorf("VM %d cap = %v, %v; want %v", id, got, err, want)
+			}
+		}
+		if got, err := credit.Cap(3); err != nil || got != 15 {
+			t.Errorf("null-credit VM cap = %v, %v; want 15 untouched", got, err)
+		}
+	})
+	t.Run("unknown VM panics", func(t *testing.T) {
+		credit := build(t)
+		mustPanic(t, func() { core.Compensate(credit, map[vm.ID]float64{9: 20}, 1, 1) })
+	})
+	t.Run("non-positive ratio panics", func(t *testing.T) {
+		credit := build(t)
+		mustPanic(t, func() { core.Compensate(credit, map[vm.ID]float64{1: 20}, 0, 1) })
+	})
+}
+
 func TestNewPASValidation(t *testing.T) {
 	cpu, err := cpufreq.NewCPU(cpufreq.Optiplex755())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.NewPAS(core.PASConfig{}); err == nil {
+	if _, err := core.NewPAS(nil, nil); err == nil {
 		t.Error("NewPAS without CPU succeeded")
 	}
-	if _, err := core.NewPAS(core.PASConfig{CPU: cpu, Interval: -1}); err == nil {
-		t.Error("NewPAS with negative interval succeeded")
-	}
-	if _, err := core.NewPAS(core.PASConfig{CPU: cpu, CF: []float64{1, 1}}); err == nil {
+	if _, err := core.NewPAS(cpu, []float64{1, 1}); err == nil {
 		t.Error("NewPAS with mis-sized CF table succeeded")
+	}
+	if _, err := core.NewPASCredit2(nil, nil); err == nil {
+		t.Error("NewPASCredit2 without CPU succeeded")
+	}
+	if _, err := core.NewPASCredit2(cpu, []float64{1, 1}); err == nil {
+		t.Error("NewPASCredit2 with mis-sized CF table succeeded")
 	}
 }
 
@@ -192,7 +336,7 @@ func pasHost(t *testing.T) (*host.Host, *core.PAS, *vm.VM, *vm.VM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+	pas, err := core.NewPAS(cpu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +482,7 @@ func TestPASWithoutLoadSourceIsPlainCredit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+	pas, err := core.NewPAS(cpu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +516,7 @@ func TestUserLevelCreditManagerCompensates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	credit := sched.NewCredit(sched.CreditConfig{})
+	credit := sched.NewCredit()
 	gov, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -423,7 +567,7 @@ func TestUserLevelDVFSManagerFullLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	credit := sched.NewCredit(sched.CreditConfig{})
+	credit := sched.NewCredit()
 	h, err := host.New(host.Config{CPU: cpu, Scheduler: credit})
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +605,18 @@ func TestUserLevelManagerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	credit := sched.NewCredit(sched.CreditConfig{})
+	credit := sched.NewCredit()
+	v1, err := vm.New(1, vm.Config{Name: "V1", Credit: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := credit.Add(v1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.NewCreditManager(cpu, credit, nil, sim.Second,
+		map[vm.ID]float64{1: 20}); err != nil {
+		t.Errorf("NewCreditManager(known VM): %v", err)
+	}
 	if _, err := core.NewCreditManager(nil, credit, nil, sim.Second, nil); err == nil {
 		t.Error("NewCreditManager(nil cpu) succeeded")
 	}
@@ -477,6 +632,12 @@ func TestUserLevelManagerValidation(t *testing.T) {
 	if _, err := core.NewCreditManager(cpu, credit, nil, sim.Second,
 		map[vm.ID]float64{1: -5}); err == nil {
 		t.Error("NewCreditManager(negative credit) succeeded")
+	}
+	// A contract for a VM the cap setter does not know would make every
+	// poll's compensation pass panic; it is refused up front.
+	if _, err := core.NewCreditManager(cpu, credit, nil, sim.Second,
+		map[vm.ID]float64{1: 20, 9: 20}); !errors.Is(err, sched.ErrUnknownVM) {
+		t.Errorf("NewCreditManager(unknown VM) = %v, want ErrUnknownVM", err)
 	}
 	if _, err := core.NewDVFSCreditManager(cpu, credit, nil, nil, sim.Second, nil); err == nil {
 		t.Error("NewDVFSCreditManager(nil loads) succeeded")

@@ -11,8 +11,10 @@
 //
 // The package exposes the paper's proportionality equations (1)-(4) as
 // pure functions, the computeNewFreq / updateDvfsAndCredits algorithms of
-// Listings 1.1 and 1.2, the in-scheduler PAS (the implementation the paper
-// reports results for), and the two user-level variants of Section 4.1.
+// Listings 1.1 and 1.2 (ChooseFreq and Compensate, written once and shared
+// by every caller), the in-scheduler PAS (the implementation the paper
+// reports results for) with its Credit2 variant, and the two user-level
+// variants of Section 4.1.
 package core
 
 import (
@@ -95,18 +97,24 @@ func ExecTimeAtCredit(timeAtInit, cInit, cj float64) (float64, error) {
 // the per-P-state calibration table in ladder order; nil assumes cf = 1
 // everywhere, and a short table is padded with 1s.
 func ComputeNewFreq(prof *cpufreq.Profile, cf []float64, absLoadPct float64) cpufreq.Freq {
-	for i, s := range prof.States {
-		ratio := prof.Ratio(s.Freq)
-		c := cfAt(cf, i)
-		if ratio*100*c > absLoadPct {
-			return s.Freq
-		}
-	}
-	return prof.Max()
+	return prof.States[computeNewLevel(prof, cf, absLoadPct)].Freq
 }
 
-// cfAt returns the calibration factor for ladder index i, defaulting to 1.
-func cfAt(cf []float64, i int) float64 {
+// computeNewLevel is ComputeNewFreq's scan, returning the ladder position
+// of the chosen frequency.
+func computeNewLevel(prof *cpufreq.Profile, cf []float64, absLoadPct float64) int {
+	for i, s := range prof.States {
+		if prof.Ratio(s.Freq)*100*CFAt(cf, i) > absLoadPct {
+			return i
+		}
+	}
+	return len(prof.States) - 1
+}
+
+// CFAt returns the calibration factor for ladder position i of the
+// table cf, defaulting to 1 for a nil or short table and for a
+// non-positive entry.
+func CFAt(cf []float64, i int) float64 {
 	if cf == nil || i >= len(cf) || cf[i] <= 0 {
 		return 1
 	}

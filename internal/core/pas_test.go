@@ -34,25 +34,24 @@ func (c *freqChanges) TraceRecompensate(_ sim.Time, mhz, _ int64) {
 // quantum at a time through a seeded schedule of arrivals, departures,
 // contract changes (some inside a frequency transition, where SetCap
 // compensates for the old frequency) and pause/resume. The slow-switch
-// profile's transition outlasts the PAS interval and its settle time is
-// tiny, so recomputations also run while a switch is pending; those that
-// keep the running frequency must recompensate away from the pending
-// target's pair, so that case calls SetCap rarely enough that a
-// recomputation is not always preceded by one.
+// profile's transition outlasts SettleTime, so recomputations also run
+// while a switch is pending; those that keep the running frequency must
+// recompensate away from the pending target's pair, so that case calls
+// SetCap rarely enough that a recomputation is not always preceded by
+// one.
 func TestPASCapsHoldChosenCompensation(t *testing.T) {
 	slow := cpufreq.Elite8300()
-	slow.TransitionLatency = 35 * sim.Millisecond
+	slow.TransitionLatency = core.SettleTime + 50*sim.Millisecond
 	for _, tc := range []struct {
 		name        string
 		prof        *cpufreq.Profile
-		settle      sim.Time
 		seed        int64
 		windowOdds  int  // one in windowOdds quanta inside a transition calls SetCap
 		pendingRuns bool // some recomputations must keep the running frequency while a switch is pending
 	}{
-		{"elite8300", cpufreq.Elite8300(), 0, 1, 4, false},
-		{"optiplex755", cpufreq.Optiplex755(), 0, 2, 4, false},
-		{"slow-switch", slow, sim.Microsecond, 3, 50, true},
+		{"elite8300", cpufreq.Elite8300(), 1, 4, false},
+		{"optiplex755", cpufreq.Optiplex755(), 2, 4, false},
+		{"slow-switch", slow, 3, 50, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cpu, err := cpufreq.NewCPU(tc.prof)
@@ -60,7 +59,7 @@ func TestPASCapsHoldChosenCompensation(t *testing.T) {
 				t.Fatal(err)
 			}
 			cf := tc.prof.EfficiencyTable()
-			pas, err := core.NewPAS(core.PASConfig{CPU: cpu, CF: cf, SettleTime: tc.settle})
+			pas, err := core.NewPAS(cpu, cf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,5 +187,162 @@ func TestPASCapsHoldChosenCompensation(t *testing.T) {
 				t.Errorf("only %d recomputations kept the running frequency with a switch pending", keptRunning)
 			}
 		})
+	}
+}
+
+// scriptedLoad is a LoadSource whose Global load the test sets directly.
+type scriptedLoad struct{ load float64 }
+
+func (s *scriptedLoad) GlobalLoad() float64 { return s.load }
+
+// loopScheduler is what the side-by-side test drives of either variant.
+type loopScheduler interface {
+	Tick(now sim.Time)
+	BindLoadSource(core.LoadSource)
+	Recomputes() int
+}
+
+// recomputation is one observed recomputation: its instant, the running
+// frequency, and the frequency it chose (the requested switch target, or
+// the running frequency when it requested none).
+type recomputation struct {
+	at       sim.Time
+	running  cpufreq.Freq
+	chosen   cpufreq.Freq
+	switched bool
+}
+
+// TestPASVariantsShareControlLoop drives PAS and PAS-credit2 side by side
+// on bare CPUs, with no host and no VMs, from one scripted Global load.
+// Both embed the same control loop, so they must request the same
+// frequency at the same recomputation instants; neither may recompute
+// within SettleTime of a switch (and each resumes exactly SettleTime
+// after it, on the DefaultPASInterval grid); and neither recomputes
+// before BindLoadSource.
+func TestPASVariantsShareControlLoop(t *testing.T) {
+	const step = sim.Millisecond
+	prof := cpufreq.Optiplex755()
+	cf := prof.EfficiencyTable()
+	load := &scriptedLoad{}
+	build := func(name string) (loopScheduler, *cpufreq.CPU) {
+		cpu, err := cpufreq.NewCPU(prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s loopScheduler
+		if name == "pas" {
+			s, err = core.NewPAS(cpu, cf)
+		} else {
+			s, err = core.NewPASCredit2(cpu, cf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, cpu
+	}
+	names := []string{"pas", "pas-credit2"}
+
+	// Unbound, either variant runs at a fixed frequency however long and
+	// however loaded.
+	load.load = 0.05
+	for _, name := range names {
+		s, cpu := build(name)
+		for now := step; now <= sim.Second; now += step {
+			cpu.Advance(now)
+			s.Tick(now)
+		}
+		if _, _, pending := cpu.PendingSwitch(); s.Recomputes() != 0 || pending || cpu.Freq() != prof.Max() {
+			t.Fatalf("%s before BindLoadSource: %d recomputations, frequency %v, switch pending %v",
+				name, s.Recomputes(), cpu.Freq(), pending)
+		}
+	}
+
+	scheds := make([]loopScheduler, len(names))
+	cpus := make([]*cpufreq.CPU, len(names))
+	for i, name := range names {
+		scheds[i], cpus[i] = build(name)
+		scheds[i].BindLoadSource(load)
+	}
+
+	// The Global load script: low, saturated, middling, idle, saturated.
+	script := func(now sim.Time) float64 {
+		switch phase := now / sim.Second; {
+		case phase < 2:
+			return 0.2
+		case phase < 4:
+			return 0.99
+		case phase < 6:
+			return 0.5
+		case phase < 8:
+			return 0.05
+		default:
+			return 0.99
+		}
+	}
+	records := make([][]recomputation, len(names))
+	lastSwitch := make([]sim.Time, len(names))
+	for i := range lastSwitch {
+		lastSwitch[i] = -1
+	}
+	for now := step; now <= 10*sim.Second; now += step {
+		load.load = script(now)
+		for i, s := range scheds {
+			cpu := cpus[i]
+			cpu.Advance(now)
+			before := s.Recomputes()
+			s.Tick(now)
+			if s.Recomputes() == before {
+				continue
+			}
+			if s.Recomputes() != before+1 {
+				t.Fatalf("%s: t=%v: %d recomputations in one tick", names[i], now, s.Recomputes()-before)
+			}
+			if now%core.DefaultPASInterval != 0 {
+				t.Fatalf("%s: recomputation at t=%v, off the %v grid", names[i], now, core.DefaultPASInterval)
+			}
+			r := recomputation{at: now, running: cpu.Freq(), chosen: cpu.Freq()}
+			if target, at, pending := cpu.PendingSwitch(); pending && at == now+prof.TransitionLatency {
+				r.chosen, r.switched = target, true
+			}
+			if ls := lastSwitch[i]; ls >= 0 {
+				if now < ls+core.SettleTime {
+					t.Fatalf("%s: recomputation at t=%v, within SettleTime of the switch at %v", names[i], now, ls)
+				}
+				if prev := records[i][len(records[i])-1]; prev.switched && now != ls+core.SettleTime {
+					t.Fatalf("%s: first recomputation after the switch at %v came at %v, want %v",
+						names[i], ls, now, ls+core.SettleTime)
+				}
+			}
+			if r.switched {
+				lastSwitch[i] = now
+			}
+			records[i] = append(records[i], r)
+		}
+	}
+
+	pas, c2 := records[0], records[1]
+	if len(pas) != len(c2) {
+		t.Fatalf("pas recomputed %d times, pas-credit2 %d times", len(pas), len(c2))
+	}
+	ups, downs := 0, 0
+	freqs := map[cpufreq.Freq]bool{}
+	for i := range pas {
+		if pas[i] != c2[i] {
+			t.Fatalf("recomputation %d: pas %+v, pas-credit2 %+v", i, pas[i], c2[i])
+		}
+		switch {
+		case pas[i].chosen > pas[i].running:
+			ups++
+		case pas[i].chosen < pas[i].running:
+			downs++
+		}
+		freqs[pas[i].chosen] = true
+	}
+	t.Logf("%d recomputations, %d switches up and %d down over %d distinct frequencies",
+		len(pas), ups, downs, len(freqs))
+	// The script must have exercised the hold in both directions.
+	if ups < 2 || downs < 2 || len(freqs) < 3 {
+		t.Errorf("script too tame: %d switches up and %d down over %d distinct frequencies in %d recomputations",
+			ups, downs, len(freqs), len(pas))
 	}
 }

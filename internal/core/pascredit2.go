@@ -1,9 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"pasched/internal/cpufreq"
 	"pasched/internal/sched"
 	"pasched/internal/sim"
@@ -14,8 +11,9 @@ import (
 // Scheduler: the same DVFS policy (Listing 1.1 — lowest frequency whose
 // capacity absorbs the absolute load), but enforcement through
 // weight-proportional work-conserving scheduling instead of hard caps.
-// At every PAS interval it recomputes the processor frequency; the
-// per-VM enforcement state is Credit2 weights derived from the
+// It embeds the same control loop as PAS (loop.go), so at every PAS
+// interval it recomputes the processor frequency exactly as PAS does;
+// the per-VM enforcement state is Credit2 weights derived from the
 // contracted credits (applied at Add/SetCap) instead of compensated caps
 // (Listing 1.2 / equation 4) — and because proportional shares are
 // frequency-invariant, weights need no per-frequency recomputation at
@@ -34,35 +32,8 @@ import (
 // into the host like any other scheduler; bind the Global load signal
 // with BindLoadSource after host construction, exactly like PAS.
 type PASCredit2 struct {
-	c2          *sched.Credit2
-	cpu         *cpufreq.CPU
-	cf          []float64
-	interval    sim.Time
-	margin      float64
-	settle      sim.Time
-	settleUntil sim.Time
-	next        sim.Time
-	loads       LoadSource
-	initCredit  map[vm.ID]float64
-	recomputes  int
-}
-
-// PASCredit2Config configures the Credit2-based PAS. The fields mirror
-// PASConfig; there is no Credit scheduler to wrap and no cap compensation
-// to parameterize.
-type PASCredit2Config struct {
-	// CPU is the processor whose frequency the scheduler manages. Required.
-	CPU *cpufreq.CPU
-	// CF is the per-P-state calibration factor table; nil assumes cf = 1.
-	CF []float64
-	// Interval is the recomputation interval; default DefaultPASInterval.
-	Interval sim.Time
-	// CapacityMargin inflates the absolute load before the frequency
-	// scan; zero selects the default of 0.02 (see PASConfig).
-	CapacityMargin float64
-	// SettleTime is how long recomputation pauses after a frequency
-	// change; zero selects the default of 400 ms (see PASConfig).
-	SettleTime sim.Time
+	loop
+	c2 *sched.Credit2
 }
 
 var (
@@ -72,61 +43,18 @@ var (
 	_ sched.PatternBatcher   = (*PASCredit2)(nil)
 )
 
-// NewPASCredit2 builds a Credit2-based PAS scheduler.
-func NewPASCredit2(cfg PASCredit2Config) (*PASCredit2, error) {
-	if cfg.CPU == nil {
-		return nil, fmt.Errorf("core: PAS-credit2 requires a CPU")
+// NewPASCredit2 builds a Credit2-based PAS scheduler for cpu; cf is the
+// per-P-state calibration factor table, as for NewPAS.
+func NewPASCredit2(cpu *cpufreq.CPU, cf []float64) (*PASCredit2, error) {
+	l, err := newLoop(cpu, cf)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Interval == 0 {
-		cfg.Interval = DefaultPASInterval
-	}
-	if cfg.Interval < 0 {
-		return nil, fmt.Errorf("core: negative PAS interval %v", cfg.Interval)
-	}
-	if cfg.CF != nil && len(cfg.CF) != cfg.CPU.Profile().Levels() {
-		return nil, fmt.Errorf("core: CF table has %d entries for %d P-states",
-			len(cfg.CF), cfg.CPU.Profile().Levels())
-	}
-	if cfg.CapacityMargin < 0 {
-		return nil, fmt.Errorf("core: negative capacity margin %v", cfg.CapacityMargin)
-	}
-	if cfg.CapacityMargin == 0 {
-		cfg.CapacityMargin = 0.02
-	}
-	if cfg.SettleTime < 0 {
-		return nil, fmt.Errorf("core: negative settle time %v", cfg.SettleTime)
-	}
-	if cfg.SettleTime == 0 {
-		cfg.SettleTime = 400 * sim.Millisecond
-	}
-	return &PASCredit2{
-		c2:         sched.NewCredit2(),
-		cpu:        cfg.CPU,
-		cf:         cfg.CF,
-		interval:   cfg.Interval,
-		margin:     cfg.CapacityMargin,
-		settle:     cfg.SettleTime,
-		next:       cfg.Interval,
-		initCredit: make(map[vm.ID]float64),
-	}, nil
+	return &PASCredit2{loop: l, c2: sched.NewCredit2()}, nil
 }
-
-// BindLoadSource attaches the Global load signal. Typically called with
-// the host right after host construction.
-func (p *PASCredit2) BindLoadSource(ls LoadSource) { p.loads = ls }
 
 // Name implements sched.Scheduler.
 func (p *PASCredit2) Name() string { return "pas-credit2" }
-
-// weightFor converts a contracted credit percentage to a Credit2 weight:
-// the rounded credit, floored at 1 (Credit2 clamps further).
-func weightFor(credit float64) int64 {
-	w := int64(math.Round(credit))
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // Add implements sched.Scheduler. The VM's configured credit is
 // remembered as its contracted credit and becomes its initial weight.
@@ -134,11 +62,11 @@ func (p *PASCredit2) Add(v *vm.VM) error {
 	if err := p.c2.Add(v); err != nil {
 		return err
 	}
-	p.initCredit[v.ID()] = v.Credit()
+	p.contracts[v.ID()] = v.Credit()
 	if v.Credit() > 0 {
-		if err := p.c2.SetWeight(v.ID(), weightFor(v.Credit())); err != nil {
+		if err := p.c2.SetWeight(v.ID(), sched.WeightForCredit(v.Credit())); err != nil {
 			_ = p.c2.Remove(v.ID())
-			delete(p.initCredit, v.ID())
+			delete(p.contracts, v.ID())
 			return err
 		}
 	}
@@ -150,7 +78,7 @@ func (p *PASCredit2) Remove(id vm.ID) error {
 	if err := p.c2.Remove(id); err != nil {
 		return err
 	}
-	delete(p.initCredit, id)
+	delete(p.contracts, id)
 	return nil
 }
 
@@ -167,24 +95,14 @@ func (p *PASCredit2) Charge(v *vm.VM, busy, now sim.Time) { p.c2.Charge(v, busy,
 // at every PAS interval — the DVFS recomputation.
 func (p *PASCredit2) Tick(now sim.Time) {
 	p.c2.Tick(now)
-	if p.loads == nil {
-		return
-	}
-	for now >= p.next {
-		p.updateDvfs(p.next)
-		p.next += p.interval
-	}
+	p.tick(now, p)
 }
 
 // NextBoundary implements sched.BoundaryReporter: Credit2 itself has no
 // accounting boundary, so the next PAS recomputation (which can change
 // the frequency) is the only one batched steps must stop before.
 func (p *PASCredit2) NextBoundary(now sim.Time) sim.Time {
-	b := p.c2.NextBoundary(now)
-	if p.loads != nil && p.next < b {
-		b = p.next
-	}
-	return b
+	return p.boundary(p.c2.NextBoundary(now))
 }
 
 // BatchPattern implements sched.PatternBatcher by delegating to Credit2:
@@ -196,31 +114,13 @@ func (p *PASCredit2) BatchPattern(quota []sched.PatternQuota, quantum sim.Time, 
 	return p.c2.BatchPattern(quota, quantum, max, now)
 }
 
-// updateDvfs is the variant's half of Listing 1.2: compute the new
-// frequency from the absolute load and apply it. The cap-based PAS must
-// also recompute every VM's cap here because a cap is frequency-relative
-// (equation 4); weights are not — proportional shares are
-// frequency-invariant, so the weights applied at Add/SetCap stay correct
-// at every frequency and there is nothing to refresh per tick. That
-// missing half *is* the variant.
-func (p *PASCredit2) updateDvfs(now sim.Time) {
-	if now < p.settleUntil {
-		return // the load signal still contains pre-transition samples
-	}
-	prof := p.cpu.Profile()
-	curIdx, err := prof.Index(p.cpu.Freq())
-	if err != nil {
-		return // unreachable: the CPU only reports ladder frequencies
-	}
-	global := p.loads.GlobalLoad() * 100
-	abs := AbsoluteLoad(global, p.cpu.Ratio(), cfAt(p.cf, curIdx))
-	newFreq := ComputeNewFreq(prof, p.cf, abs*(1+p.margin))
-	if newFreq != p.cpu.Freq() {
-		_ = p.cpu.SetFreq(newFreq, now) // ladder-validated by ComputeNewFreq
-		p.settleUntil = now + p.settle
-	}
-	p.recomputes++
-}
+// enforce is the variant's half of Listing 1.2, and it is empty. The
+// cap-based PAS must recompute every VM's cap here because a cap is
+// frequency-relative (equation 4); weights are not — proportional shares
+// are frequency-invariant, so the weights applied at Add/SetCap stay
+// correct at every frequency and there is nothing to refresh per
+// recomputation. That missing half *is* the variant.
+func (*PASCredit2) enforce(sim.Time, Target, bool) {}
 
 // SetCap implements sched.CapSetter: the new value is interpreted as a
 // contracted credit and is applied as the VM's weight immediately (the
@@ -230,35 +130,11 @@ func (p *PASCredit2) updateDvfs(now sim.Time) {
 // credit managers and the fleet can re-contract VMs uniformly across
 // schedulers.
 func (p *PASCredit2) SetCap(id vm.ID, pct float64) error {
-	if _, ok := p.initCredit[id]; !ok {
-		return fmt.Errorf("%w: id %d", sched.ErrUnknownVM, id)
+	if err := p.recontract(id, pct); err != nil {
+		return err
 	}
-	if pct < 0 {
-		return fmt.Errorf("core: negative credit %v for VM %d", pct, id)
-	}
-	p.initCredit[id] = pct
 	if pct > 0 {
-		return p.c2.SetWeight(id, weightFor(pct))
+		return p.c2.SetWeight(id, sched.WeightForCredit(pct))
 	}
 	return nil
 }
-
-// Cap implements sched.CapSetter, returning the VM's contracted credit
-// (the weight source); nothing is capped.
-func (p *PASCredit2) Cap(id vm.ID) (float64, error) {
-	init, ok := p.initCredit[id]
-	if !ok {
-		return 0, fmt.Errorf("%w: id %d", sched.ErrUnknownVM, id)
-	}
-	return init, nil
-}
-
-// Weight returns the VM's current Credit2 weight.
-func (p *PASCredit2) Weight(id vm.ID) (float64, error) { return p.c2.Weight(id) }
-
-// Recomputes returns how many DVFS recomputations have run, for tests
-// and introspection.
-func (p *PASCredit2) Recomputes() int { return p.recomputes }
-
-// Interval returns the recomputation interval.
-func (p *PASCredit2) Interval() sim.Time { return p.interval }

@@ -35,8 +35,9 @@ type CreditManager struct {
 }
 
 // NewCreditManager builds the user-level credit manager. initCredits maps
-// each managed VM to its contracted credit at maximum frequency. interval
-// is the daemon's polling period (e.g. 1 s); it must be positive.
+// each managed VM to its contracted credit at maximum frequency; every
+// VM must already be known to caps. interval is the daemon's polling
+// period (e.g. 1 s); it must be positive.
 func NewCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, cf []float64,
 	interval sim.Time, initCredits map[vm.ID]float64) (*CreditManager, error) {
 	if cpu == nil || caps == nil {
@@ -54,6 +55,11 @@ func NewCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, cf []float64,
 		if c < 0 {
 			return nil, fmt.Errorf("core: negative credit %v for VM %d", c, id)
 		}
+		// Compensate panics on a VM the cap setter rejects, so an unknown
+		// VM is refused here rather than at the first poll.
+		if _, err := caps.Cap(id); err != nil {
+			return nil, fmt.Errorf("core: credit manager contract: %w", err)
+		}
 		init[id] = c
 	}
 	return &CreditManager{cpu: cpu, caps: caps, cf: cf, interval: interval, init: init}, nil
@@ -62,31 +68,17 @@ func NewCreditManager(cpu *cpufreq.CPU, caps sched.CapSetter, cf []float64,
 // Interval implements host.Agent.
 func (m *CreditManager) Interval() sim.Time { return m.interval }
 
-// Run implements host.Agent: one daemon iteration.
+// Run implements host.Agent: one daemon iteration, compensating every
+// contract for the frequency the governor is running.
 func (m *CreditManager) Run(sim.Time) {
-	prof := m.cpu.Profile()
-	idx, err := prof.Index(m.cpu.Freq())
-	if err != nil {
-		return
-	}
-	ratio := m.cpu.Ratio()
-	cf := cfAt(m.cf, idx)
-	for id, init := range m.init {
-		if init <= 0 {
-			continue
-		}
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			continue
-		}
-		_ = m.caps.SetCap(id, newCredit) // unknown VMs are skipped silently
-	}
+	Compensate(m.caps, m.init, m.cpu.Ratio(), CFAt(m.cf, m.cpu.Level()))
 }
 
 // DVFSCreditManager is the "user level - credit and DVFS management"
 // variant: the daemon computes the frequency that can absorb the absolute
 // load, sets it, and sets the compensated credits — the full PAS loop, but
-// at user-level polling granularity.
+// at user-level polling granularity, with no capacity margin and no
+// settle time.
 type DVFSCreditManager struct {
 	inner *CreditManager
 	loads LoadSource
@@ -111,33 +103,12 @@ func (m *DVFSCreditManager) Interval() sim.Time { return m.inner.interval }
 // Run implements host.Agent: one daemon iteration.
 func (m *DVFSCreditManager) Run(now sim.Time) {
 	cpu := m.inner.cpu
-	prof := cpu.Profile()
-	idx, err := prof.Index(cpu.Freq())
-	if err != nil {
-		return
-	}
-	global := m.loads.GlobalLoad() * 100
-	abs := AbsoluteLoad(global, cpu.Ratio(), cfAt(m.inner.cf, idx))
-	newFreq := ComputeNewFreq(prof, m.inner.cf, abs)
-	if newFreq != cpu.Freq() {
-		_ = cpu.SetFreq(newFreq, now) // ladder frequency by construction
+	t := ChooseFreq(cpu, m.inner.cf, m.loads.GlobalLoad(), 0)
+	// Requesting the running frequency would cancel a pending switch.
+	if t.Freq != cpu.Freq() {
+		_ = cpu.SetFreq(t.Freq, now) // a ladder frequency by construction
 	}
 	// Credits are recomputed for the frequency just requested, matching
 	// Listing 1.2's order (credits first would use the stale ratio).
-	newIdx, err := prof.Index(newFreq)
-	if err != nil {
-		return
-	}
-	ratio := prof.Ratio(newFreq)
-	cf := cfAt(m.inner.cf, newIdx)
-	for id, init := range m.inner.init {
-		if init <= 0 {
-			continue
-		}
-		newCredit, err := CompensatedCredit(init, ratio, cf)
-		if err != nil {
-			continue
-		}
-		_ = m.inner.caps.SetCap(id, newCredit)
-	}
+	Compensate(m.inner.caps, m.inner.init, t.Ratio, t.CF)
 }

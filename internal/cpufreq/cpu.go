@@ -46,6 +46,10 @@ func (c *CPU) Profile() *Profile { return c.prof }
 // transition keeps the old frequency until it completes.
 func (c *CPU) Freq() Freq { return c.cur }
 
+// Level returns the ladder position of Freq(): Profile().Index(Freq())
+// without the search, since the CPU only ever runs ladder frequencies.
+func (c *CPU) Level() int { return c.curIdx }
+
 // Transitions returns the number of completed frequency switches.
 func (c *CPU) Transitions() int { return c.transitions }
 

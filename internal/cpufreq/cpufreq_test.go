@@ -243,19 +243,35 @@ func TestCPUTransitionLatency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Level is the cached ladder position of Freq, so it must agree with
+	// the profile's search before, during and after the transition.
+	checkLevel := func(when string) {
+		t.Helper()
+		want, err := prof.Index(c.Freq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Level(); got != want {
+			t.Errorf("%s Level() = %d, want Index(%v) = %d", when, got, c.Freq(), want)
+		}
+	}
+	checkLevel("initial")
 	now := sim.Time(0)
 	if err := c.SetFreq(1600, now); err != nil {
 		t.Fatal(err)
 	}
+	checkLevel("pending")
 	// Before the latency elapses the old frequency is still in force.
 	c.Advance(now + prof.TransitionLatency/2)
 	if c.Freq() != 2667 {
 		t.Errorf("mid-transition Freq() = %v, want 2667", c.Freq())
 	}
+	checkLevel("mid-transition")
 	c.Advance(now + prof.TransitionLatency)
 	if c.Freq() != 1600 {
 		t.Errorf("post-transition Freq() = %v, want 1600", c.Freq())
 	}
+	checkLevel("post-transition")
 	if c.Transitions() != 1 {
 		t.Errorf("Transitions() = %d, want 1", c.Transitions())
 	}

@@ -7,8 +7,8 @@ import "pasched/internal/sim"
 // 755) and from the public specifications of the named parts; the
 // efficiency curves are synthetic substitutes for real microarchitectural
 // behaviour, shaped so that the paper's own calibration procedure (Section
-// 5.2) recovers the cf_min values reported in Table 1. See DESIGN.md §2 for
-// the substitution rationale.
+// 5.2) recovers the cf_min values reported in Table 1. The Architecture
+// section of README.md records this substitution.
 
 // voltageRamp builds a linear voltage ramp from vMin at the lowest state to
 // vMax at the highest state.

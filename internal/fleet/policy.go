@@ -96,8 +96,8 @@ func (p Policy) Name() string {
 }
 
 // dvfsMargin is the capacity headroom the dvfs-aware policy keeps above
-// the estimated load when choosing the operating frequency, as in
-// core.PASConfig.
+// the estimated load when choosing the operating frequency, as
+// core.CapacityMargin does for PAS.
 const dvfsMargin = 0.05
 
 // powerTable is one processor profile's power estimate at the PAS

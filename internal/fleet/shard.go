@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"fmt"
-	"math"
 
 	"pasched/internal/energy"
 	"pasched/internal/host"
@@ -258,7 +257,7 @@ func (s *shard) execResize(c *command) error {
 		case sched.CapSetter:
 			err = sc.SetCap(d.guest.ID(), c.rz.capPct)
 		case weightSetter:
-			err = sc.SetWeight(d.guest.ID(), weightForCap(c.rz.capPct))
+			err = sc.SetWeight(d.guest.ID(), sched.WeightForCredit(c.rz.capPct))
 		}
 	case rzOverhead:
 		if d.srv != nil {
@@ -282,19 +281,6 @@ func (s *shard) execResize(c *command) error {
 // how pas-credit2 books credits as weights).
 type weightSetter interface {
 	SetWeight(id vm.ID, w int64) error
-}
-
-// weightForCap maps a credit percentage onto a credit2 weight exactly
-// as core.PASCredit2 does, clamped to credit2's accepted range.
-func weightForCap(pct float64) int64 {
-	w := int64(math.Round(pct))
-	if w < 1 {
-		w = 1
-	}
-	if w > 4096 {
-		w = 4096
-	}
-	return w
 }
 
 // sync advances one machine's host to the command time. Machines lag

@@ -268,6 +268,25 @@ func TestPaperOndemandUsesCFTable(t *testing.T) {
 	}
 }
 
+// TestPaperOndemandReadsNonPositiveCFAsOne: the governor reads its CF
+// table through core.CFAt, like PAS, so a non-positive entry counts as
+// cf = 1 and its P-state stays selectable.
+func TestPaperOndemandReadsNonPositiveCFAsOne(t *testing.T) {
+	for _, cf := range [][]float64{nil, {0, 1, 1, 1, 1}, {-1, 1, 1, 1, 1}} {
+		g, err := NewPaperOndemand(PaperOndemandConfig{CF: cf, DownStability: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 20% utilization at max is 20% absolute, well inside 1600 MHz's
+		// 60% capacity at cf = 1. The first sample proposes the drop and
+		// the second, agreeing, takes it.
+		g.Tick(stat(sim.Second, 200*sim.Millisecond, 2667))
+		if f, ok := g.Tick(stat(2*sim.Second, 400*sim.Millisecond, 2667)); !ok || f != 1600 {
+			t.Errorf("CF %v: Tick = %v, %v; want 1600, true", cf, f, ok)
+		}
+	}
+}
+
 func TestClampedGovernorEnforcesFloor(t *testing.T) {
 	inner, err := NewLinuxOndemand(LinuxOndemandConfig{SamplingInterval: 100 * sim.Millisecond})
 	if err != nil {

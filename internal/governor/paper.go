@@ -3,6 +3,7 @@ package governor
 import (
 	"fmt"
 
+	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/sim"
 )
@@ -107,14 +108,6 @@ func (g *PaperOndemand) NextDecision(Stats) sim.Time {
 	return g.lastT + g.cfg.SamplingInterval
 }
 
-// cfAt returns the calibration factor for ladder index i.
-func (g *PaperOndemand) cfAt(i int) float64 {
-	if g.cf == nil || i >= len(g.cf) {
-		return 1
-	}
-	return g.cf[i]
-}
-
 // Tick implements Governor.
 func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 	if st.Now-g.lastT < g.cfg.SamplingInterval {
@@ -135,7 +128,7 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 	if err != nil {
 		return 0, false
 	}
-	abs := util * 100 * st.Prof.Ratio(st.Cur) * g.cfAt(idx)
+	abs := core.AbsoluteLoad(util*100, st.Prof.Ratio(st.Cur), core.CFAt(g.cf, idx))
 	g.ring[g.idx] = abs
 	g.idx = (g.idx + 1) % len(g.ring)
 	if g.filled < len(g.ring) {
@@ -160,7 +153,9 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 		return st.Prof.Max(), true
 	}
 
-	target := g.selectFreq(st.Prof, avg)
+	// The lowest frequency whose capacity absorbs the averaged absolute
+	// load plus headroom: Listing 1.1 with a stability margin.
+	target := core.ComputeNewFreq(st.Prof, g.cf, avg*(1+g.cfg.Headroom))
 	switch {
 	case target > st.Cur:
 		g.downRuns = 0
@@ -181,18 +176,4 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 		g.downRuns = 0
 		return 0, false
 	}
-}
-
-// selectFreq returns the lowest frequency whose capacity exceeds the
-// absolute load plus headroom — the same scan as the paper's
-// computeNewFreq (Listing 1.1) with a stability margin.
-func (g *PaperOndemand) selectFreq(prof *cpufreq.Profile, absLoad float64) cpufreq.Freq {
-	need := absLoad * (1 + g.cfg.Headroom)
-	for i, s := range prof.States {
-		capacity := prof.Ratio(s.Freq) * 100 * g.cfAt(i)
-		if capacity > need {
-			return s.Freq
-		}
-	}
-	return prof.Max()
 }

@@ -51,7 +51,7 @@ func BenchmarkHostStep(b *testing.B) {
 		{"batched", func(b *testing.B, reference bool) *host.Host {
 			h, err := host.New(host.Config{
 				Profile:   cpufreq.Optiplex755(),
-				Scheduler: sched.NewCredit(sched.CreditConfig{}),
+				Scheduler: sched.NewCredit(),
 				Reference: reference,
 			})
 			if err != nil {
@@ -163,7 +163,7 @@ func BenchmarkHostStep(b *testing.B) {
 // BenchmarkHostStepCredit measures simulation throughput (quanta/op) with
 // the Credit scheduler: one op advances one simulated second (1000 quanta).
 func BenchmarkHostStepCredit(b *testing.B) {
-	h := benchHost(b, sched.NewCredit(sched.CreditConfig{}))
+	h := benchHost(b, sched.NewCredit())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := h.Run(sim.Second); err != nil {

@@ -28,7 +28,7 @@ const propHorizon = 8 * sim.Second
 
 // buildPropHost deterministically derives one scenario from the seed: a
 // scheduler (credit/credit2/sedf/pas, capped and uncapped mixes, priority
-// tiers, work-conserving variants), 1-6 VMs with drawn credits, weights
+// tiers), 1-6 VMs with drawn credits, weights
 // and workload shapes, and up to four mid-run lifecycle events (pause,
 // resume, workload swap, VM add, VM remove). Both equivalence sides call
 // it with the same seed, so the two hosts differ only in
@@ -49,17 +49,15 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 	var s sched.Scheduler
 	var pas *core.PAS
 	var gov governor.Governor
-	switch r.Intn(5) {
+	switch r.Intn(4) {
 	case 0:
-		s = sched.NewCredit(sched.CreditConfig{})
+		s = sched.NewCredit()
 	case 1:
-		s = sched.NewCredit(sched.CreditConfig{WorkConserving: true})
-	case 2:
 		s = sched.NewCredit2()
-	case 3:
+	case 2:
 		s = sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: r.Intn(2) == 0})
-	case 4:
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu})
+	case 3:
+		pas, err = core.NewPAS(cpu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ func equivalenceScenarios() []scenario {
 			build: func(t *testing.T, reference bool) *host.Host {
 				h, err := host.New(host.Config{
 					Profile:   prof,
-					Scheduler: sched.NewCredit(sched.CreditConfig{}),
+					Scheduler: sched.NewCredit(),
 					Reference: reference,
 				})
 				if err != nil {
@@ -87,7 +87,7 @@ func equivalenceScenarios() []scenario {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+				pas, err := core.NewPAS(cpu, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,7 +138,7 @@ func equivalenceScenarios() []scenario {
 			build: func(t *testing.T, reference bool) *host.Host {
 				h, err := host.New(host.Config{
 					Profile:   prof,
-					Scheduler: sched.NewCredit(sched.CreditConfig{}),
+					Scheduler: sched.NewCredit(),
 					Reference: reference,
 				})
 				if err != nil {
@@ -160,7 +160,7 @@ func equivalenceScenarios() []scenario {
 			build: func(t *testing.T, reference bool) *host.Host {
 				h, err := host.New(host.Config{
 					Profile:   prof,
-					Scheduler: sched.NewCredit(sched.CreditConfig{}),
+					Scheduler: sched.NewCredit(),
 					Reference: reference,
 				})
 				if err != nil {
@@ -211,7 +211,7 @@ func equivalenceScenarios() []scenario {
 				if err != nil {
 					t.Fatal(err)
 				}
-				pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+				pas, err := core.NewPAS(cpu, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -284,7 +284,7 @@ func equivalenceScenarios() []scenario {
 				if err != nil {
 					t.Fatal(err)
 				}
-				credit := sched.NewCredit(sched.CreditConfig{})
+				credit := sched.NewCredit()
 				h, err := host.New(host.Config{CPU: cpu, Scheduler: credit, Reference: reference})
 				if err != nil {
 					t.Fatal(err)

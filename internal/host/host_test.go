@@ -34,7 +34,7 @@ func newHost(t *testing.T, cfg host.Config) *host.Host {
 
 func TestConfigValidation(t *testing.T) {
 	prof := cpufreq.Optiplex755()
-	s := sched.NewCredit(sched.CreditConfig{})
+	s := sched.NewCredit()
 	tests := []struct {
 		name string
 		cfg  host.Config
@@ -57,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 func TestIdleHost(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	if err := h.Run(5 * sim.Second); err != nil {
 		t.Fatal(err)
@@ -83,7 +83,7 @@ func TestIdleHost(t *testing.T) {
 func TestBusyVMRespectsCapAndRecords(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	v20 := newVM(t, 1, vm.Config{Name: "V20", Credit: 20}, &workload.Hog{})
 	if err := h.AddVM(v20); err != nil {
@@ -115,7 +115,7 @@ func TestBusyVMRespectsCapAndRecords(t *testing.T) {
 func TestHostGlobalLoadSignal(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	v50 := newVM(t, 1, vm.Config{Name: "V50", Credit: 50}, &workload.Hog{})
 	if err := h.AddVM(v50); err != nil {
@@ -132,7 +132,7 @@ func TestHostGlobalLoadSignal(t *testing.T) {
 func TestAddVMErrors(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	if err := h.AddVM(nil); err == nil {
 		t.Error("AddVM(nil) succeeded")
@@ -158,7 +158,7 @@ func TestAddVMErrors(t *testing.T) {
 func TestScheduledEventsFire(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	v := newVM(t, 1, vm.Config{Name: "V", Credit: 50}, workload.Idle{})
 	if err := h.AddVM(v); err != nil {
@@ -190,7 +190,7 @@ func (a *countingAgent) Run(sim.Time)       { a.runs++ }
 func TestAgentsRunAtInterval(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	a := &countingAgent{interval: 500 * sim.Millisecond}
 	if err := h.AddAgent(a); err != nil {
@@ -214,7 +214,7 @@ func TestGovernorDrivesFrequency(t *testing.T) {
 	var g governor.Powersave
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 		Governor:  &g,
 	})
 	if err := h.Run(sim.Second); err != nil {
@@ -239,7 +239,7 @@ func TestFrequencyAffectsExecutionTime(t *testing.T) {
 		}
 		h := newHost(t, host.Config{
 			CPU:       cpu,
-			Scheduler: sched.NewCredit(sched.CreditConfig{}),
+			Scheduler: sched.NewCredit(),
 		})
 		pi, err := workload.NewPiApp(workload.PiWorkFor(2667e6, 100, 5))
 		if err != nil {
@@ -271,7 +271,7 @@ func TestEnergyScalesWithFrequency(t *testing.T) {
 	run := func(g governor.Governor) float64 {
 		h := newHost(t, host.Config{
 			Profile:   cpufreq.Optiplex755(),
-			Scheduler: sched.NewCredit(sched.CreditConfig{}),
+			Scheduler: sched.NewCredit(),
 			Governor:  g,
 		})
 		v := newVM(t, 1, vm.Config{Name: "V", Credit: 20}, &workload.Hog{})

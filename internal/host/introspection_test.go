@@ -61,7 +61,7 @@ func TestEngineIntrospection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := newIntroHost(t, sched.NewCredit(sched.CreditConfig{}), idle)
+		h := newIntroHost(t, sched.NewCredit(), idle)
 		if err := h.RunUntil(horizon); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestEngineIntrospection(t *testing.T) {
 	})
 
 	t.Run("single-runnable", func(t *testing.T) {
-		h := newIntroHost(t, sched.NewCredit(sched.CreditConfig{}), hogVM(t, 1, 20))
+		h := newIntroHost(t, sched.NewCredit(), hogVM(t, 1, 20))
 		if err := h.RunUntil(horizon); err != nil {
 			t.Fatal(err)
 		}
@@ -101,7 +101,7 @@ func TestEngineIntrospection(t *testing.T) {
 	})
 
 	t.Run("contended-credit", func(t *testing.T) {
-		h := newIntroHost(t, sched.NewCredit(sched.CreditConfig{}),
+		h := newIntroHost(t, sched.NewCredit(),
 			hogVM(t, 1, 20), hogVM(t, 2, 30), hogVM(t, 3, 40))
 		if err := h.RunUntil(horizon); err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ func TestPauseResumeViaScheduledEvents(t *testing.T) {
 	// CPU only while paused.
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	v := newVM(t, 1, vm.Config{Name: "V", Credit: 50}, &workload.Hog{})
 	if err := h.AddVM(v); err != nil {
@@ -50,7 +50,7 @@ func TestPauseResumeViaScheduledEvents(t *testing.T) {
 func TestRemoveVMMidRun(t *testing.T) {
 	h := newHost(t, host.Config{
 		Profile:   cpufreq.Optiplex755(),
-		Scheduler: sched.NewCredit(sched.CreditConfig{}),
+		Scheduler: sched.NewCredit(),
 	})
 	v1 := newVM(t, 1, vm.Config{Name: "A", Credit: 40}, &workload.Hog{})
 	v2 := newVM(t, 2, vm.Config{Name: "B", Credit: 0}, &workload.Hog{}) // uncapped slack eater
@@ -97,7 +97,7 @@ func TestPASAdaptsAfterVMRemoval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pas, err := core.NewPAS(core.PASConfig{CPU: cpu})
+	pas, err := core.NewPAS(cpu, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,10 @@ type schedulerEntry struct {
 // per-P-state cf table (equation 4).
 var schedulers = []schedulerEntry{
 	{name: "pas", build: func(cpu *cpufreq.CPU) (sched.Scheduler, error) {
-		return core.NewPAS(core.PASConfig{CPU: cpu, CF: cpu.Profile().EfficiencyTable()})
+		return core.NewPAS(cpu, cpu.Profile().EfficiencyTable())
 	}},
 	{name: "credit", aliases: []string{"fix-credit"}, build: func(*cpufreq.CPU) (sched.Scheduler, error) {
-		return sched.NewCredit(sched.CreditConfig{}), nil
+		return sched.NewCredit(), nil
 	}},
 	{name: "credit2", build: func(*cpufreq.CPU) (sched.Scheduler, error) {
 		return sched.NewCredit2(), nil
@@ -36,7 +36,7 @@ var schedulers = []schedulerEntry{
 		return sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true}), nil
 	}},
 	{name: "pas-credit2", build: func(cpu *cpufreq.CPU) (sched.Scheduler, error) {
-		return core.NewPASCredit2(core.PASCredit2Config{CPU: cpu, CF: cpu.Profile().EfficiencyTable()})
+		return core.NewPASCredit2(cpu, cpu.Profile().EfficiencyTable())
 	}},
 }
 

@@ -107,7 +107,7 @@ func TestNewMachine(t *testing.T) {
 		{"unknown", "cfs", "unknown scheduler", host.Config{Profile: prof}},
 		{"no profile", "credit", "profile", host.Config{}},
 		{"cpu set", "credit", "itself", host.Config{Profile: prof, CPU: mustCPU(t, prof)}},
-		{"scheduler set", "credit", "itself", host.Config{Profile: prof, Scheduler: sched.NewCredit(sched.CreditConfig{})}},
+		{"scheduler set", "credit", "itself", host.Config{Profile: prof, Scheduler: sched.NewCredit()}},
 		{"pas with governor", "pas", "without a governor", host.Config{Profile: prof, Governor: &governor.Performance{}}},
 		{"pas-credit2 with governor", "pas-credit2", "without a governor", host.Config{Profile: prof, Governor: &governor.Performance{}}},
 		{"bad quantum", "credit", "quantum", host.Config{Profile: prof, Quantum: -1}},

@@ -39,21 +39,19 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 	var pas *core.PAS
 	switch schedName {
 	case "credit":
-		s = sched.NewCredit(sched.CreditConfig{})
-	case "credit-wc":
-		s = sched.NewCredit(sched.CreditConfig{WorkConserving: true})
+		s = sched.NewCredit()
 	case "credit2":
 		s = sched.NewCredit2()
 	case "sedf":
 		s = sched.NewSEDF(sched.SEDFConfig{})
 	case "pas":
-		pas, err = core.NewPAS(core.PASConfig{CPU: cpu})
+		pas, err = core.NewPAS(cpu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		s = pas
 	case "pas-credit2":
-		p2, err := core.NewPASCredit2(core.PASCredit2Config{CPU: cpu})
+		p2, err := core.NewPASCredit2(cpu, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +98,7 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 		{at: 3511*sim.Millisecond + 57, id: 2, pct: 55, w: 4096},
 		{at: 4801*sim.Millisecond + 733, id: 1, pct: 12, w: 9},
 	}
-	if schedName == "credit" || schedName == "credit-wc" {
+	if schedName == "credit" {
 		// Uncap V4 entirely mid-run, then re-cap it: membership moves
 		// between the budgeted and uncapped round-robin tiers.
 		resizes = append(resizes,
@@ -134,7 +132,7 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 // host stays bit-exact with the reference host — the regression guard
 // for the autoscaler's cap/weight actions landing mid-pattern.
 func TestResizeDuringBatchedPattern(t *testing.T) {
-	for _, name := range []string{"credit", "credit-wc", "credit2", "sedf", "pas", "pas-credit2"} {
+	for _, name := range []string{"credit", "credit2", "sedf", "pas", "pas-credit2"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

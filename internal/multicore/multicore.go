@@ -64,14 +64,6 @@ type Config struct {
 	Cores int
 	// Domain selects per-core or per-socket DVFS. Default PerCore.
 	Domain DVFSDomain
-	// Step is the lockstep coordination interval; default 100 ms.
-	Step sim.Time
-	// SettleSteps is how many coordination steps a core's frequency is
-	// left alone after a change (the same measurement-misattribution
-	// guard as core.PASConfig.SettleTime). Default 4.
-	SettleSteps int
-	// CapacityMargin is the PAS capacity margin; default 0.02.
-	CapacityMargin float64
 	// Scheduler selects the per-core VM scheduler by its registry name
 	// (host.NewMachine): "credit" (default, alias "fix-credit") is the
 	// fix-credit scheduler whose caps the coordinator compensates at
@@ -91,6 +83,15 @@ type Config struct {
 	// batched==reference equivalence tests compare against.
 	Reference bool
 }
+
+const (
+	// step is the lockstep coordination interval.
+	step = 100 * sim.Millisecond
+	// settleSteps is how many coordination steps a core's frequency is
+	// left alone after a change: the measurement-misattribution guard of
+	// core.SettleTime, counted in coordination steps.
+	settleSteps = 4
+)
 
 // coreState is one core: a single-core host plus coordination state.
 type coreState struct {
@@ -124,24 +125,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.Domain != PerCore && cfg.Domain != PerSocket {
 		return nil, fmt.Errorf("multicore: unknown DVFS domain %d", cfg.Domain)
-	}
-	if cfg.Step == 0 {
-		cfg.Step = 100 * sim.Millisecond
-	}
-	if cfg.Step <= 0 {
-		return nil, fmt.Errorf("multicore: step must be positive, got %v", cfg.Step)
-	}
-	if cfg.SettleSteps == 0 {
-		cfg.SettleSteps = 4
-	}
-	if cfg.SettleSteps < 0 {
-		return nil, fmt.Errorf("multicore: negative settle steps %d", cfg.SettleSteps)
-	}
-	if cfg.CapacityMargin == 0 {
-		cfg.CapacityMargin = 0.02
-	}
-	if cfg.CapacityMargin < 0 {
-		return nil, fmt.Errorf("multicore: negative capacity margin %v", cfg.CapacityMargin)
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = engine.DefaultWorkers()
@@ -239,7 +222,7 @@ func (c *Cluster) Run(d sim.Time) error {
 	target := c.now + d
 	tasks := make([]func() error, len(c.cores))
 	for c.now < target {
-		next := c.now + c.cfg.Step
+		next := c.now + step
 		if next > target {
 			next = target
 		}
@@ -262,16 +245,9 @@ func (c *Cluster) Run(d sim.Time) error {
 	return nil
 }
 
-// desiredFreq computes the PAS target frequency for one core.
-func (c *Cluster) desiredFreq(cs *coreState) cpufreq.Freq {
-	prof := cs.cpu.Profile()
-	idx, err := prof.Index(cs.cpu.Freq())
-	if err != nil {
-		return prof.Max()
-	}
-	cf := c.cf[idx]
-	abs := core.AbsoluteLoad(cs.host.GlobalLoad()*100, cs.cpu.Ratio(), cf)
-	return core.ComputeNewFreq(prof, c.cf, abs*(1+c.cfg.CapacityMargin))
+// desired computes the PAS target P-state for one core (Listing 1.1).
+func (c *Cluster) desired(cs *coreState) core.Target {
+	return core.ChooseFreq(cs.cpu, c.cf, cs.host.GlobalLoad(), core.CapacityMargin)
 }
 
 // coordinate runs one cluster-level PAS iteration.
@@ -282,7 +258,7 @@ func (c *Cluster) coordinate() {
 			if c.step < cs.settleUntil {
 				continue
 			}
-			c.apply(cs, c.desiredFreq(cs))
+			c.apply(cs, c.desired(cs))
 		}
 	case PerSocket:
 		// The socket serves its hungriest core. Settling is per-socket:
@@ -292,10 +268,10 @@ func (c *Cluster) coordinate() {
 				return
 			}
 		}
-		want := c.cores[0].cpu.Profile().Min()
-		for _, cs := range c.cores {
-			if f := c.desiredFreq(cs); f > want {
-				want = f
+		want := c.desired(c.cores[0])
+		for _, cs := range c.cores[1:] {
+			if t := c.desired(cs); t.Freq > want.Freq {
+				want = t
 			}
 		}
 		for _, cs := range c.cores {
@@ -304,40 +280,17 @@ func (c *Cluster) coordinate() {
 	}
 }
 
-// apply sets one core's frequency and compensates its VMs' credits
-// (equation 4), exactly as the single-core PAS does. Cores running a
-// scheduler without caps (Credit2) skip the compensation: a
+// apply compensates one core's VMs' credits for t (equation 4), exactly
+// as the single-core PAS does, and sets the core's frequency. Cores
+// running a scheduler without caps (Credit2) skip the compensation: a
 // work-conserving weight-proportional scheduler preserves relative shares
 // at any frequency on its own.
-func (c *Cluster) apply(cs *coreState, f cpufreq.Freq) {
-	prof := cs.cpu.Profile()
-	idx, err := prof.Index(f)
-	if err != nil {
-		return
-	}
-	ratio := prof.Ratio(f)
-	cf := c.cf[idx]
+func (c *Cluster) apply(cs *coreState, t core.Target) {
 	if cs.capper != nil {
-		for id, init := range cs.initCredit {
-			if init <= 0 {
-				continue
-			}
-			// A failed compensation or a rejected cap would silently leave
-			// the VM capped for the old frequency. init > 0 was checked,
-			// ratio and cf come from the validated ladder, and every id was
-			// registered via AddVM, so both are impossible; enforce it.
-			newCredit, err := core.CompensatedCredit(init, ratio, cf)
-			if err != nil {
-				panic(fmt.Sprintf("multicore: recompensation for VM %d (init %v, ratio %v, cf %v): %v",
-					id, init, ratio, cf, err))
-			}
-			if err := cs.capper.SetCap(id, newCredit); err != nil {
-				panic(fmt.Sprintf("multicore: recompensated cap for VM %d rejected: %v", id, err))
-			}
-		}
+		core.Compensate(cs.capper, cs.initCredit, t.Ratio, t.CF)
 	}
-	if f != cs.cpu.Freq() {
-		_ = cs.cpu.SetFreq(f, c.now) // ladder-validated above
-		cs.settleUntil = c.step + c.cfg.SettleSteps
+	if t.Freq != cs.cpu.Freq() {
+		_ = cs.cpu.SetFreq(t.Freq, c.now) // a ladder frequency by construction
+		cs.settleUntil = c.step + settleSteps
 	}
 }

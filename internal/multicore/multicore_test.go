@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/sim"
 	"pasched/internal/vm"
@@ -19,9 +20,7 @@ func TestConfigValidation(t *testing.T) {
 		{"no profile", Config{Cores: 2}},
 		{"zero cores", Config{Profile: prof}},
 		{"bad domain", Config{Profile: prof, Cores: 1, Domain: DVFSDomain(9)}},
-		{"negative step", Config{Profile: prof, Cores: 1, Step: -1}},
-		{"negative settle", Config{Profile: prof, Cores: 1, SettleSteps: -1}},
-		{"negative margin", Config{Profile: prof, Cores: 1, CapacityMargin: -1}},
+		{"negative workers", Config{Profile: prof, Cores: 1, Workers: -1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -189,6 +188,58 @@ func TestPerCoreDVFSBeatsPerSocketOnEnergy(t *testing.T) {
 	jc, js := perCore.TotalJoules(), perSocket.TotalJoules()
 	if jc >= js {
 		t.Errorf("per-core energy %.1fJ not below per-socket %.1fJ", jc, js)
+	}
+}
+
+// TestSettleHoldsCoreFrequency pins the coordinator's settle hold: once a
+// core's frequency changes, the coordinator leaves that core alone for
+// settleSteps coordination steps, however its load moves, and acts on
+// the first step after.
+func TestSettleHoldsCoreFrequency(t *testing.T) {
+	if hold := sim.Time(settleSteps) * step; hold != core.SettleTime {
+		t.Errorf("settle hold %v, want core.SettleTime (%v)", hold, core.SettleTime)
+	}
+	c, err := New(Config{Profile: cpufreq.Optiplex755(), Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := c.cores[0]
+	// An idle core drops from 2667 MHz to the minimum at the first step.
+	if err := c.Run(step); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, ok := cs.cpu.PendingSwitch(); !ok || f != 1600 {
+		t.Fatalf("idle core: pending switch to %v (%v), want 1600", f, ok)
+	}
+	switched := c.step
+	// Saturate it: a null-credit Hog takes every cycle.
+	hog, err := vm.New(1, vm.Config{Name: "Hog", Credit: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hog.SetWorkload(&workload.Hog{})
+	if err := c.AddVM(0, hog); err != nil {
+		t.Fatal(err)
+	}
+	for c.step < switched+settleSteps-1 {
+		if err := c.Run(step); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, pending := cs.cpu.PendingSwitch(); pending || cs.cpu.Freq() != 1600 {
+			t.Fatalf("step %d: frequency %v (pending %v) moved inside the settle hold",
+				c.step, cs.cpu.Freq(), pending)
+		}
+	}
+	// The hold alone keeps it there: the load already asks for more.
+	if want := c.desired(cs).Freq; want <= 1600 {
+		t.Fatalf("step %d: saturated core wants %v, not above 1600", c.step, want)
+	}
+	if err := c.Run(step); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, ok := cs.cpu.PendingSwitch(); !ok || f <= 1600 {
+		t.Errorf("step %d, hold over: pending switch to %v (%v), want a raise",
+			c.step, f, ok)
 	}
 }
 

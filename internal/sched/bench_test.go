@@ -43,11 +43,11 @@ func benchScheduler(b *testing.B, s Scheduler, n int) {
 }
 
 func BenchmarkCreditPickCharge8VMs(b *testing.B) {
-	benchScheduler(b, NewCredit(CreditConfig{}), 8)
+	benchScheduler(b, NewCredit(), 8)
 }
 
 func BenchmarkCreditPickCharge64VMs(b *testing.B) {
-	benchScheduler(b, NewCredit(CreditConfig{}), 64)
+	benchScheduler(b, NewCredit(), 64)
 }
 
 func BenchmarkSEDFPickCharge8VMs(b *testing.B) {

@@ -11,18 +11,6 @@ import (
 // accounting interval.
 const DefaultCreditPeriod = 30 * sim.Millisecond
 
-// CreditConfig configures the Credit scheduler.
-type CreditConfig struct {
-	// Period is the accounting period at which credits are refilled.
-	// Zero selects DefaultCreditPeriod.
-	Period sim.Time
-	// WorkConserving, when true, lets capped VMs that exhausted their
-	// budget consume otherwise-idle time. Xen's Credit scheduler does NOT
-	// do this (a cap is a hard limit); the option exists for experiments
-	// that need a work-conserving credit baseline.
-	WorkConserving bool
-}
-
 // creditState is the per-VM accounting, slice-backed (parallel to vms) so
 // the per-quantum Pick/Charge path involves no map operations.
 //
@@ -44,15 +32,15 @@ type creditState struct {
 // "fix credit scheduler": its credit is always guaranteed but never
 // exceeded. A VM created with zero credit has no cap and consumes only
 // slices no budgeted VM wants (the paper's "null credit" special case).
+// Like Xen's, a cap is a hard limit: a capped VM that exhausted its budget
+// waits for the next refill even when the processor would otherwise idle.
 type Credit struct {
-	cfg  CreditConfig
 	vms  []*vm.VM
 	st   []creditState // parallel to vms
 	byID map[vm.ID]int
 
 	rrBudget   rrQueue
 	rrUncapped rrQueue
-	rrOverflow rrQueue
 	nextRefill sim.Time
 	tracer     Tracer
 }
@@ -67,15 +55,12 @@ var (
 	_ Throttler        = (*Credit)(nil)
 )
 
-// NewCredit returns a Credit scheduler with the given configuration.
-func NewCredit(cfg CreditConfig) *Credit {
-	if cfg.Period <= 0 {
-		cfg.Period = DefaultCreditPeriod
-	}
+// NewCredit returns a Credit scheduler refilling budgets every
+// DefaultCreditPeriod.
+func NewCredit() *Credit {
 	return &Credit{
-		cfg:        cfg,
 		byID:       make(map[vm.ID]int),
-		nextRefill: cfg.Period,
+		nextRefill: DefaultCreditPeriod,
 	}
 }
 
@@ -119,7 +104,7 @@ func (c *Credit) VMs() []*vm.VM {
 // integer microseconds — the single float-to-integer edge of the credit
 // accounting (rounded to the nearest microsecond).
 func (c *Credit) refillMicros(capPct float64) int64 {
-	return int64(capPct/100*float64(c.cfg.Period) + 0.5)
+	return int64(capPct/100*float64(DefaultCreditPeriod) + 0.5)
 }
 
 // Pick implements Scheduler. Selection order:
@@ -127,7 +112,6 @@ func (c *Credit) refillMicros(capPct float64) int64 {
 //  1. Strict priority tiers, highest first: runnable capped VMs holding
 //     budget, round-robin within the tier (Dom0 is served here).
 //  2. Uncapped ("null credit") VMs, which absorb idle slack.
-//  3. Only in work-conserving mode: capped VMs whose budget is exhausted.
 func (c *Credit) Pick(now sim.Time) *vm.VM {
 	// Pass 1: budgeted VMs by strict priority.
 	best := -1
@@ -162,14 +146,6 @@ func (c *Credit) Pick(now sim.Time) *vm.VM {
 	}); i >= 0 {
 		return c.vms[i]
 	}
-	// Pass 3: work-conserving overflow.
-	if c.cfg.WorkConserving {
-		if i := c.rrOverflow.next(len(c.vms), func(i int) bool {
-			return c.vms[i].Runnable()
-		}); i >= 0 {
-			return c.vms[i]
-		}
-	}
 	return nil
 }
 
@@ -195,8 +171,7 @@ func (c *Credit) Charge(v *vm.VM, busy sim.Time, now sim.Time) {
 // not a savings account), but an overdraft does — a VM that ran slightly
 // past its budget (scheduling is quantized) starts the next period owing
 // the difference, exactly like a Xen vCPU going into the OVER state with
-// negative credits. The carried debt is bounded to one period's refill so
-// a work-conserving overflow cannot starve a VM indefinitely.
+// negative credits. The carried debt is bounded to one period's refill.
 func (c *Credit) Tick(now sim.Time) {
 	for c.nextRefill <= now {
 		if c.tracer != nil {
@@ -214,7 +189,7 @@ func (c *Credit) Tick(now sim.Time) {
 			c.st[i].budget = b
 			c.st[i].used = 0
 		}
-		c.nextRefill += c.cfg.Period
+		c.nextRefill += DefaultCreditPeriod
 	}
 }
 
@@ -222,8 +197,8 @@ func (c *Credit) Tick(now sim.Time) {
 func (c *Credit) NextBoundary(sim.Time) sim.Time { return c.nextRefill }
 
 // BatchPick implements Batcher. With v the only runnable VM, Pick keeps
-// selecting it while its budget lasts (or forever when it is uncapped or
-// the scheduler is work-conserving); the quanta count is floored so a
+// selecting it while its budget lasts (or forever when it is uncapped);
+// the quanta count is floored so a
 // batched run never outlasts what quantum-by-quantum picking would grant.
 // A capped VM that exhausted its budget idles until the next refill,
 // which NextBoundary keeps outside the offered stretch.
@@ -250,10 +225,6 @@ func (c *Credit) BatchPick(v *vm.VM, quantum sim.Time, max int, _ sim.Time) (int
 		c.rrBudget.last = idx
 		return n, false
 	}
-	if c.cfg.WorkConserving {
-		c.rrOverflow.last = idx
-		return max, false
-	}
 	return max, true
 }
 
@@ -265,11 +236,10 @@ func (c *Credit) BatchPick(v *vm.VM, quantum sim.Time, max int, _ sim.Time) (int
 // quantum per rotation, in cyclic order from the tier's cursor. The
 // rotation count is bounded so every member stays eligible at each of its
 // own picks — budget life ceil(budget/quantum) picks for the budgeted
-// tier, unbounded for the uncapped and work-conserving tiers — which also
-// keeps the per-VM bulk Charge equivalent to the per-quantum charges
-// (Credit's Charge is linear in busy time). When every runnable VM is a
-// capped VM with an exhausted budget and the scheduler is not
-// work-conserving, the whole stretch provably idles.
+// tier, unbounded for the uncapped tier — which also keeps the per-VM bulk
+// Charge equivalent to the per-quantum charges (Credit's Charge is linear
+// in busy time). When every runnable VM is a capped VM with an exhausted
+// budget, the whole stretch provably idles.
 func (c *Credit) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ sim.Time) ([]PatternPick, bool) {
 	if quantum <= 0 || max <= 0 {
 		return nil, false
@@ -315,9 +285,6 @@ func (c *Credit) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _
 		eligible = func(i int) bool {
 			return c.vms[i].Runnable() && c.st[i].cap <= 0
 		}
-	case anyRunnable && c.cfg.WorkConserving:
-		cursor = &c.rrOverflow
-		eligible = func(i int) bool { return c.vms[i].Runnable() }
 	case anyRunnable:
 		// Every runnable VM is capped with an exhausted budget: Pick
 		// returns nil until the refill, which lies beyond the stretch.
@@ -370,19 +337,12 @@ func (c *Credit) Budget(id vm.ID) (sim.Time, error) {
 	return sim.Time(c.st[idx].budget), nil
 }
 
-// Period returns the accounting period.
-func (c *Credit) Period() sim.Time { return c.cfg.Period }
-
 // SetTracer implements TraceSetter.
 func (c *Credit) SetTracer(t Tracer) { c.tracer = t }
 
 // Throttled implements Throttler: a capped VM with an exhausted budget
-// is barred until the next refill unless the scheduler is
-// work-conserving.
+// is barred until the next refill.
 func (c *Credit) Throttled(v *vm.VM) bool {
-	if c.cfg.WorkConserving {
-		return false
-	}
 	idx := IndexOf(c.vms, v)
 	if idx < 0 {
 		return false

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"pasched/internal/sim"
 	"pasched/internal/vm"
@@ -18,6 +19,22 @@ const (
 	credit2MinWeight = 1
 	credit2MaxWeight = 1 << 12
 )
+
+// WeightForCredit books a contracted credit percentage as a Credit2
+// weight: the rounded credit, clamped to the accepted weight range. It is
+// how PAS-credit2 weighs its VMs and how a cap resize maps onto a plain
+// Credit2 machine. Contracted credits stay within 100 and resized caps
+// within a machine's free credit, so the clamp never binds in practice.
+func WeightForCredit(pct float64) int64 {
+	w := int64(math.Round(pct))
+	if w < credit2MinWeight {
+		w = credit2MinWeight
+	}
+	if w > credit2MaxWeight {
+		w = credit2MaxWeight
+	}
+	return w
+}
 
 // Credit2 is a weight-proportional, work-conserving scheduler in the spirit
 // of the Xen Credit2 scheduler the paper mentions as a beta (Section 3.1).
@@ -238,12 +255,14 @@ func (c *Credit2) Weight(id vm.ID) (float64, error) {
 }
 
 // SetWeight updates the VM's proportional-share weight at run time. The
-// Credit2-based PAS variant uses it to refresh weights at the PAS
-// cadence. The VM's runtime is rebased so its virtual runtime
-// (runtime/weight) is preserved across the change: the VM neither gains a
-// catch-up advantage nor loses already-earned service. Weights above
-// credit2MaxWeight are rejected; weights below credit2MinWeight are
-// raised to the minimum, mirroring Add.
+// Credit2-based PAS variant calls it when a VM is added or re-contracted
+// (weights are frequency-invariant, so nothing refreshes them at the PAS
+// cadence), and the fleet when it resizes a Credit2 VM. The VM's runtime
+// is rebased so its virtual runtime (runtime/weight) is preserved across
+// the change: the VM neither gains a catch-up advantage nor loses
+// already-earned service. Weights above credit2MaxWeight are rejected;
+// weights below credit2MinWeight are raised to the minimum, mirroring
+// Add.
 func (c *Credit2) SetWeight(id vm.ID, w int64) error {
 	idx, ok := c.byID[id]
 	if !ok {

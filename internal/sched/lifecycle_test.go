@@ -16,7 +16,7 @@ func TestRemoveAcrossSchedulers(t *testing.T) {
 		name  string
 		build func() Scheduler
 	}{
-		{"credit", func() Scheduler { return NewCredit(CreditConfig{}) }},
+		{"credit", func() Scheduler { return NewCredit() }},
 		{"sedf", func() Scheduler { return NewSEDF(SEDFConfig{DefaultExtratime: true}) }},
 		{"credit2", func() Scheduler { return NewCredit2() }},
 	}
@@ -59,7 +59,7 @@ func TestRemoveAcrossSchedulers(t *testing.T) {
 }
 
 func TestPausedVMGetsNoCPU(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v := busyVM(t, 1, vm.Config{Name: "V", Credit: 50})
 	if err := s.Add(v); err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestQuickCreditSharesMatchCaps(t *testing.T) {
 		if sum > 100 {
 			return true
 		}
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		vms := make([]*vm.VM, 3)
 		for i, c := range caps {
 			v, err := vm.New(vm.ID(i+1), vm.Config{Credit: c})
@@ -153,7 +153,7 @@ func TestQuickCapNeverExceededUnderRandomLoad(t *testing.T) {
 	// quantum of quantization) even when its workload flaps on and off.
 	f := func(pattern []bool, capRaw uint8) bool {
 		cap := float64(capRaw%60) + 10
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		v, err := vm.New(1, vm.Config{Credit: cap})
 		if err != nil {
 			return false

@@ -122,7 +122,7 @@ func checkPatternEquivalence(t *testing.T, build func(t *testing.T) Scheduler,
 
 func TestCreditBatchPatternContended(t *testing.T) {
 	build := func(t *testing.T) Scheduler {
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		for _, cfg := range []struct {
 			id     vm.ID
 			credit float64
@@ -148,7 +148,7 @@ func TestCreditBatchPatternContended(t *testing.T) {
 
 func TestCreditBatchPatternPriorityTier(t *testing.T) {
 	build := func(t *testing.T) Scheduler {
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		if err := s.Add(busyVM(t, 0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func TestCreditBatchPatternPriorityTier(t *testing.T) {
 
 func TestCreditBatchPatternUncappedRotation(t *testing.T) {
 	build := func(t *testing.T) Scheduler {
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		for _, id := range []vm.ID{1, 2} {
 			if err := s.Add(busyVM(t, id, vm.Config{Credit: 0})); err != nil {
 				t.Fatal(err)
@@ -190,7 +190,7 @@ func TestCreditBatchPatternUncappedRotation(t *testing.T) {
 
 func TestCreditBatchPatternQuotaBound(t *testing.T) {
 	build := func(t *testing.T) Scheduler {
-		s := NewCredit(CreditConfig{})
+		s := NewCredit()
 		for _, id := range []vm.ID{1, 2} {
 			if err := s.Add(busyVM(t, id, vm.Config{Credit: 40})); err != nil {
 				t.Fatal(err)
@@ -218,7 +218,7 @@ func TestCreditBatchPatternQuotaBound(t *testing.T) {
 }
 
 func TestCreditBatchPatternIdleAndDecline(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v1 := busyVM(t, 1, vm.Config{Credit: 10})
 	v2 := busyVM(t, 2, vm.Config{Credit: 20})
 	for _, v := range []*vm.VM{v1, v2} {
@@ -247,35 +247,13 @@ func TestCreditBatchPatternIdleAndDecline(t *testing.T) {
 		t.Fatalf("0-quantum offer: got picks=%v idle=%v", picks, idle)
 	}
 	// Zero quotas (every VM nearly drained) must decline, not idle.
-	sd := NewCredit(CreditConfig{})
+	sd := NewCredit()
 	if err := sd.Add(busyVM(t, 3, vm.Config{Credit: 30})); err != nil {
 		t.Fatal(err)
 	}
 	zero := []PatternQuota{{VM: sd.VMs()[0], MaxPicks: 0}}
 	if picks, idle := sd.BatchPattern(zero, quantum, 20, 0); picks != nil || idle {
 		t.Fatalf("zero quota: got picks=%v idle=%v", picks, idle)
-	}
-}
-
-func TestCreditBatchPatternWorkConserving(t *testing.T) {
-	build := func(t *testing.T) Scheduler {
-		s := NewCredit(CreditConfig{WorkConserving: true})
-		v1 := busyVM(t, 1, vm.Config{Credit: 10})
-		v2 := busyVM(t, 2, vm.Config{Credit: 20})
-		for _, v := range []*vm.VM{v1, v2} {
-			if err := s.Add(v); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Both budgets exhausted: overflow round-robin shares the idle
-		// capacity instead of idling.
-		s.Charge(v1, 10*sim.Millisecond, 0)
-		s.Charge(v2, 10*sim.Millisecond, 0)
-		return s
-	}
-	picks := checkPatternEquivalence(t, build, generousQuota, 20, 0)
-	if len(picks) != 2 || picks[0].Quanta != 10 || picks[1].Quanta != 10 {
-		t.Fatalf("want 10 overflow rotations over 2 VMs, got %v", picks)
 	}
 }
 

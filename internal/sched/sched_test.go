@@ -52,7 +52,7 @@ func share(busy map[vm.ID]sim.Time, id vm.ID, total sim.Time) float64 {
 }
 
 func TestCreditProportionalUnderContention(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	dom0 := busyVM(t, 0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
 	v20 := busyVM(t, 1, vm.Config{Name: "V20", Credit: 20})
 	v70 := busyVM(t, 2, vm.Config{Name: "V70", Credit: 70})
@@ -76,7 +76,7 @@ func TestCreditProportionalUnderContention(t *testing.T) {
 func TestCreditCapIsHardLimit(t *testing.T) {
 	// The fix-credit property (Scenario 1 of the paper): with V70 idle,
 	// V20 still receives at most its 20% cap and the CPU idles.
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v20 := busyVM(t, 1, vm.Config{Name: "V20", Credit: 20})
 	v70 := mustVM(t, 2, vm.Config{Name: "V70", Credit: 70}) // idle
 	if err := s.Add(v20); err != nil {
@@ -98,7 +98,7 @@ func TestCreditCapIsHardLimit(t *testing.T) {
 func TestCreditNullCreditConsumesSlack(t *testing.T) {
 	// A zero-credit VM has no guarantee but absorbs idle slices (the
 	// paper's description of the Credit scheduler's null-credit case).
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v20 := busyVM(t, 1, vm.Config{Name: "V20", Credit: 20})
 	free := busyVM(t, 2, vm.Config{Name: "Free", Credit: 0})
 	if err := s.Add(v20); err != nil {
@@ -121,7 +121,7 @@ func TestCreditPriorityTierFirst(t *testing.T) {
 	// Dom0 (higher priority) must be served before same-budget guests
 	// within every period: it never misses its allocation even under full
 	// contention.
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	dom0 := busyVM(t, 0, vm.Config{Name: "Dom0", Credit: 10, Priority: 1})
 	v90 := busyVM(t, 1, vm.Config{Name: "V90", Credit: 90})
 	if err := s.Add(dom0); err != nil {
@@ -137,21 +137,8 @@ func TestCreditPriorityTierFirst(t *testing.T) {
 	}
 }
 
-func TestCreditWorkConservingOverflow(t *testing.T) {
-	s := NewCredit(CreditConfig{WorkConserving: true})
-	v20 := busyVM(t, 1, vm.Config{Name: "V20", Credit: 20})
-	if err := s.Add(v20); err != nil {
-		t.Fatal(err)
-	}
-	const total = 3 * sim.Second
-	busy := runQuanta(s, total)
-	if got := share(busy, 1, total); got < 0.99 {
-		t.Errorf("work-conserving single VM share = %.3f, want ~1", got)
-	}
-}
-
 func TestCreditSetCapTakesEffect(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v := busyVM(t, 1, vm.Config{Name: "V20", Credit: 20})
 	if err := s.Add(v); err != nil {
 		t.Fatal(err)
@@ -172,7 +159,7 @@ func TestCreditSetCapTakesEffect(t *testing.T) {
 func TestCreditCapAboveHundred(t *testing.T) {
 	// PAS may set caps above 100% at low frequency; the VM is then
 	// effectively unbounded by the cap (but still bounded by wall time).
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v := busyVM(t, 1, vm.Config{Name: "V", Credit: 20})
 	if err := s.Add(v); err != nil {
 		t.Fatal(err)
@@ -188,7 +175,7 @@ func TestCreditCapAboveHundred(t *testing.T) {
 }
 
 func TestCreditErrors(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	if err := s.Add(nil); err == nil {
 		t.Error("Add(nil) succeeded")
 	}
@@ -451,8 +438,43 @@ func TestCredit2Errors(t *testing.T) {
 	}
 }
 
+// TestWeightForCredit pins the one credit-to-weight rounding (PAS-credit2's
+// weights and a cap resize on a plain Credit2 machine): round to nearest,
+// half away from zero, clamped to the weights Credit2 accepts.
+func TestWeightForCredit(t *testing.T) {
+	for _, tt := range []struct {
+		pct  float64
+		want int64
+	}{
+		{20, 20},
+		{20.4, 20},
+		{20.5, 21},
+		{99.6, 100},
+		{1, credit2MinWeight},
+		{0.4, credit2MinWeight},
+		{0, credit2MinWeight},
+		{-5, credit2MinWeight},
+		{4096.4, credit2MaxWeight},
+		{1e6, credit2MaxWeight},
+	} {
+		if got := WeightForCredit(tt.pct); got != tt.want {
+			t.Errorf("WeightForCredit(%v) = %d, want %d", tt.pct, got, tt.want)
+		}
+	}
+	// Every contracted credit maps to a weight SetWeight takes.
+	s := NewCredit2()
+	if err := s.Add(busyVM(t, 1, vm.Config{Credit: 20})); err != nil {
+		t.Fatal(err)
+	}
+	for pct := 0.0; pct <= 100; pct += 0.25 {
+		if err := s.SetWeight(1, WeightForCredit(pct)); err != nil {
+			t.Fatalf("SetWeight(WeightForCredit(%v)): %v", pct, err)
+		}
+	}
+}
+
 func TestVMsReturnsCopy(t *testing.T) {
-	s := NewCredit(CreditConfig{})
+	s := NewCredit()
 	v := busyVM(t, 1, vm.Config{Credit: 20})
 	if err := s.Add(v); err != nil {
 		t.Fatal(err)

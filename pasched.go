@@ -27,7 +27,7 @@
 // Package layout: the facade re-exports the types a typical user needs;
 // the subsystems live in internal packages (internal/core is the PAS
 // scheduler itself, internal/sched the Xen scheduler models, and so on;
-// see DESIGN.md for the full inventory).
+// the Architecture section of README.md has the full inventory).
 package pasched
 
 import (

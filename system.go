@@ -65,9 +65,9 @@ func WithPAS() Option { return withScheduler("pas") }
 
 // WithPASCredit2 selects the Credit2-based PAS variant: the same
 // per-tick DVFS policy as PAS, but enforcement through
-// weight-proportional work-conserving Credit2 scheduling (weights
-// refreshed from the contracted credits at the PAS cadence) instead of
-// hard compensated caps.
+// weight-proportional work-conserving Credit2 scheduling (weights set
+// from the contracted credits when a VM is added or re-contracted)
+// instead of hard compensated caps.
 func WithPASCredit2() Option { return withScheduler("pas-credit2") }
 
 // WithGovernor installs a DVFS governor. Rejected with WithPAS and
