@@ -484,8 +484,7 @@ func printSummary(out io.Writer, rep *fleet.Report) {
 	tb.AddRow("VMs below 95% SLA", fmt.Sprintf("%d", s.VMsBelow95))
 	if s.RequestsOffered > 0 {
 		tb.AddRow("requests offered / completed", fmt.Sprintf("%d / %d", s.RequestsOffered, s.RequestsCompleted))
-		tb.AddRow("requests abandoned / retried / in flight",
-			fmt.Sprintf("%d / %d / %d", s.RequestsAbandoned, s.RequestsRetried, s.RequestsInFlight))
+		tb.AddRow("requests abandoned / in flight", fmt.Sprintf("%d / %d", s.RequestsAbandoned, s.RequestsInFlight))
 		tb.AddRow("reply latency p50 / p95 / p99 (ms)",
 			fmt.Sprintf("%.2f / %.2f / %.2f", s.ReqP50Ms, s.ReqP95Ms, s.ReqP99Ms))
 		tb.AddRow("reply latency mean / max (ms)", fmt.Sprintf("%.2f / %.2f", s.ReqMeanMs, s.ReqMaxMs))

@@ -1,12 +1,11 @@
 // Package autoscale closes the elastic loop over the fleet's
 // observability spine: a policy-pluggable controller that runs on the
 // fleet coordinator at reporting barriers, reads per-VM signals already
-// flowing through the spine — serving queue depths, interval latency
-// percentiles from the histogram ladders, and the throttle-attribution
-// ledger buckets — and emits deterministic resize actions: credit-cap
-// or weight changes through the schedulers' resize surfaces, per-VM
-// emulator/IO overhead changes, and replica scale-out/in against the
-// placement policy.
+// flowing through the spine — serving queue depths, the interval p99
+// from the latency histogram ladders, and the throttle-attribution
+// ledger's capped time — and emits deterministic resize actions:
+// credit-cap or weight changes through the schedulers' resize surfaces,
+// and replica scale-out/in against the placement policy.
 //
 // Determinism contract: a policy is a pure function of the signal slice
 // it is handed (plus its own per-VM history, keyed and swept
@@ -24,29 +23,33 @@ import (
 	"pasched/internal/sim"
 )
 
+// The built-in policies' fixed thresholds.
+const (
+	// minCapPct floors every cap shrink.
+	minCapPct = 5
+	// queueLow is the queue depth at or below which a VM counts as
+	// drained.
+	queueLow = 1
+	// targetP99Us is the latency policy's fleet-wide interval p99 target
+	// in microseconds (50 ms).
+	targetP99Us = 50_000
+)
+
 // Params tunes the built-in policies. The zero value selects the
 // defaults noted per field.
 type Params struct {
 	// StepPct is the cap increment/decrement of one resize decision in
 	// credit percentage points. Default 10.
 	StepPct float64
-	// MinCapPct floors every cap shrink. Default 5.
-	MinCapPct float64
 	// MaxCapPct ceils every cap growth (the fleet additionally clamps
 	// growth to the hosting machine's free credit). Default 95.
 	MaxCapPct float64
 	// QueueHigh is the queue depth at or above which a VM counts as
 	// pressured. Default 8.
 	QueueHigh int64
-	// QueueLow is the queue depth at or below which a VM counts as
-	// drained. Default 1.
-	QueueLow int64
 	// MaxReplicas bounds a VM's serving group size (the VM itself plus
 	// its replicas). 1 disables replica scale-out. Default 1.
 	MaxReplicas int
-	// TargetP99Us is the latency policy's fleet-wide interval p99
-	// target in microseconds. Default 50ms.
-	TargetP99Us int64
 	// CappedHighPermille is the ditto policy's growth trigger: the
 	// fraction of the interval (in permille) a VM must have spent
 	// throttled by its own cap. Default 250 (a quarter of the
@@ -60,23 +63,14 @@ func (p Params) WithDefaults() (Params, error) {
 	if p.StepPct == 0 {
 		p.StepPct = 10
 	}
-	if p.MinCapPct == 0 {
-		p.MinCapPct = 5
-	}
 	if p.MaxCapPct == 0 {
 		p.MaxCapPct = 95
 	}
 	if p.QueueHigh == 0 {
 		p.QueueHigh = 8
 	}
-	if p.QueueLow == 0 {
-		p.QueueLow = 1
-	}
 	if p.MaxReplicas == 0 {
 		p.MaxReplicas = 1
-	}
-	if p.TargetP99Us == 0 {
-		p.TargetP99Us = 50_000
 	}
 	if p.CappedHighPermille == 0 {
 		p.CappedHighPermille = 250
@@ -84,14 +78,12 @@ func (p Params) WithDefaults() (Params, error) {
 	switch {
 	case p.StepPct < 0:
 		return p, fmt.Errorf("autoscale: negative step %v", p.StepPct)
-	case p.MinCapPct < 0 || p.MaxCapPct < p.MinCapPct:
-		return p, fmt.Errorf("autoscale: cap range [%v, %v] invalid", p.MinCapPct, p.MaxCapPct)
-	case p.QueueHigh < p.QueueLow:
-		return p, fmt.Errorf("autoscale: queue thresholds inverted (high %d < low %d)", p.QueueHigh, p.QueueLow)
+	case p.MaxCapPct < minCapPct:
+		return p, fmt.Errorf("autoscale: cap ceiling %v below the %v%% floor", p.MaxCapPct, minCapPct)
+	case p.QueueHigh < queueLow:
+		return p, fmt.Errorf("autoscale: queue high mark %d below the low mark %d", p.QueueHigh, queueLow)
 	case p.MaxReplicas < 1 || p.MaxReplicas > 64:
 		return p, fmt.Errorf("autoscale: replica bound %d outside [1, 64]", p.MaxReplicas)
-	case p.TargetP99Us < 0:
-		return p, fmt.Errorf("autoscale: negative latency target %d us", p.TargetP99Us)
 	case p.CappedHighPermille < 0 || p.CappedHighPermille > 1000:
 		return p, fmt.Errorf("autoscale: capped trigger %d‰ outside [0, 1000]", p.CappedHighPermille)
 	}
@@ -100,14 +92,13 @@ func (p Params) WithDefaults() (Params, error) {
 
 // Signals is one VM's observation at a reporting barrier. The fleet
 // fills it from state the coordinator may legally read while every
-// shard is parked: the serving server's counters, the hosting machine's
+// shard is parked: the serving server's queue, the hosting machine's
 // bookkeeping, and (when the flight recorder is on) the VM's
-// throttle-attribution ledger.
+// throttle-attribution ledger. It holds exactly what a built-in policy
+// or the controller reads.
 type Signals struct {
 	// Name identifies the VM; actions echo it back.
 	Name string
-	// Machine is the fleet-global index of the hosting machine.
-	Machine int
 	// IsReplica marks an autoscaler-created group member; Replicas is
 	// the group size (the VM plus its replicas) and is set only on the
 	// group's parent (1 when unsplit, 0 on replica members).
@@ -120,49 +111,37 @@ type Signals struct {
 	CapPct      float64
 	BaseCapPct  float64
 	HeadroomPct float64
-	// Serving counters: the request queue depth at the barrier, its
-	// delta against the previous barrier (0 at the VM's first
-	// observation), and the cumulative outcome counters.
+	// The request queue depth at the barrier, and its delta against the
+	// previous barrier (0 at the VM's first observation).
 	Queue      int64
 	QueueDelta int64
-	Offered    int64
-	Completed  int64
-	Abandoned  int64
-	Retried    int64
-	// OverheadPermille is the server's current emulator/IO overhead
-	// share.
-	OverheadPermille int64
-	// Throttle-attribution ledger buckets, cumulative microseconds
-	// (zero unless the flight recorder is enabled). CappedDeltaUs is
-	// the interval's capped-time delta, computed by the controller.
+	// The throttle-attribution ledger's cumulative capped time in
+	// microseconds (zero unless the flight recorder is enabled), and its
+	// interval delta, computed by the controller.
 	CappedUs      int64
 	CappedDeltaUs int64
-	RunUs         int64
-	IdleUs        int64
-	// Fleet-wide interval reply-latency quantiles in microseconds (0
-	// when the interval served nothing), and the interval length.
-	FleetP50Us int64
+	// The fleet-wide interval reply-latency p99 in microseconds (0 when
+	// the interval served nothing), and the interval length.
 	FleetP99Us int64
 	IntervalUs int64
 }
 
-// ActionKind enumerates the resize actions a policy can emit.
+// ActionKind enumerates the resize actions a policy can emit. The values
+// are stable: recorder streams and Perfetto traces carry them as the
+// autoscale event's action argument.
 type ActionKind uint8
 
 const (
 	// SetCap rebooks the VM's credit to Action.CapPct (the fleet clamps
 	// growth to the machine's free credit and applies it through the
 	// scheduler's cap or weight surface).
-	SetCap ActionKind = iota + 1
-	// SetOverhead changes the VM's emulator/IO overhead share to
-	// Action.Permille.
-	SetOverhead
+	SetCap ActionKind = 1
 	// ScaleOut adds one serving replica to the VM's group, placed by
 	// the fleet's placement policy; the group's arrival stream is
 	// repartitioned at the barrier instant.
-	ScaleOut
+	ScaleOut ActionKind = 3
 	// ScaleIn removes the VM's newest replica and repartitions.
-	ScaleIn
+	ScaleIn ActionKind = 4
 )
 
 // String returns the kind's stable display name.
@@ -170,8 +149,6 @@ func (k ActionKind) String() string {
 	switch k {
 	case SetCap:
 		return "set-cap"
-	case SetOverhead:
-		return "set-overhead"
 	case ScaleOut:
 		return "scale-out"
 	case ScaleIn:
@@ -182,10 +159,9 @@ func (k ActionKind) String() string {
 
 // Action is one resize decision, targeting the VM by name.
 type Action struct {
-	VM       string
-	Kind     ActionKind
-	CapPct   float64 // SetCap only
-	Permille int64   // SetOverhead only
+	VM     string
+	Kind   ActionKind
+	CapPct float64 // SetCap only
 }
 
 // Policy decides resize actions from barrier signals. Decide must be
@@ -265,8 +241,8 @@ func shrink(p Params, s *Signals, acts []Action) []Action {
 		return append(acts, Action{VM: s.Name, Kind: ScaleIn})
 	}
 	floor := s.BaseCapPct
-	if floor < p.MinCapPct {
-		floor = p.MinCapPct
+	if floor < minCapPct {
+		floor = minCapPct
 	}
 	if s.CapPct > floor+1e-9 {
 		want := s.CapPct - p.StepPct
@@ -280,7 +256,7 @@ func shrink(p Params, s *Signals, acts []Action) []Action {
 
 // queuePolicy scales on serving queue depth alone: grow while the queue
 // sits at or above QueueHigh and is not draining, shrink when it sits
-// at or below QueueLow and is not growing.
+// at or below queueLow and is not growing.
 type queuePolicy struct{ p Params }
 
 func (*queuePolicy) Name() string      { return "queue" }
@@ -292,7 +268,7 @@ func (q *queuePolicy) Decide(_ sim.Time, vms []Signals, acts []Action) []Action 
 		switch {
 		case s.Queue >= q.p.QueueHigh && s.QueueDelta >= 0:
 			acts = grow(q.p, s, acts)
-		case s.Queue <= q.p.QueueLow && s.QueueDelta <= 0:
+		case s.Queue <= queueLow && s.QueueDelta <= 0:
 			acts = shrink(q.p, s, acts)
 		}
 	}
@@ -319,7 +295,7 @@ func (d *dittoPolicy) Decide(_ sim.Time, vms []Signals, acts []Action) []Action 
 		switch {
 		case capped && s.Queue > 0:
 			acts = grow(d.p, s, acts)
-		case s.CappedDeltaUs == 0 && s.Queue <= d.p.QueueLow && s.QueueDelta <= 0:
+		case s.CappedDeltaUs == 0 && s.Queue <= queueLow && s.QueueDelta <= 0:
 			acts = shrink(d.p, s, acts)
 		}
 	}
@@ -339,9 +315,9 @@ func (l *latencyPolicy) Decide(_ sim.Time, vms []Signals, acts []Action) []Actio
 	for i := range vms {
 		s := &vms[i]
 		switch {
-		case s.FleetP99Us > l.p.TargetP99Us && s.Queue >= l.p.QueueLow:
+		case s.FleetP99Us > targetP99Us && s.Queue >= queueLow:
 			acts = grow(l.p, s, acts)
-		case s.FleetP99Us > 0 && s.FleetP99Us*4 < l.p.TargetP99Us && s.Queue <= l.p.QueueLow && s.QueueDelta <= 0:
+		case s.FleetP99Us > 0 && s.FleetP99Us*4 < targetP99Us && s.Queue <= queueLow && s.QueueDelta <= 0:
 			acts = shrink(l.p, s, acts)
 		}
 	}

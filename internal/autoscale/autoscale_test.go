@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -23,13 +24,11 @@ func TestParamsValidation(t *testing.T) {
 		t.Fatalf("unexpected defaults: %+v", def)
 	}
 	for name, p := range map[string]Params{
-		"negative step":     {StepPct: -1},
-		"inverted caps":     {MinCapPct: 50, MaxCapPct: 10},
-		"inverted queues":   {QueueHigh: 1, QueueLow: 5},
-		"replica bound":     {MaxReplicas: 100},
-		"negative target":   {TargetP99Us: -1},
-		"capped permille":   {CappedHighPermille: 1001},
-		"negative latency?": {TargetP99Us: -5},
+		"negative step":       {StepPct: -1},
+		"ceiling below floor": {MaxCapPct: minCapPct - 1},
+		"high below low":      {QueueHigh: -1},
+		"replica bound":       {MaxReplicas: 100},
+		"capped permille":     {CappedHighPermille: 1001},
 	} {
 		if _, err := p.WithDefaults(); err == nil {
 			t.Errorf("%s accepted", name)
@@ -131,6 +130,54 @@ func TestDittoPolicyTriggersOnAttribution(t *testing.T) {
 	contended := base // queue without capped time: not ours to fix
 	if acts := c.Step(1, []Signals{contended}); len(acts) != 0 {
 		t.Fatalf("contended VM: got %+v, want nothing", acts)
+	}
+}
+
+// TestLatencyPolicyDecide pins the latency policy's two triggers on the
+// fleet-wide interval p99: above the target a queueing VM climbs the
+// growth ladder, under a quarter of it a drained VM climbs back down,
+// and everything in between (or an interval that served nothing) holds.
+func TestLatencyPolicyDecide(t *testing.T) {
+	pol := mustPolicy(t, "latency", Params{MaxReplicas: 2})
+	base := Signals{Name: "v", CapPct: 40, BaseCapPct: 20, HeadroomPct: 50, Replicas: 1}
+	for _, tc := range []struct {
+		name string
+		mut  func(*Signals)
+		want []Action
+	}{
+		{"slow with a queue grows the cap", func(s *Signals) {
+			s.FleetP99Us, s.Queue = targetP99Us+1, 3
+		}, []Action{{VM: "v", Kind: SetCap, CapPct: 50}}},
+		{"slow at the cap ceiling scales out", func(s *Signals) {
+			s.FleetP99Us, s.Queue, s.CapPct = targetP99Us+1, 3, 95
+		}, []Action{{VM: "v", Kind: ScaleOut}}},
+		{"at the target holds", func(s *Signals) {
+			s.FleetP99Us, s.Queue = targetP99Us, 3
+		}, nil},
+		{"at the target and drained holds", func(s *Signals) {
+			s.FleetP99Us = targetP99Us
+		}, nil},
+		{"fast and drained shrinks the cap", func(s *Signals) {
+			s.FleetP99Us = targetP99Us/4 - 1
+		}, []Action{{VM: "v", Kind: SetCap, CapPct: 30}}},
+		{"fast and drained stops at the contract", func(s *Signals) {
+			s.FleetP99Us, s.CapPct = targetP99Us/4-1, 25
+		}, []Action{{VM: "v", Kind: SetCap, CapPct: 20}}},
+		{"fast and drained parent scales in first", func(s *Signals) {
+			s.FleetP99Us, s.Replicas = targetP99Us/4-1, 2
+		}, []Action{{VM: "v", Kind: ScaleIn}}},
+		{"fast with a growing queue holds", func(s *Signals) {
+			s.FleetP99Us, s.QueueDelta = targetP99Us/4-1, 1
+		}, nil},
+		{"an interval that served nothing never shrinks", func(s *Signals) {
+			s.FleetP99Us, s.Replicas = 0, 2
+		}, nil},
+	} {
+		sig := base
+		tc.mut(&sig)
+		if got := pol.Decide(1, []Signals{sig}, nil); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
 	}
 }
 

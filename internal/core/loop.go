@@ -139,7 +139,8 @@ func newLoop(cpu *cpufreq.CPU, cf []float64) (loop, error) {
 
 // BindLoadSource attaches the Global load signal. Typically called with
 // the host right after host construction; until then the scheduler never
-// recomputes and runs at a fixed frequency.
+// recomputes and runs at a fixed frequency, and after it the first
+// recomputation is the next instant of the DefaultPASInterval grid.
 func (l *loop) BindLoadSource(ls LoadSource) { l.loads = ls }
 
 // Recomputes returns how many DVFS recomputations have run, for tests
@@ -169,9 +170,18 @@ func (l *loop) recontract(id vm.ID, pct float64) error {
 	return nil
 }
 
-// tick runs, in order, every recomputation due by now.
+// tick runs, in order, every recomputation due by now. Unbound, the
+// schedule still advances along its grid, so a late BindLoadSource
+// resumes at the next grid instant instead of replaying the missed ones
+// with the current load.
 func (l *loop) tick(now sim.Time, e enforcer) {
-	for l.loads != nil && now >= l.next {
+	if l.loads == nil {
+		if now >= l.next {
+			l.next += (now-l.next)/DefaultPASInterval*DefaultPASInterval + DefaultPASInterval
+		}
+		return
+	}
+	for now >= l.next {
 		l.recompute(e)
 	}
 }

@@ -217,8 +217,8 @@ type recomputation struct {
 // Both embed the same control loop, so they must request the same
 // frequency at the same recomputation instants; neither may recompute
 // within SettleTime of a switch (and each resumes exactly SettleTime
-// after it, on the DefaultPASInterval grid); and neither recomputes
-// before BindLoadSource.
+// after it, on the DefaultPASInterval grid); neither recomputes before
+// BindLoadSource, and a late bind resumes on the grid.
 func TestPASVariantsShareControlLoop(t *testing.T) {
 	const step = sim.Millisecond
 	prof := cpufreq.Optiplex755()
@@ -254,6 +254,38 @@ func TestPASVariantsShareControlLoop(t *testing.T) {
 		if _, _, pending := cpu.PendingSwitch(); s.Recomputes() != 0 || pending || cpu.Freq() != prof.Max() {
 			t.Fatalf("%s before BindLoadSource: %d recomputations, frequency %v, switch pending %v",
 				name, s.Recomputes(), cpu.Freq(), pending)
+		}
+	}
+
+	// Bound late, after unbound ticks, either variant stays on its grid:
+	// nothing replays the missed instants at the first bound tick, the
+	// first recomputation is the next grid instant, and no switch is
+	// stamped before the bind.
+	const bound = 500 * sim.Millisecond
+	for _, name := range names {
+		s, cpu := build(name)
+		for now := step; now <= bound; now += step {
+			cpu.Advance(now)
+			s.Tick(now)
+		}
+		s.BindLoadSource(load)
+		first := sim.Time(-1)
+		for now := bound + step; now <= bound+core.DefaultPASInterval; now += step {
+			cpu.Advance(now)
+			s.Tick(now)
+			if _, at, pending := cpu.PendingSwitch(); pending && at-prof.TransitionLatency < bound {
+				t.Fatalf("%s bound at %v: switch requested at %v, before the bind",
+					name, bound, at-prof.TransitionLatency)
+			}
+			if first < 0 && s.Recomputes() > 0 {
+				first = now
+				if s.Recomputes() != 1 {
+					t.Fatalf("%s bound at %v: %d recomputations at %v, want 1", name, bound, s.Recomputes(), now)
+				}
+			}
+		}
+		if want := bound + core.DefaultPASInterval; first != want {
+			t.Fatalf("%s bound at %v: first recomputation at %v, want %v", name, bound, first, want)
 		}
 	}
 

@@ -24,9 +24,9 @@ import (
 // autoscaled report stays bit-exact across shardings.
 
 // autoscaleStep runs one control-loop iteration at barrier time t.
-// ivP50Us/ivP99Us are the interval latency quantiles stashed before the
-// interval histogram reset; ivLen is the interval length.
-func (f *Fleet) autoscaleStep(t sim.Time, ivP50Us, ivP99Us int64, ivLen sim.Time) error {
+// ivP99Us is the interval latency p99 stashed before the interval
+// histogram reset; ivLen is the interval length.
+func (f *Fleet) autoscaleStep(t sim.Time, ivP99Us int64, ivLen sim.Time) error {
 	sigs := f.autoSigs[:0]
 	for _, p := range f.order {
 		if p.gone || p.mig != nil || p.d == nil || p.d.srv == nil {
@@ -36,29 +36,20 @@ func (f *Fleet) autoscaleStep(t sim.Time, ivP50Us, ivP99Us int64, ivLen sim.Time
 		}
 		d := p.d
 		s := autoscale.Signals{
-			Name:             p.req.Name,
-			Machine:          p.machine,
-			IsReplica:        p.parent != nil,
-			CapPct:           p.req.CreditPct,
-			BaseCapPct:       p.baseCap,
-			HeadroomPct:      f.states[p.machine].FreeCreditPct,
-			Queue:            int64(d.srv.Queued()),
-			Offered:          d.srv.Offered(),
-			Completed:        d.srv.Completed(),
-			Abandoned:        d.srv.Abandoned(),
-			Retried:          d.srv.Retried(),
-			OverheadPermille: d.srv.OverheadPermille(),
-			FleetP50Us:       ivP50Us,
-			FleetP99Us:       ivP99Us,
-			IntervalUs:       int64(ivLen),
+			Name:        p.req.Name,
+			IsReplica:   p.parent != nil,
+			CapPct:      p.req.CreditPct,
+			BaseCapPct:  p.baseCap,
+			HeadroomPct: f.states[p.machine].FreeCreditPct,
+			Queue:       int64(d.srv.Queued()),
+			FleetP99Us:  ivP99Us,
+			IntervalUs:  int64(ivLen),
 		}
 		if p.parent == nil {
 			s.Replicas = 1 + len(p.reps)
 		}
 		if f.rec != nil {
 			s.CappedUs = d.led.CappedUs
-			s.RunUs = d.led.RunUs
-			s.IdleUs = d.led.IdleUs
 		}
 		sigs = append(sigs, s)
 	}
@@ -76,8 +67,6 @@ func (f *Fleet) autoscaleStep(t sim.Time, ivP50Us, ivP99Us int64, ivLen sim.Time
 		switch a.Kind {
 		case autoscale.SetCap:
 			err = f.applySetCap(t, p, a.CapPct)
-		case autoscale.SetOverhead:
-			err = f.applySetOverhead(t, p, a.Permille)
 		case autoscale.ScaleOut:
 			err = f.scaleOut(t, p)
 		case autoscale.ScaleIn:
@@ -117,21 +106,6 @@ func (f *Fleet) applySetCap(t sim.Time, p *ctlVM, want float64) error {
 	}
 	return f.dispatch(p.machine, command{kind: cmdResize, at: t, d: p.d,
 		rz: resizeArgs{op: rzCap, capPct: grant}})
-}
-
-// applySetOverhead changes the VM's emulator/IO overhead share.
-func (f *Fleet) applySetOverhead(t sim.Time, p *ctlVM, permille int64) error {
-	if permille < 0 || permille > 999 {
-		return fmt.Errorf("fleet: autoscale policy %s set overhead %d‰ on %s outside [0, 999]",
-			f.auto.Policy().Name(), permille, p.req.Name)
-	}
-	f.asResizes++
-	if f.cobs != nil {
-		f.cobs.Emit(t, obs.KindAutoscale, p.req.Name,
-			int64(autoscale.SetOverhead), permille)
-	}
-	return f.dispatch(p.machine, command{kind: cmdResize, at: t, d: p.d,
-		rz: resizeArgs{op: rzOverhead, permille: permille}})
 }
 
 // scaleOut adds one serving replica to p's group: a new VM at the

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -29,7 +30,6 @@ func autoscaleConfig(shards, workers int, seed uint64) Config {
 			StepPct:            10,
 			MaxCapPct:          30, // large-class VMs saturate immediately: scale-out path
 			QueueHigh:          2,
-			QueueLow:           1,
 			MaxReplicas:        3,
 			CappedHighPermille: 10, // 1% of the interval capped triggers growth
 		},
@@ -57,58 +57,56 @@ func autoscaleTrace(t *testing.T, seed uint64) *Trace {
 // an autoscaled fleet — caps resized, replicas spawned and retired,
 // arrival streams repartitioned mid-run — reports DeepEqual-bit-exact
 // for every shard count x worker count combination, event stream
-// included.
+// included. Each seed's 1x1 reference run is shared by its comparison
+// subtests, which run in parallel.
 func TestFleetAutoscaleShardEquivalence(t *testing.T) {
 	for _, seed := range []uint64{7, 99} {
-		tr := autoscaleTrace(t, seed)
-		want, wantEv := runFleetObs(t, autoscaleConfig(1, 1, seed), tr, 300*sim.Second)
-		s := want.Summary
-		if s.AutoscaleResizes == 0 || s.AutoscaleScaleOuts == 0 || s.AutoscaleScaleIns == 0 {
-			t.Fatalf("seed %d: autoscaler idle, comparison is vacuous: resizes=%d outs=%d ins=%d",
-				seed, s.AutoscaleResizes, s.AutoscaleScaleOuts, s.AutoscaleScaleIns)
-		}
-		if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsRetried+s.RequestsInFlight {
-			t.Fatalf("seed %d: request conservation broken across scale-out/in: %+v", seed, s)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			for _, workers := range []int{1, 4} {
-				got, gotEv := runFleetObs(t, autoscaleConfig(shards, workers, seed), tr, 300*sim.Second)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d shards=%d workers=%d: autoscaled report differs from 1x1:\n%+v\nvs\n%+v",
-						seed, shards, workers, got.Summary, want.Summary)
-				}
-				if !reflect.DeepEqual(gotEv, wantEv) {
-					t.Errorf("seed=%d shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
-						seed, shards, workers, len(gotEv), len(wantEv))
-					for i := range gotEv {
-						if i < len(wantEv) && gotEv[i] != wantEv[i] {
-							t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
-							break
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			tr := autoscaleTrace(t, seed)
+			want, wantEv := runFleetObs(t, autoscaleConfig(1, 1, seed), tr, 300*sim.Second)
+			s := want.Summary
+			if s.AutoscaleResizes == 0 || s.AutoscaleScaleOuts == 0 || s.AutoscaleScaleIns == 0 {
+				t.Fatalf("autoscaler idle, comparison is vacuous: resizes=%d outs=%d ins=%d",
+					s.AutoscaleResizes, s.AutoscaleScaleOuts, s.AutoscaleScaleIns)
+			}
+			if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsInFlight {
+				t.Fatalf("request conservation broken across scale-out/in: %+v", s)
+			}
+			for _, shards := range []int{1, 2, 4, 7} {
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+						t.Parallel()
+						got, gotEv := runFleetObs(t, autoscaleConfig(shards, workers, seed), tr, 300*sim.Second)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("autoscaled report differs from 1x1:\n%+v\nvs\n%+v", got.Summary, want.Summary)
 						}
-					}
+						if !reflect.DeepEqual(gotEv, wantEv) {
+							t.Errorf("event stream differs from 1x1 (%d vs %d events)", len(gotEv), len(wantEv))
+							for i := range gotEv {
+								if i < len(wantEv) && gotEv[i] != wantEv[i] {
+									t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
+									break
+								}
+							}
+						}
+					})
 				}
 			}
-		}
+		})
 	}
 }
 
-// TestFleetAutoscaleClosedLoop runs the queue policy over closed-loop
-// clients with abandonment and retries: the run must hold the four-way
-// request conservation with every outcome class populated, and still be
-// shard-equivalent.
-func TestFleetAutoscaleClosedLoop(t *testing.T) {
+// TestFleetAutoscaleQueuePolicy runs the queue policy over full-cost
+// requests, so throttled VMs queue and depart with requests unserved:
+// the run must hold the three-way request conservation with departure
+// abandonment and resizes both populated, and still be shard-equivalent.
+func TestFleetAutoscaleQueuePolicy(t *testing.T) {
 	seed := uint64(21)
 	tr := autoscaleTrace(t, seed)
 	cfg := func(shards, workers int) Config {
 		c := churnConfig(shards, workers, seed)
-		c.Serving = ServingConfig{
-			Enabled:      true,
-			ClosedLoop:   true,
-			Clients:      24,
-			ThinkTime:    50 * sim.Millisecond,
-			AbandonAfter: 400 * sim.Millisecond,
-			RetryMax:     1,
-		}
+		c.Serving.RequestCost = workload.DefaultRequestCost
 		c.Autoscale = AutoscaleConfig{
 			Enabled: true,
 			Policy:  "queue",
@@ -118,16 +116,15 @@ func TestFleetAutoscaleClosedLoop(t *testing.T) {
 	}
 	want := runFleet(t, cfg(1, 1), tr, 300*sim.Second)
 	s := want.Summary
-	if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsRetried+s.RequestsInFlight {
-		t.Fatalf("closed-loop conservation broken: %+v", s)
+	if s.RequestsOffered != s.RequestsCompleted+s.RequestsAbandoned+s.RequestsInFlight {
+		t.Fatalf("request conservation broken: %+v", s)
 	}
-	if s.RequestsAbandoned == 0 || s.RequestsRetried == 0 || s.AutoscaleResizes == 0 {
-		t.Fatalf("vacuous: abandoned=%d retried=%d resizes=%d",
-			s.RequestsAbandoned, s.RequestsRetried, s.AutoscaleResizes)
+	if s.RequestsAbandoned == 0 || s.AutoscaleResizes == 0 {
+		t.Fatalf("vacuous: abandoned=%d resizes=%d", s.RequestsAbandoned, s.AutoscaleResizes)
 	}
 	got := runFleet(t, cfg(3, 2), tr, 300*sim.Second)
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("closed-loop autoscaled report differs across shardings:\n%+v\nvs\n%+v",
+		t.Errorf("queue-policy report differs across shardings:\n%+v\nvs\n%+v",
 			got.Summary, want.Summary)
 	}
 }
@@ -151,12 +148,6 @@ func TestFleetAutoscaleValidation(t *testing.T) {
 			"requires the serving layer"},
 		"unknown policy": {func(c *Config) { c.Autoscale.Policy = "nope" }, "unknown policy"},
 		"ditto sans obs": {func(c *Config) { c.Obs = ObsConfig{} }, "requires Obs.Enabled"},
-		"replicas closed loop": {func(c *Config) {
-			c.Autoscale.Policy = "queue"
-			c.Autoscale.Params.MaxReplicas = 2
-			c.Serving.ClosedLoop = true
-			c.Serving.Clients = 4
-		}, "open-loop serving"},
 		"policy sans enabled": {func(c *Config) {
 			c.Autoscale = AutoscaleConfig{Policy: "queue"}
 		}, "without Autoscale.Enabled"},

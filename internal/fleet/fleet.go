@@ -117,17 +117,17 @@ type Config struct {
 	// ledger. See ObsConfig.
 	Obs ObsConfig
 	// Autoscale enables the elastic control loop: a policy-pluggable
-	// controller deciding cap/weight resizes, overhead changes and
-	// replica scale-out/in at every reporting barrier. Requires
-	// Serving.Enabled. See AutoscaleConfig.
+	// controller deciding cap/weight resizes and replica scale-out/in at
+	// every reporting barrier. Requires Serving.Enabled. See
+	// AutoscaleConfig.
 	Autoscale AutoscaleConfig
 }
 
 // AutoscaleConfig configures the optional autoscaler
 // (internal/autoscale). When enabled, the coordinator observes every
-// live VM at each reporting barrier — serving queue depth and outcome
-// counters, machine credit headroom, interval latency percentiles, and
-// (with Obs enabled) the throttle-attribution ledger — hands the
+// live VM at each reporting barrier — serving queue depth, booked and
+// contracted credit, machine credit headroom, the interval reply-latency
+// p99, and (with Obs enabled) the ledger's capped time — hands the
 // signals to the policy, and applies its resize actions at the barrier
 // instant as ordinary data-plane commands. Decisions are a pure
 // function of coordinator-ordered state, so an autoscaled report stays
@@ -141,9 +141,7 @@ type AutoscaleConfig struct {
 	// rather than raw queue depth.
 	Policy string
 	// Params tunes the policy; zero fields take the documented
-	// defaults. Params.MaxReplicas > 1 additionally requires the
-	// open-loop serving model (replicas split one seeded arrival
-	// stream; closed-loop client populations cannot be split).
+	// defaults.
 	Params autoscale.Params
 }
 
@@ -188,27 +186,6 @@ type ServingConfig struct {
 	// a healthy VM serves its stream with five-fold headroom and
 	// queueing appears exactly when enforcement throttles it.
 	RequestCost float64
-	// OverheadPermille routes that fraction of every VM's attained work
-	// to its emulator/IO threads before request service — the
-	// per-VM overhead consumers the autoscaler rebalances against vCPU
-	// shares. [0, 999].
-	OverheadPermille int64
-	// ClosedLoop replaces the open-loop arrival stream with a seeded
-	// closed-loop client population per VM: each client issues one
-	// request, waits for the reply, thinks, and re-issues, so offered
-	// load backs off under throttling the way real clients do.
-	// Incompatible with replica scale-out (the stream cannot be split).
-	ClosedLoop bool
-	// Clients is the closed-loop population size per VM; zero selects
-	// 4x Slots.
-	Clients int
-	// ThinkTime is the closed-loop mean think time (exponential).
-	ThinkTime sim.Time
-	// AbandonAfter, when positive, abandons requests still queued that
-	// long after issue; RetryMax re-queues each abandoned request at
-	// most that many times first. Both loops honor them.
-	AbandonAfter sim.Time
-	RetryMax     int
 }
 
 // SchedulerNames renders the scheduler names Config.Scheduler accepts —
@@ -286,21 +263,11 @@ func (cfg Config) withDefaults() (Config, error) {
 		if cfg.Serving.RequestCost == 0 {
 			cfg.Serving.RequestCost = workload.DefaultRequestCost / serve.DefaultRequestCostDivisor
 		}
-		if cfg.Serving.ClosedLoop && cfg.Serving.Clients == 0 {
-			cfg.Serving.Clients = 4 * cfg.Serving.Slots
-		}
 		// Probe-validate the resolved serving parameters here, so a bad
-		// slot count, cost, overhead share or client population fails at
-		// New instead of mid-run on a shard.
+		// slot count or cost fails at New instead of mid-run on a shard.
 		if _, err := serve.New(serve.Config{
-			Slots:            cfg.Serving.Slots,
-			RequestCost:      cfg.Serving.RequestCost,
-			OverheadPermille: cfg.Serving.OverheadPermille,
-			ClosedLoop:       cfg.Serving.ClosedLoop,
-			Clients:          cfg.Serving.Clients,
-			ThinkTime:        cfg.Serving.ThinkTime,
-			AbandonAfter:     cfg.Serving.AbandonAfter,
-			RetryMax:         cfg.Serving.RetryMax,
+			Slots:       cfg.Serving.Slots,
+			RequestCost: cfg.Serving.RequestCost,
 		}); err != nil {
 			return cfg, fmt.Errorf("fleet: %w", err)
 		}
@@ -329,10 +296,6 @@ func (cfg Config) withDefaults() (Config, error) {
 		if pol.RequiresObs() && !cfg.Obs.Enabled {
 			return cfg, fmt.Errorf("fleet: autoscale policy %q reads the attribution ledger and requires Obs.Enabled",
 				cfg.Autoscale.Policy)
-		}
-		if prm.MaxReplicas > 1 && cfg.Serving.ClosedLoop {
-			return cfg, fmt.Errorf("fleet: replica scale-out (MaxReplicas %d) requires the open-loop serving model",
-				prm.MaxReplicas)
 		}
 	} else if cfg.Autoscale.Policy != "" {
 		return cfg, fmt.Errorf("fleet: Autoscale.Policy set without Autoscale.Enabled")
@@ -1549,7 +1512,7 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 		f.iv.Requests = f.ivLat.Count()
 		if f.iv.Requests > 0 {
 			// Stash the interval quantiles in microseconds before the
-			// reset below: the autoscaler's signals read them too.
+			// reset below: the autoscaler's signals read the p99 too.
 			ivP50Us, ivP99Us = f.ivLat.Quantile(0.50), f.ivLat.Quantile(0.99)
 			f.iv.ReqP50Ms = float64(ivP50Us) / 1e3
 			f.iv.ReqP95Ms = float64(f.ivLat.Quantile(0.95)) / 1e3
@@ -1585,7 +1548,7 @@ func (f *Fleet) reportBarrier(t sim.Time) error {
 	// the interval's latency quantiles in hand. The final barrier skips
 	// it: there is nothing left to resize.
 	if f.auto != nil && t < f.horizon {
-		if err := f.autoscaleStep(t, ivP50Us, ivP99Us, ivLen); err != nil {
+		if err := f.autoscaleStep(t, ivP99Us, ivLen); err != nil {
 			return err
 		}
 		if f.rec != nil {
@@ -1750,7 +1713,6 @@ func (f *Fleet) finalize() error {
 			s.RequestsOffered += sh.servOffered
 			s.RequestsCompleted += sh.servCompleted
 			s.RequestsAbandoned += sh.servAbandoned
-			s.RequestsRetried += sh.servRetried
 			s.RequestsInFlight += sh.servInFlight
 		}
 		var all serve.Histogram

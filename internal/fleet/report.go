@@ -108,12 +108,12 @@ type Summary struct {
 	VMsBelow95 int     `json:"vms_below_95pct"`
 
 	// Serving totals (zero unless Config.Serving is enabled): every
-	// offered request either completed, abandoned (its deadline expired
-	// with retries exhausted, or its VM departed), expired and was
-	// re-issued (each retry is a fresh offered request), or was still
-	// queued or in service at the horizon — RequestsOffered ==
-	// RequestsCompleted + RequestsAbandoned + RequestsRetried +
-	// RequestsInFlight.
+	// offered request either completed, was abandoned (still unserved
+	// when its VM departed), or was still queued or in service at the
+	// horizon — RequestsOffered == RequestsCompleted +
+	// RequestsAbandoned + RequestsInFlight. RequestsRetried is always
+	// zero (the serving model has no retries); it stays in the schema
+	// until bench/workload.go's conservation check stops reading it.
 	RequestsOffered   int64 `json:"requests_offered,omitempty"`
 	RequestsCompleted int64 `json:"requests_completed,omitempty"`
 	RequestsAbandoned int64 `json:"requests_abandoned,omitempty"`
@@ -145,11 +145,11 @@ type Summary struct {
 	LedgerIdleUs        int64 `json:"ledger_idle_us,omitempty"`
 
 	// Autoscaler decision totals (zero unless Config.Autoscale is
-	// enabled): applied cap/overhead resizes, replica scale-outs and
-	// scale-ins, and decisions dropped at application time (no headroom
-	// to grant, placement rejection, or a stale target). ScaleOuts minus
-	// ScaleIns is the number of replicas live at the horizon, enforced
-	// at finalize.
+	// enabled): applied cap resizes, replica scale-outs and scale-ins,
+	// and decisions dropped at application time (no headroom to grant,
+	// placement rejection, or a stale target). ScaleOuts minus ScaleIns
+	// is the number of replicas live at the horizon, enforced at
+	// finalize.
 	AutoscaleResizes   int64 `json:"autoscale_resizes,omitempty"`
 	AutoscaleScaleOuts int64 `json:"autoscale_scale_outs,omitempty"`
 	AutoscaleScaleIns  int64 `json:"autoscale_scale_ins,omitempty"`

@@ -87,25 +87,23 @@ const (
 	// classification.
 	cmdObsMigMark
 	// cmdResize applies one autoscaler action to a resident VM: a credit
-	// cap (or weight) change through the scheduler's resize surface, an
-	// overhead-share change, or an arrival-stream share renumbering.
+	// cap (or weight) change through the scheduler's resize surface, or
+	// an arrival-stream share renumbering.
 	cmdResize
 )
 
 // resize ops carried by cmdResize.
 const (
 	rzCap uint8 = iota + 1
-	rzOverhead
 	rzShare
 )
 
 // resizeArgs are cmdResize's operands.
 type resizeArgs struct {
-	op       uint8
-	capPct   float64 // rzCap
-	permille int64   // rzOverhead
-	share    int32   // rzShare
-	shares   int32
+	op     uint8
+	capPct float64 // rzCap
+	share  int32   // rzShare
+	shares int32
 }
 
 // command is one timestamped data-plane operation. The coordinator
@@ -161,7 +159,6 @@ type shard struct {
 	servOffered   int64
 	servCompleted int64
 	servAbandoned int64
-	servRetried   int64
 	servInFlight  int64
 
 	// flight-recorder lanes (Config.Obs only): one emitting handle per
@@ -259,10 +256,6 @@ func (s *shard) execResize(c *command) error {
 		case weightSetter:
 			err = sc.SetWeight(d.guest.ID(), sched.WeightForCredit(c.rz.capPct))
 		}
-	case rzOverhead:
-		if d.srv != nil {
-			err = d.srv.SetOverheadPermille(c.rz.permille)
-		}
 	case rzShare:
 		if d.srv != nil {
 			err = d.srv.SetShare(int(c.rz.share), int(c.rz.shares))
@@ -337,20 +330,14 @@ func (s *shard) execAddVM(c *command) error {
 			phases = d.servePhases
 		}
 		srv, err := serve.New(serve.Config{
-			Slots:            sc.Slots,
-			RequestCost:      sc.RequestCost,
-			Phases:           phases,
-			Seed:             d.serveSeed,
-			Start:            c.at,
-			OverheadPermille: sc.OverheadPermille,
-			ClosedLoop:       sc.ClosedLoop,
-			Clients:          sc.Clients,
-			ThinkTime:        sc.ThinkTime,
-			AbandonAfter:     sc.AbandonAfter,
-			RetryMax:         sc.RetryMax,
-			Share:            int(d.share),
-			Shares:           int(d.shares),
-			FastForward:      d.ff,
+			Slots:       sc.Slots,
+			RequestCost: sc.RequestCost,
+			Phases:      phases,
+			Seed:        d.serveSeed,
+			Start:       c.at,
+			Share:       int(d.share),
+			Shares:      int(d.shares),
+			FastForward: d.ff,
 		})
 		if err != nil {
 			return fmt.Errorf("fleet: VM %s serving: %w", d.name, err)
@@ -478,7 +465,6 @@ func (s *shard) takeServing(d *dataVM, out *VMOutcome, live bool) {
 		return
 	}
 	off, comp := d.srv.Offered(), d.srv.Completed()
-	ab, ret := d.srv.Abandoned(), d.srv.Retried()
 	out.ReqOffered = off
 	out.ReqCompleted = comp
 	if comp > 0 {
@@ -487,12 +473,10 @@ func (s *shard) takeServing(d *dataVM, out *VMOutcome, live bool) {
 	}
 	s.servOffered += off
 	s.servCompleted += comp
-	s.servAbandoned += ab
-	s.servRetried += ret
 	if live {
-		s.servInFlight += off - comp - ab - ret
+		s.servInFlight += off - comp
 	} else {
-		s.servAbandoned += off - comp - ab - ret
+		s.servAbandoned += off - comp
 	}
 }
 

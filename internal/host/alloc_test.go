@@ -15,15 +15,14 @@ import (
 // stepping — the contended multi-VM pattern path, the single-runnable
 // batched path, and PAS with its recomputation every 10 ms — performs
 // zero allocations per advance.
-// The sampling intervals are pushed beyond the measured window so the
-// recorder's (amortized, pre-existing) series appends stay out of the
-// measurement.
+// The recorder's sampling interval is pushed beyond the measured window
+// so its (amortized, pre-existing) series appends stay out of the
+// measurement; the load meter runs at its fixed 100 ms.
 func TestHostStepNoAllocsWithoutObs(t *testing.T) {
 	build := func(scheduler string, credits []float64) *host.Host {
 		h, err := host.NewMachine(scheduler, 0, host.Config{
 			Profile:        cpufreq.Optiplex755(),
 			SampleInterval: 3600 * sim.Second,
-			MeterInterval:  3600 * sim.Second,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -47,6 +47,14 @@ import (
 	"pasched/internal/vm"
 )
 
+// The load meter behind GlobalLoad, the signal PAS consumes: the
+// average of meterDepth successive utilization samples taken every
+// meterInterval — three of 100 ms, the paper's footnote-5 convention.
+const (
+	meterInterval = 100 * sim.Millisecond
+	meterDepth    = 3
+)
+
 // Config configures a Host.
 type Config struct {
 	// CPU is the processor to drive. When nil, a CPU is built from
@@ -69,12 +77,6 @@ type Config struct {
 	// — the fleet reports its own interval curves and never reads the
 	// per-host recorder).
 	SampleInterval sim.Time
-	// MeterInterval is the load-meter sub-sampling interval used by the
-	// GlobalLoad signal consumed by PAS; default 100 ms.
-	MeterInterval sim.Time
-	// MeterDepth is the number of successive meter samples averaged;
-	// default 3, the paper's footnote-5 convention.
-	MeterDepth int
 	// Reference disables event-horizon batching: every quantum runs
 	// through the reference step path. Batched and reference runs produce
 	// the same traces; the switch exists for equivalence tests and
@@ -196,16 +198,10 @@ func New(cfg Config) (*Host, error) {
 	if cfg.SampleInterval == 0 {
 		cfg.SampleInterval = sim.Second
 	}
-	if cfg.MeterInterval == 0 {
-		cfg.MeterInterval = 100 * sim.Millisecond
-	}
-	if cfg.MeterDepth == 0 {
-		cfg.MeterDepth = 3
-	}
-	if (cfg.SampleInterval > 0 && cfg.SampleInterval < cfg.Quantum) || cfg.MeterInterval < cfg.Quantum {
+	if (cfg.SampleInterval > 0 && cfg.SampleInterval < cfg.Quantum) || meterInterval < cfg.Quantum {
 		return nil, fmt.Errorf("host: sampling intervals must be >= quantum")
 	}
-	meter, err := metrics.NewDeltaMeter(cfg.MeterInterval, cfg.MeterDepth)
+	meter, err := metrics.NewDeltaMeter(meterInterval, meterDepth)
 	if err != nil {
 		return nil, fmt.Errorf("host: %w", err)
 	}
@@ -248,7 +244,7 @@ func New(cfg Config) (*Host, error) {
 		return nil, fmt.Errorf("host: %w", err)
 	}
 	h.eng = eng
-	if err := eng.AddAction("meter", cfg.MeterInterval, engine.OrderMeter, func(now sim.Time) error {
+	if err := eng.AddAction("meter", meterInterval, engine.OrderMeter, func(now sim.Time) error {
 		h.meter.Sample(now, h.cumBusy)
 		return nil
 	}); err != nil {

@@ -97,8 +97,9 @@ const (
 	// VMs whose caps were rewritten.
 	KindRecompensate
 	// KindAutoscale records an autoscaler resize decision on the
-	// coordinator lane; A encodes the action kind, B its argument
-	// (new cap percentage, overhead permille, or replica ordinal).
+	// coordinator lane; A encodes the action kind (autoscale.ActionKind:
+	// 1 set-cap, 3 scale-out, 4 scale-in), B its argument (the new cap
+	// percentage, or the replica ordinal).
 	KindAutoscale
 )
 

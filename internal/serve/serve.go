@@ -19,10 +19,6 @@ const DefaultSlots = 4
 // the demand.
 const DefaultRequestCostDivisor = 5
 
-// MaxOverheadPermille bounds the emulator/IO overhead share: at least
-// one permille of attained work must remain for the guest's service.
-const MaxOverheadPermille = 999
-
 // Config configures one VM's serving model.
 type Config struct {
 	// Slots is the number of concurrent service slots. The VM's attained
@@ -36,65 +32,25 @@ type Config struct {
 	// Phases is the client population's request-rate profile (requests
 	// per second, absolute simulated time) — the fleet passes the VM's
 	// demand profile, so serving load mirrors CPU load with an
-	// independent seeded stream. Ignored when ClosedLoop is set.
+	// independent seeded stream.
 	Phases []workload.Phase
-	// Deterministic selects fixed inter-arrival gaps instead of Poisson
-	// (and, closed-loop, fixed think times instead of exponential).
+	// Deterministic selects fixed inter-arrival gaps instead of Poisson.
 	Deterministic bool
-	// Seed seeds the client arrival stream (open loop) or the think-time
-	// process (closed loop).
+	// Seed seeds the client arrival stream.
 	Seed uint64
 	// Start is the server clock origin (the VM's attach time).
 	Start sim.Time
-
-	// OverheadPermille models the VM's emulator/IO threads as an
-	// overhead consumer: that fraction (in permille, [0, 999]) of every
-	// attained work unit is charged to device emulation before request
-	// service sees it. The deduction is computed on the cumulative
-	// attained ledger and floored once, so it is independent of how the
-	// fleet's barriers slice time.
-	OverheadPermille int64
 
 	// Share and Shares split one open-loop arrival stream across replica
 	// servers: a server admits exactly the arrivals whose global stream
 	// index is congruent to Share modulo Shares (skipped arrivals are
 	// not counted as offered). Zero Shares means a single unsplit stream.
-	// Incompatible with ClosedLoop.
 	Share  int
 	Shares int
 	// FastForward discards (without offering) all arrivals at or before
 	// Start, aligning a replica's stream copy with the history its
 	// parent has already served.
 	FastForward bool
-
-	// ClosedLoop replaces the open-loop arrival process with a fixed
-	// client population: each of Clients clients issues one request,
-	// waits for its completion or abandonment, thinks for ThinkTime
-	// (exponential mean, or fixed when Deterministic), and issues again.
-	ClosedLoop bool
-	// Clients is the closed-loop population size.
-	Clients int
-	// ThinkTime is the mean client think time between a reply (or
-	// abandonment) and the next request.
-	ThinkTime sim.Time
-
-	// AbandonAfter bounds a request's queueing delay: a request still
-	// waiting for a slot AbandonAfter after it was issued leaves the
-	// queue. Zero disables abandonment (clients wait forever).
-	AbandonAfter sim.Time
-	// RetryMax is how many times an expired request is re-issued (each
-	// retry is a fresh offered request with a fresh deadline) before the
-	// client gives up and the request counts as abandoned. Requires
-	// AbandonAfter.
-	RetryMax int
-}
-
-// request is one queued request: its issue instant (latency and the
-// abandonment deadline are measured per attempt) and how many times it
-// has already expired and been re-issued.
-type request struct {
-	at    sim.Time
-	tries uint16
 }
 
 // slot is one service slot: the request being served, if any.
@@ -105,47 +61,28 @@ type slot struct {
 	rem     sim.Work // remaining service demand
 }
 
-// Server is one VM's serving state: the seeded client stream, the FIFO
-// queue and the service slots. Advance is driven by the exact integer
-// attained-work ledger of the VM's CPU workload, so every latency is a
-// pure function of the (machine, time, attained) fold sequence — which
-// the fleet keeps identical across shard and worker counts.
+// Server is one VM's serving state: the seeded open-loop client stream,
+// the FIFO queue and the service slots. Advance is driven by the exact
+// integer attained-work ledger of the VM's CPU workload, so every
+// latency is a pure function of the (machine, time, attained) fold
+// sequence — which the fleet keeps identical across shard and worker
+// counts.
 type Server struct {
 	arr   *workload.ArrivalProcess
 	slots []slot
 	cost  sim.Work
 	now   sim.Time
 
-	queue []request // FIFO of waiting requests
+	queue []sim.Time // FIFO of waiting requests' issue instants
 	qhead int
 
-	// Open-loop share splitting (replicas).
+	// Share splitting (replicas).
 	arrIdx int64
 	share  int64
 	shares int64
 
-	// Overhead consumer (emulator/IO threads). ovhTaken is derived from
-	// the cumulative attained ledger, rebased at SetOverheadPermille, so
-	// the deduction's rounding cannot depend on fold slicing.
-	ovhPermille  int64
-	cumAtt       sim.Work
-	ovhTaken     sim.Work
-	ovhBaseAtt   sim.Work
-	ovhBaseTaken sim.Work
-
-	// Closed loop.
-	closed  bool
-	rng     *sim.RNG
-	det     bool
-	think   sim.Time
-	issue   []sim.Time // min-heap of client issue instants
-	abandon sim.Time
-	retry   int
-
 	offered   int64
 	completed int64
-	abandoned int64
-	retried   int64
 	sumLatUs  int64
 	maxLatUs  int64
 }
@@ -165,18 +102,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RequestCost < 0 {
 		return nil, fmt.Errorf("serve: negative request cost %v", cfg.RequestCost)
 	}
-	if cfg.OverheadPermille < 0 || cfg.OverheadPermille > MaxOverheadPermille {
-		return nil, fmt.Errorf("serve: overhead %d‰ outside [0, %d]", cfg.OverheadPermille, MaxOverheadPermille)
-	}
-	if cfg.AbandonAfter < 0 {
-		return nil, fmt.Errorf("serve: negative abandonment deadline %v", cfg.AbandonAfter)
-	}
-	if cfg.RetryMax < 0 || cfg.RetryMax > 1<<15 {
-		return nil, fmt.Errorf("serve: retry limit %d outside [0, %d]", cfg.RetryMax, 1<<15)
-	}
-	if cfg.RetryMax > 0 && cfg.AbandonAfter == 0 {
-		return nil, fmt.Errorf("serve: retries require an abandonment deadline")
-	}
 	if cfg.Shares == 0 {
 		cfg.Shares, cfg.Share = 1, 0
 	}
@@ -187,43 +112,18 @@ func New(cfg Config) (*Server, error) {
 	if cost <= 0 {
 		cost = 1 // a zero-work request would complete before it starts
 	}
-	s := &Server{
-		slots:       make([]slot, cfg.Slots),
-		cost:        cost,
-		now:         cfg.Start,
-		share:       int64(cfg.Share),
-		shares:      int64(cfg.Shares),
-		ovhPermille: cfg.OverheadPermille,
-		abandon:     cfg.AbandonAfter,
-		retry:       cfg.RetryMax,
-	}
-	if cfg.ClosedLoop {
-		if cfg.Shares > 1 {
-			return nil, fmt.Errorf("serve: closed-loop clients cannot split an arrival stream")
-		}
-		if cfg.Clients < 1 || cfg.Clients > 1<<20 {
-			return nil, fmt.Errorf("serve: client population %d outside [1, %d]", cfg.Clients, 1<<20)
-		}
-		if cfg.ThinkTime < 0 {
-			return nil, fmt.Errorf("serve: negative think time %v", cfg.ThinkTime)
-		}
-		s.closed = true
-		s.det = cfg.Deterministic
-		s.think = cfg.ThinkTime
-		s.rng = sim.NewRNG(cfg.Seed)
-		// The initial population staggers in by one think draw each, as
-		// if every client had just received a reply at Start.
-		s.issue = make([]sim.Time, 0, cfg.Clients)
-		for i := 0; i < cfg.Clients; i++ {
-			s.thinkPush(cfg.Start + s.drawThink())
-		}
-		return s, nil
-	}
 	arr, err := workload.NewArrivalProcess(cfg.Phases, cfg.Deterministic, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	s.arr = arr
+	s := &Server{
+		arr:    arr,
+		slots:  make([]slot, cfg.Slots),
+		cost:   cost,
+		now:    cfg.Start,
+		share:  int64(cfg.Share),
+		shares: int64(cfg.Shares),
+	}
 	if cfg.FastForward {
 		for {
 			a, ok := s.arr.Peek()
@@ -261,25 +161,20 @@ func mulDivCeil(a, b, d int64) int64 {
 }
 
 // Advance runs the server from its clock to `to`, given the exact
-// integer work the VM attained over that span. The overhead consumer
-// takes its permille share off the cumulative attained ledger first;
-// the remainder drives service. Per-slot service rate is
-// service/(span*Slots) work per microsecond, applied piecewise-exactly:
+// integer work the VM attained over that span. Per-slot service rate is
+// attained/(span*Slots) work per microsecond, applied piecewise-exactly:
 // a slot serving from s completes a residual demand rem at
-// s + ceil(rem*span*Slots/service), all in 128-bit-safe integer
+// s + ceil(rem*span*Slots/attained), all in 128-bit-safe integer
 // arithmetic. Requests that do not finish carry their exact residual
 // into the next span, so latency is independent of how the fleet's
 // barriers slice time. Completions record into h (the owning shard's
 // per-class interval histogram) and into the server's own counters.
 //
-// Event order within the span: completions, then queue-head
-// abandonment expiries, then client arrivals/issues, earliest first
-// with completion <= expiry <= arrival on ties (a slot freed at an
-// instant serves the request arriving at that instant; a request
-// popped into service at its deadline instant escaped abandonment).
+// Event order within the span: slot completions and owned arrivals,
+// earliest first, with a completion before an arrival on ties (a slot
+// freed at an instant serves the request arriving at that instant).
 //
-// attained == 0 stalls service: arrivals queue, nothing completes, and
-// only abandonment deadlines fire.
+// attained == 0 stalls service: arrivals queue and nothing completes.
 func (s *Server) Advance(to sim.Time, attained sim.Work, h *Histogram) {
 	if to <= s.now {
 		return
@@ -292,15 +187,6 @@ func (s *Server) Advance(to sim.Time, attained sim.Work, h *Histogram) {
 	if att < 0 {
 		att = 0
 	}
-	// Overhead consumer: the emulator/IO share comes off the cumulative
-	// ledger (floored once against the rebased origin), and service
-	// sees only this span's growth of the net ledger.
-	s.cumAtt += sim.Work(att)
-	if s.ovhPermille > 0 {
-		taken := s.ovhBaseTaken + sim.Work(mulDivFloor(int64(s.cumAtt-s.ovhBaseAtt), s.ovhPermille, 1000))
-		att -= int64(taken - s.ovhTaken)
-		s.ovhTaken = taken
-	}
 	// Carried requests restart accounting at the span start: their
 	// pre-span progress is already subtracted from rem.
 	for i := range s.slots {
@@ -309,14 +195,9 @@ func (s *Server) Advance(to sim.Time, attained sim.Work, h *Histogram) {
 		}
 	}
 	for {
-		na, haveA := s.nextClient(to)
+		na, haveA := s.nextArrival(to)
 		nc, ci := s.nextCompletion(att, D, to)
-		ne, haveE := s.nextExpiry(to)
-		if !haveA && !haveE && ci < 0 {
-			break
-		}
-		switch {
-		case ci >= 0 && (!haveE || nc <= ne) && (!haveA || nc <= na):
+		if ci >= 0 && (!haveA || nc <= na) {
 			sl := &s.slots[ci]
 			lat := int64(nc - sl.arrival)
 			h.Record(lat)
@@ -327,45 +208,24 @@ func (s *Server) Advance(to sim.Time, attained sim.Work, h *Histogram) {
 			}
 			sl.busy = false
 			if s.qlen() > 0 {
-				r := s.qpop()
-				s.start(ci, r, nc)
+				s.start(ci, s.qpop(), nc)
 			}
-			if s.closed {
-				s.thinkPush(nc + s.drawThink())
+			continue
+		}
+		if !haveA {
+			break
+		}
+		s.arr.Pop()
+		s.arrIdx++
+		s.offered++
+		if idle := s.idleSlot(); idle >= 0 {
+			at := na
+			if at < from {
+				at = from // defensive: a pre-span arrival cannot earn pre-span service
 			}
-		case haveE && (!haveA || ne <= na):
-			// The queue is issue-ordered, so the head holds the earliest
-			// deadline; expiry never frees a slot (a non-empty queue
-			// means every slot is busy), so no service state changes.
-			r := s.qpop()
-			if int(r.tries) < s.retry {
-				s.offered++
-				s.retried++
-				s.queue = append(s.queue, request{at: ne, tries: r.tries + 1})
-			} else {
-				s.abandoned++
-				if s.closed {
-					s.thinkPush(ne + s.drawThink())
-				}
-			}
-		default:
-			if s.closed {
-				s.thinkPop()
-			} else {
-				s.arr.Pop()
-				s.arrIdx++
-			}
-			s.offered++
-			r := request{at: na}
-			if idle := s.idleSlot(); idle >= 0 {
-				at := na
-				if at < from {
-					at = from // defensive: a pre-span arrival cannot earn pre-span service
-				}
-				s.start(idle, r, at)
-			} else {
-				s.queue = append(s.queue, r)
-			}
+			s.start(idle, na, at)
+		} else {
+			s.queue = append(s.queue, na)
 		}
 	}
 	// Span end: charge partial service to still-busy slots.
@@ -379,16 +239,9 @@ func (s *Server) Advance(to sim.Time, attained sim.Work, h *Histogram) {
 	s.now = to
 }
 
-// nextClient returns the next in-span client event: the earliest
-// pending issue (closed loop) or the next owned arrival (open loop,
-// skipping — without offering — arrivals belonging to other shares).
-func (s *Server) nextClient(to sim.Time) (sim.Time, bool) {
-	if s.closed {
-		if len(s.issue) > 0 && s.issue[0] <= to {
-			return s.issue[0], true
-		}
-		return 0, false
-	}
+// nextArrival returns the next in-span arrival this server owns,
+// skipping — without offering — arrivals belonging to other shares.
+func (s *Server) nextArrival(to sim.Time) (sim.Time, bool) {
 	for {
 		a, ok := s.arr.Peek()
 		if !ok || a > to {
@@ -401,20 +254,6 @@ func (s *Server) nextClient(to sim.Time) (sim.Time, bool) {
 		}
 		return a, true
 	}
-}
-
-// nextExpiry returns the queue head's abandonment instant if it falls
-// within the span. Queued requests are issue-ordered, so the head
-// always holds the earliest deadline.
-func (s *Server) nextExpiry(to sim.Time) (sim.Time, bool) {
-	if s.abandon == 0 || s.qlen() == 0 {
-		return 0, false
-	}
-	ne := s.queue[s.qhead].at + s.abandon
-	if ne > to {
-		return 0, false
-	}
-	return ne, true
 }
 
 // nextCompletion returns the earliest in-span completion among busy
@@ -448,9 +287,10 @@ func (s *Server) nextCompletion(att, D int64, to sim.Time) (sim.Time, int) {
 	return best, bi
 }
 
-// start begins serving request r on slot i at time at.
-func (s *Server) start(i int, r request, at sim.Time) {
-	s.slots[i] = slot{busy: true, arrival: r.at, since: at, rem: s.cost}
+// start begins serving the request issued at arrival on slot i at time
+// at.
+func (s *Server) start(i int, arrival, at sim.Time) {
+	s.slots[i] = slot{busy: true, arrival: arrival, since: at, rem: s.cost}
 }
 
 func (s *Server) idleSlot() int {
@@ -464,7 +304,7 @@ func (s *Server) idleSlot() int {
 
 func (s *Server) qlen() int { return len(s.queue) - s.qhead }
 
-func (s *Server) qpop() request {
+func (s *Server) qpop() sim.Time {
 	r := s.queue[s.qhead]
 	s.qhead++
 	if s.qhead > 64 && s.qhead*2 >= len(s.queue) {
@@ -479,7 +319,7 @@ func (s *Server) qpop() request {
 			if nc < 64 {
 				nc = 64
 			}
-			nq := make([]request, n, nc)
+			nq := make([]sim.Time, n, nc)
 			copy(nq, s.queue)
 			s.queue = nq
 		}
@@ -487,81 +327,10 @@ func (s *Server) qpop() request {
 	return r
 }
 
-// thinkPush adds one client issue instant to the min-heap.
-func (s *Server) thinkPush(t sim.Time) {
-	s.issue = append(s.issue, t)
-	i := len(s.issue) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.issue[p] <= s.issue[i] {
-			break
-		}
-		s.issue[p], s.issue[i] = s.issue[i], s.issue[p]
-		i = p
-	}
-}
-
-// thinkPop removes the earliest issue instant.
-func (s *Server) thinkPop() sim.Time {
-	t := s.issue[0]
-	n := len(s.issue) - 1
-	s.issue[0] = s.issue[n]
-	s.issue = s.issue[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.issue[l] < s.issue[m] {
-			m = l
-		}
-		if r < n && s.issue[r] < s.issue[m] {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s.issue[i], s.issue[m] = s.issue[m], s.issue[i]
-		i = m
-	}
-	return t
-}
-
-// drawThink returns one client think time: fixed in deterministic
-// mode, exponential with mean ThinkTime otherwise, never zero (a
-// client cannot issue at the very instant of its reply).
-func (s *Server) drawThink() sim.Time {
-	d := s.think
-	if !s.det {
-		d = sim.Time(s.rng.ExpFloat64() * float64(s.think))
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// SetOverheadPermille retargets the emulator/IO overhead share. The
-// deduction ledger is rebased at the current cumulative attained work,
-// so past spans keep their old share exactly and future spans accrue
-// at the new rate — the split is independent of fold slicing on both
-// sides of the change.
-func (s *Server) SetOverheadPermille(p int64) error {
-	if p < 0 || p > MaxOverheadPermille {
-		return fmt.Errorf("serve: overhead %d‰ outside [0, %d]", p, MaxOverheadPermille)
-	}
-	s.ovhBaseAtt = s.cumAtt
-	s.ovhBaseTaken = s.ovhTaken
-	s.ovhPermille = p
-	return nil
-}
-
 // SetShare reassigns the server's slice of a split open-loop arrival
 // stream (replica scale-out/in). All members of a replica group must
 // be retargeted at the same simulated instant.
 func (s *Server) SetShare(share, shares int) error {
-	if s.closed {
-		return fmt.Errorf("serve: closed-loop clients cannot split an arrival stream")
-	}
 	if shares < 1 || shares > 1024 || share < 0 || share >= shares {
 		return fmt.Errorf("serve: share %d/%d invalid", share, shares)
 	}
@@ -572,8 +341,8 @@ func (s *Server) SetShare(share, shares int) error {
 // Now returns the server clock.
 func (s *Server) Now() sim.Time { return s.now }
 
-// Offered returns how many requests clients have issued (retries count
-// as fresh requests).
+// Offered returns how many requests clients have issued; the
+// Offered − Completed not yet served are queued or in service.
 func (s *Server) Offered() int64 { return s.offered }
 
 // Queued returns how many requests are waiting for a service slot (not
@@ -582,33 +351,6 @@ func (s *Server) Queued() int { return s.qlen() }
 
 // Completed returns how many requests have been served.
 func (s *Server) Completed() int64 { return s.completed }
-
-// Abandoned returns how many requests expired in the queue with no
-// retry budget left.
-func (s *Server) Abandoned() int64 { return s.abandoned }
-
-// Retried returns how many expired requests were re-issued. Every
-// retry is also counted in Offered, so
-// Offered == Completed + Abandoned + Retried + InFlight always holds.
-func (s *Server) Retried() int64 { return s.retried }
-
-// InFlight returns how many requests are queued or in service.
-func (s *Server) InFlight() int64 {
-	n := int64(s.qlen())
-	for i := range s.slots {
-		if s.slots[i].busy {
-			n++
-		}
-	}
-	return n
-}
-
-// OverheadWork returns the cumulative attained work consumed by the
-// overhead (emulator/IO) share.
-func (s *Server) OverheadWork() sim.Work { return s.ovhTaken }
-
-// OverheadPermille returns the current overhead share.
-func (s *Server) OverheadPermille() int64 { return s.ovhPermille }
 
 // SumLatencyUs returns the exact sum of completed-request latencies in
 // microseconds.

@@ -285,4 +285,81 @@ func TestServerConfigValidation(t *testing.T) {
 	if _, err := New(Config{Phases: []workload.Phase{{Start: 1, End: 0, Rate: 1}}}); err == nil {
 		t.Fatal("invalid phases accepted")
 	}
+	if _, err := New(Config{Share: 2, Shares: 2}); err == nil {
+		t.Fatal("share outside its modulus accepted")
+	}
+	s, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetShare(2, 2); err == nil {
+		t.Fatal("SetShare outside its modulus accepted")
+	}
+}
+
+// TestServeQueueShrinksAfterBurst: one deep burst must not pin its
+// high-watermark backing array for the VM's lifetime — after the queue
+// drains, the backing capacity shrinks back toward the live length.
+func TestServeQueueShrinksAfterBurst(t *testing.T) {
+	// Deterministic 10k req/s for 1 s with no attained work: everything
+	// after the slots fill queues up.
+	s := mustServer(t, 1, 100, 10000, sim.Second)
+	var h Histogram
+	s.Advance(sim.Second, 0, &h)
+	if s.Queued() < 5000 {
+		t.Fatalf("vacuous: burst queued only %d", s.Queued())
+	}
+	peak := cap(s.queue)
+	// Drain the whole queue: plenty of attained work over a long span.
+	s.Advance(10*sim.Second, sim.WorkFromUnits(100*20000), &h)
+	if s.Queued() != 0 {
+		t.Fatalf("queue not drained: %d left", s.Queued())
+	}
+	if c := cap(s.queue); c >= peak/4 {
+		t.Fatalf("backing array not released: cap %d after drain (peak %d)", c, peak)
+	}
+}
+
+// TestShareSplitPartition: replica share-splitting partitions one
+// seeded arrival stream exactly — every arrival is offered to exactly
+// one member, and a fast-forwarded late joiner sees exactly the
+// arrivals after its start.
+func TestShareSplitPartition(t *testing.T) {
+	phases := []workload.Phase{{Start: 0, End: 20 * sim.Second, Rate: 40}}
+	mk := func(share, shares int, start sim.Time, ff bool) *Server {
+		s, err := New(Config{
+			Phases: phases, Seed: 99,
+			Share: share, Shares: shares,
+			Start: start, FastForward: ff,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	var h Histogram
+	whole := mk(0, 1, 0, false)
+	whole.Advance(20*sim.Second, 0, &h)
+	total := whole.Offered()
+	if total == 0 {
+		t.Fatal("vacuous: no arrivals")
+	}
+
+	s0, s1 := mk(0, 2, 0, false), mk(1, 2, 0, false)
+	s0.Advance(20*sim.Second, 0, &h)
+	s1.Advance(20*sim.Second, 0, &h)
+	if s0.Offered()+s1.Offered() != total {
+		t.Fatalf("split lost arrivals: %d + %d != %d", s0.Offered(), s1.Offered(), total)
+	}
+	if s0.Offered() == 0 || s1.Offered() == 0 {
+		t.Fatalf("vacuous split: %d / %d", s0.Offered(), s1.Offered())
+	}
+
+	head := mk(0, 1, 0, false)
+	head.Advance(10*sim.Second, 0, &h)
+	late := mk(0, 1, 10*sim.Second, true)
+	late.Advance(20*sim.Second, 0, &h)
+	if head.Offered()+late.Offered() != total {
+		t.Fatalf("fast-forward misaligned: %d + %d != %d", head.Offered(), late.Offered(), total)
+	}
 }
