@@ -183,16 +183,21 @@ func BenchmarkExtConsolidation(b *testing.B) {
 	runExperiment(b, "ext-consolidation")
 }
 
-// benchFleet drives one fleet configuration per benchmark iteration and
-// reports batching/SLA metrics plus allocations (allocs/op regressions
-// in the arrival/interval hot paths surface in BENCH_ci.json).
-func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.Time) {
+// benchFleet drives one fleet configuration per benchmark iteration,
+// each over a fresh stream of the generated trace, and reports
+// batching/SLA metrics plus allocations (allocs/op regressions in the
+// arrival/interval hot paths surface in BENCH_ci.json).
+func benchFleet(b *testing.B, gen fleet.GenConfig, cfg fleet.Config, horizon sim.Time) {
 	b.Helper()
 	b.ReportAllocs()
 	b.ResetTimer()
 	var rep *fleet.Report
 	for i := 0; i < b.N; i++ {
-		fl, err := fleet.New(cfg, trace)
+		src, err := fleet.GenerateStream(gen)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fl, err := fleet.NewStream(cfg, src)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -209,6 +214,8 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 }
 
 // BenchmarkFleetRun measures the trace-driven datacenter simulator.
+// Every iteration streams its trace from the generator inside Run, so
+// the one-event lookahead and the per-event check are on every path.
 //
 // s1 and s8 drive the historical 200-machine, 1000-lifecycle scenario
 // under the DVFS-aware policy with PAS machines — the configuration
@@ -228,10 +235,7 @@ func benchFleet(b *testing.B, trace *fleet.Trace, cfg fleet.Config, horizon sim.
 // scan — keeps per-arrival cost feasible at this machine count.
 func BenchmarkFleetRun(b *testing.B) {
 	const horizon = 120 * sim.Second
-	trace, err := fleet.Generate(fleet.GenConfig{Seed: 42, Arrivals: 1000, Horizon: horizon})
-	if err != nil {
-		b.Fatal(err)
-	}
+	gen := fleet.GenConfig{Seed: 42, Arrivals: 1000, Horizon: horizon}
 	machines := fleet.DefaultEstate(200)
 	base := fleet.Config{
 		Machines:         machines,
@@ -244,12 +248,12 @@ func BenchmarkFleetRun(b *testing.B) {
 	b.Run("s1", func(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
-		benchFleet(b, trace, cfg, horizon)
+		benchFleet(b, gen, cfg, horizon)
 	})
 	b.Run("s8", func(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 8, 8
-		benchFleet(b, trace, cfg, horizon)
+		benchFleet(b, gen, cfg, horizon)
 	})
 	// serve layers the request-level serving model on s1: per-VM client
 	// streams, attained-rate service and latency histogram folds all run
@@ -259,7 +263,7 @@ func BenchmarkFleetRun(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
 		cfg.Serving = fleet.ServingConfig{Enabled: true}
-		benchFleet(b, trace, cfg, horizon)
+		benchFleet(b, gen, cfg, horizon)
 	})
 	// obs-record repeats s1 with the flight recorder enabled into a sink
 	// that drops every window, gating the recording cost alone — per-lane
@@ -271,13 +275,13 @@ func BenchmarkFleetRun(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
 		cfg.Obs = fleet.ObsConfig{Enabled: true, Sink: discardEvents{}}
-		benchFleet(b, trace, cfg, horizon)
+		benchFleet(b, gen, cfg, horizon)
 	})
 	b.Run("obs-retain", func(b *testing.B) {
 		cfg := base
 		cfg.Shards, cfg.Workers = 1, 1
 		cfg.Obs = fleet.ObsConfig{Enabled: true, Buffer: true}
-		benchFleet(b, trace, cfg, horizon)
+		benchFleet(b, gen, cfg, horizon)
 	})
 	// autoscale runs the full elastic loop on top of serve + obs: signal
 	// builds at every barrier, ditto policy decisions, cap rebooking and
@@ -293,52 +297,16 @@ func BenchmarkFleetRun(b *testing.B) {
 			Policy:  "ditto",
 			Params:  autoscale.Params{MaxCapPct: 30, MaxReplicas: 2, CappedHighPermille: 50},
 		}
-		benchFleet(b, trace, cfg, horizon)
-	})
-	// stream repeats s1 with the trace delivered through the pull-based
-	// streaming source instead of a materialized Trace: generator events
-	// are produced lazily inside Run, so this gates the one-event
-	// lookahead, per-event validation and lane-RNG reconstruction against
-	// the plain s1 numbers.
-	b.Run("stream", func(b *testing.B) {
-		cfg := base
-		cfg.Shards, cfg.Workers = 1, 1
-		gen := fleet.GenConfig{Seed: 42, Arrivals: 1000, Horizon: horizon}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var rep *fleet.Report
-		for i := 0; i < b.N; i++ {
-			src, err := fleet.GenerateStream(gen)
-			if err != nil {
-				b.Fatal(err)
-			}
-			fl, err := fleet.NewStream(cfg, src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep, err = fl.Run(horizon)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rep.Summary.Arrived == 0 || rep.Summary.BatchedQuanta == 0 {
-				b.Fatalf("vacuous fleet run: %+v", rep.Summary)
-			}
-		}
-		b.ReportMetric(float64(rep.Summary.BatchedQuanta), "batched_quanta/op")
-		b.ReportMetric(rep.Summary.OverallSLA*100, "overall_sla_pct")
+		benchFleet(b, gen, cfg, horizon)
 	})
 	b.Run("large", func(b *testing.B) {
 		const largeHorizon = 300 * sim.Second
-		largeTrace, err := fleet.Generate(fleet.GenConfig{
+		benchFleet(b, fleet.GenConfig{
 			Seed:         42,
 			Arrivals:     500_000,
 			Horizon:      largeHorizon,
 			MeanLifetime: 30 * sim.Second,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchFleet(b, largeTrace, fleet.Config{
+		}, fleet.Config{
 			Machines:         fleet.DefaultEstate(50_000),
 			Scheduler:        "pas",
 			Policy:           fleet.NewFirstFit(),

@@ -388,7 +388,7 @@ func publishMetrics() {
 // heartbeat prints one status line per second until stop closes: how
 // far simulated time has advanced, how fast it moves against wall
 // time, the recorder event count and rate, the live VM population, and
-// the process heap footprint.
+// the process's resident set size (VmRSS; omitted without procfs).
 func heartbeat(w io.Writer, fl *fleet.Fleet, stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	tick := time.NewTicker(time.Second)
@@ -406,12 +406,13 @@ func heartbeat(w io.Writer, fl *fleet.Fleet, stop <-chan struct{}, done chan<- s
 			if wall <= 0 {
 				wall = 1
 			}
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			fmt.Fprintf(w, "pasfleet: sim %.1fs (%.1fx wall)  events %d (%.0f/s)  live VMs %d  rss %d MB\n",
+			line := fmt.Sprintf("pasfleet: sim %.1fs (%.1fx wall)  events %d (%.0f/s)  live VMs %d",
 				simT.Seconds(), (simT-lastSim).Seconds()/wall,
-				events, float64(events-lastEvents)/wall,
-				live, ms.HeapInuse>>20)
+				events, float64(events-lastEvents)/wall, live)
+			if mb, ok := procStatusMB("VmRSS"); ok {
+				line += fmt.Sprintf("  rss %.1f MB", mb)
+			}
+			fmt.Fprintln(w, line)
 			lastWall, lastSim, lastEvents = now, simT, events
 		}
 	}
@@ -501,22 +502,28 @@ func printSummary(out io.Writer, rep *fleet.Report) {
 			float64(s.LedgerContendedUs)/1e6, float64(s.LedgerMigratingUs)/1e6, float64(s.LedgerIdleUs)/1e6))
 	}
 	tb.AddRow("batched / stepped quanta", fmt.Sprintf("%d / %d", s.BatchedQuanta, s.SteppedQuanta))
-	if mb, ok := peakRSSMB(); ok {
+	if mb, ok := procStatusMB("VmHWM"); ok {
 		tb.AddRow("peak RSS (MB)", fmt.Sprintf("%.1f", mb))
 	}
 	fmt.Fprintln(out, tb.Render())
 }
 
-// peakRSSMB reads the process's high-water resident set size from
-// /proc/self/status (VmHWM). Ok is false on platforms without procfs —
-// the summary row is simply omitted there.
-func peakRSSMB() (float64, bool) {
+// procStatusMB reads one kB-valued field of /proc/self/status in MB:
+// VmRSS is the resident set size, VmHWM its high-water mark. Ok is false
+// on platforms without procfs, where callers omit the value.
+func procStatusMB(field string) (float64, bool) {
 	b, err := os.ReadFile("/proc/self/status")
 	if err != nil {
 		return 0, false
 	}
-	for _, line := range strings.Split(string(b), "\n") {
-		if rest, found := strings.CutPrefix(line, "VmHWM:"); found {
+	return statusFieldMB(string(b), field)
+}
+
+// statusFieldMB finds the "<field>: <n> kB" line in a /proc/<pid>/status
+// text and returns n in MB.
+func statusFieldMB(status, field string) (float64, bool) {
+	for _, line := range strings.Split(status, "\n") {
+		if rest, found := strings.CutPrefix(line, field+":"); found {
 			fields := strings.Fields(rest)
 			if len(fields) >= 1 {
 				if kb, err := strconv.ParseInt(fields[0], 10, 64); err == nil {

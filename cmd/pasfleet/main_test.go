@@ -126,17 +126,38 @@ func TestVMTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestVMTraceRejectsInvalidEvents: -vmtrace reads through the one event
+// check, so an invalid trace fails -write-trace instead of being copied
+// out: a VM of an undeclared class, and one arriving after the horizon
+// with zero lifetime and activity 7.
+func TestVMTraceRejectsInvalidEvents(t *testing.T) {
+	dir := t.TempDir()
+	bad := filepath.Join(dir, "bad.csv")
+	if err := os.WriteFile(bad, []byte("horizon,10\nclass,a,10,1024\n"+
+		"vm,x,0,5,ghost,0.5\nvm,y,20,0,a,7\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	code := run([]string{"-vmtrace", bad, "-write-trace", filepath.Join(dir, "out.csv")}, &out, &errOut)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
+	}
+	if want := `fleet: trace line 3: VM x references unknown class "ghost"`; !strings.Contains(errOut.String(), want) {
+		t.Errorf("stderr %q, want %q", errOut.String(), want)
+	}
+}
+
 func testFleet(t *testing.T) *fleet.Fleet {
 	t.Helper()
-	tr, err := fleet.Generate(fleet.GenConfig{Seed: 5, Arrivals: 10, Horizon: 30 * sim.Second})
+	src, err := fleet.GenerateStream(fleet.GenConfig{Seed: 5, Arrivals: 10, Horizon: 30 * sim.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := fleet.New(fleet.Config{
+	fl, err := fleet.NewStream(fleet.Config{
 		Machines: fleet.DefaultEstate(4),
 		Seed:     5,
 		Obs:      fleet.ObsConfig{Enabled: true, Buffer: true},
-	}, tr)
+	}, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +208,26 @@ func TestHeartbeat(t *testing.T) {
 	for _, want := range []string{"pasfleet: sim 30.0s", "events", "live VMs", "rss"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("heartbeat %q missing %q", line, want)
+		}
+	}
+}
+
+// TestStatusFieldMB reads both fields the CLI reports from one
+// /proc/self/status fixture.
+func TestStatusFieldMB(t *testing.T) {
+	const status = "Name:\tpasfleet\nVmPeak:\t 1291716 kB\nVmHWM:\t   15564 kB\n" +
+		"VmRSS:\t    4096 kB\nThreads:\t6\n"
+	for _, tc := range []struct {
+		field string
+		mb    float64
+		ok    bool
+	}{
+		{"VmRSS", 4, true},
+		{"VmHWM", 15564.0 / 1024, true},
+		{"VmSwap", 0, false},
+	} {
+		if mb, ok := statusFieldMB(status, tc.field); mb != tc.mb || ok != tc.ok {
+			t.Errorf("%s: got %v, %v; want %v, %v", tc.field, mb, ok, tc.mb, tc.ok)
 		}
 	}
 }

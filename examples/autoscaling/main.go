@@ -37,7 +37,7 @@ const (
 )
 
 func main() {
-	trace, err := fleet.Generate(fleet.GenConfig{
+	gen := fleet.GenConfig{
 		Seed:             seed,
 		Arrivals:         arrivals,
 		Horizon:          horizon,
@@ -45,12 +45,9 @@ func main() {
 		BaseActivity:     0.95,
 		DiurnalAmplitude: 0.2,
 		SegmentLen:       60 * sim.Second,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("Trace: %d VM lifecycles over %v on %d machines, ~95%% activity, full-cost requests — throttling turns into queueing.\n\n",
-		len(trace.Events), horizon, machines)
+		arrivals, horizon, machines)
 
 	run := func(policy string) *fleet.Report {
 		cfg := fleet.Config{
@@ -86,7 +83,12 @@ func main() {
 				},
 			}
 		}
-		fl, err := fleet.New(cfg, trace)
+		// Each run streams its own copy of the seeded trace.
+		trace, err := fleet.GenerateStream(gen)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fl, err := fleet.NewStream(cfg, trace)
 		if err != nil {
 			log.Fatal(err)
 		}

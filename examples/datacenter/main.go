@@ -98,7 +98,7 @@ func dynamicPhase() {
 // first-fit spreads the four night-time services one per machine. When
 // the daytime VMs leave at 10 s, the services are left spread out.
 func nightRun(consolidateEvery pasched.Time) (*fleet.Report, error) {
-	trace, err := fleet.ParseTrace(strings.NewReader(`
+	trace, err := fleet.ParseTraceStream(strings.NewReader(`
 horizon,90
 class,day,60,6144
 class,svc,15,1500
@@ -115,7 +115,7 @@ vm,svc3,0,90,svc,0.4
 		return nil, err
 	}
 	machine := consolidation.HostSpec{MemoryMB: 8192, Profile: pasched.Optiplex755()}
-	fl, err := fleet.New(fleet.Config{
+	fl, err := fleet.NewStream(fleet.Config{
 		Machines:         []fleet.MachineClass{{Name: "optiplex-755", Count: 4, Spec: machine}},
 		Scheduler:        "pas",
 		Policy:           fleet.NewFirstFit(),

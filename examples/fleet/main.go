@@ -30,16 +30,13 @@ const (
 )
 
 func main() {
-	trace, err := fleet.Generate(fleet.GenConfig{
+	gen := fleet.GenConfig{
 		Seed:     seed,
 		Arrivals: arrivals,
 		Horizon:  horizon,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("Trace: %d VM lifecycles over %v across %d machines in 3 hardware classes.\n\n",
-		len(trace.Events), horizon, machines)
+		arrivals, horizon, machines)
 
 	type runCfg struct {
 		label  string
@@ -58,7 +55,12 @@ func main() {
 		"overall SLA", "VMs <95% SLA")
 	reports := make([]*fleet.Report, len(runs))
 	for i, rc := range runs {
-		fl, err := fleet.New(fleet.Config{
+		// Each run streams its own copy of the seeded trace.
+		trace, err := fleet.GenerateStream(gen)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fl, err := fleet.NewStream(fleet.Config{
 			Machines:         fleet.DefaultEstate(machines),
 			Scheduler:        rc.sched,
 			Policy:           rc.policy,

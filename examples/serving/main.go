@@ -35,19 +35,16 @@ func main() {
 	// policies separate. A 2 s reporting interval keeps the serving
 	// barriers (where attained work is folded into latencies) fine
 	// enough to resolve the differences.
-	trace, err := fleet.Generate(fleet.GenConfig{
+	gen := fleet.GenConfig{
 		Seed:         seed,
 		Arrivals:     arrivals,
 		Horizon:      horizon,
 		MeanLifetime: 120 * sim.Second,
 		BaseActivity: 0.9,
 		SegmentLen:   60 * sim.Second,
-	})
-	if err != nil {
-		log.Fatal(err)
 	}
 	fmt.Printf("Trace: %d VM lifecycles over %v on %d machines, ~90%% activity — enforcement binds.\n\n",
-		len(trace.Events), horizon, machines)
+		arrivals, horizon, machines)
 
 	schedulers := []string{"credit", "pas", "credit2", "pas-credit2"}
 	tb := metrics.NewTable("Request latency and energy per scheduler (equal offered load):",
@@ -55,7 +52,12 @@ func main() {
 		"energy (kJ)", "SLA")
 	reports := make(map[string]*fleet.Report, len(schedulers))
 	for _, name := range schedulers {
-		fl, err := fleet.New(fleet.Config{
+		// Each run streams its own copy of the seeded trace.
+		trace, err := fleet.GenerateStream(gen)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fl, err := fleet.NewStream(fleet.Config{
 			Machines:    fleet.DefaultEstate(machines),
 			Scheduler:   name,
 			Policy:      fleet.NewFirstFit(),

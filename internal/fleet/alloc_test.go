@@ -29,7 +29,7 @@ func TestFleetBarrierNoAllocsWithoutObs(t *testing.T) {
 	})
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			f, err := New(Config{
+			f, err := NewStream(Config{
 				Machines:    testMachines(3, 2),
 				Scheduler:   "pas",
 				Policy:      NewBestFit(),
@@ -37,7 +37,7 @@ func TestFleetBarrierNoAllocsWithoutObs(t *testing.T) {
 				Shards:      shards,
 				Workers:     1,
 				Seed:        9,
-			}, tr)
+			}, tr.source())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -79,7 +79,7 @@ func TestFleetBarrierNoAllocsWithoutObs(t *testing.T) {
 // arriveAll stands in for the Run prologue: it attaches every trace
 // arrival at time zero (demand phases keep their absolute schedule), so
 // a test can then drive barriers and commands by hand.
-func arriveAll(t *testing.T, f *Fleet, tr *Trace, horizon sim.Time) {
+func arriveAll(t *testing.T, f *Fleet, tr *testTrace, horizon sim.Time) {
 	t.Helper()
 	f.ran = true
 	f.horizon = horizon

@@ -40,7 +40,7 @@ func autoscaleConfig(shards, workers int, seed uint64) Config {
 // autoscaleTrace is churnTrace at near-saturation activity, so credit
 // enforcement throttles VMs into queueing and the ledger accumulates
 // capped time — the ditto policy's trigger.
-func autoscaleTrace(t *testing.T, seed uint64) *Trace {
+func autoscaleTrace(t *testing.T, seed uint64) *testTrace {
 	t.Helper()
 	return genTrace(t, GenConfig{
 		Seed:             seed,
@@ -159,13 +159,13 @@ func TestFleetAutoscaleValidation(t *testing.T) {
 	} {
 		cfg := base()
 		tc.mut(&cfg)
-		if _, err := New(cfg, tr); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := NewStream(cfg, tr.source()); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want %q", name, err, tc.want)
 		}
 	}
 	// The default policy is ditto, which needs the recorder: base as-is
 	// must construct, and must resolve the empty policy name.
-	f, err := New(base(), tr)
+	f, err := NewStream(base(), tr.source())
 	if err != nil {
 		t.Fatalf("defaulted autoscale config rejected: %v", err)
 	}

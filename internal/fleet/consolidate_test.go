@@ -160,7 +160,7 @@ func completeMigrations(t *testing.T, f *Fleet) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		if err := f.completeMigration(name); err != nil {
+		if err := f.completeMigration(timedName{at: f.migs[name].done, name: name}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,13 +175,13 @@ func driveConsolidation(t *testing.T, seed uint64, pol Policy, arrivals, opti, x
 	t.Helper()
 	horizon := 600 * sim.Second
 	tr := genTrace(t, GenConfig{Seed: seed, Arrivals: arrivals, Horizon: horizon})
-	f, err := New(Config{
+	f, err := NewStream(Config{
 		Machines: testMachines(opti, xeon),
 		Policy:   pol,
 		Shards:   1,
 		Workers:  1,
 		Seed:     seed,
-	}, tr)
+	}, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,7 +264,7 @@ func (cfg Config) withDefaults() (Config, error) {
 			cfg.Serving.RequestCost = workload.DefaultRequestCost / serve.DefaultRequestCostDivisor
 		}
 		// Probe-validate the resolved serving parameters here, so a bad
-		// slot count or cost fails at New instead of mid-run on a shard.
+		// slot count or cost fails at NewStream instead of mid-run on a shard.
 		if _, err := serve.New(serve.Config{
 			Slots:       cfg.Serving.Slots,
 			RequestCost: cfg.Serving.RequestCost,
@@ -338,7 +338,6 @@ type migration struct {
 	name     string
 	from, to int
 	done     sim.Time
-	canceled bool
 }
 
 // timedName orders heap entries by (time, name) so every queue pops
@@ -424,15 +423,13 @@ type Fleet struct {
 	classOf []int32                  // machine -> class index
 
 	// trace source and its one-event lookahead: the fleet pulls arrivals
-	// lazily, validating each event as it surfaces, so a 10M-arrival
+	// lazily, checking each event as it surfaces, so a 10M-arrival
 	// trace costs one VMEvent of residency, not a materialized slice.
-	src      TraceSource
-	classes  map[string]VMClass
-	ev       VMEvent // next arrival, valid while evValid
-	evValid  bool
-	evIndex  int      // events pulled so far (error reporting)
-	prevArr  sim.Time // order validation across Next calls
-	prevName string
+	src     TraceSource
+	classes map[string]VMClass
+	ev      VMEvent // next arrival, valid while evValid
+	evValid bool
+	check   eventCheck
 
 	// pidx is the policy's placement index, the fleet's only placement
 	// code: arrivals, replicas and consolidation all query it. Every
@@ -550,23 +547,14 @@ type consMove struct {
 	prev machineState
 }
 
-// New builds a fleet from the configuration and a materialized trace,
-// validated in full. Machines start powered off; hosts are constructed
-// lazily at first power-on, so an estate of a million mostly-idle
-// machines costs bookkeeping arrays, not a million simulated hosts.
-func New(cfg Config, trace *Trace) (*Fleet, error) {
-	if err := trace.Validate(); err != nil {
-		return nil, err
-	}
-	return NewStream(cfg, trace.Source())
-}
-
 // NewStream builds a fleet consuming its trace from a streaming source:
 // the fleet never holds more than the one-event lookahead, so peak
 // memory is O(machines + live VMs) regardless of the arrival count.
-// Each event is validated as it is pulled (class, times, activity,
-// (Arrive, Name) order); unlike New, global name uniqueness is only
-// enforced for concurrently live VMs — see the TraceSource contract.
+// Each event is checked against the TraceSource contract as it is
+// pulled, and no two concurrently live VMs may share a name. Machines
+// start powered off; hosts are constructed lazily at first power-on, so
+// an estate of a million mostly-idle machines costs bookkeeping arrays,
+// not a million simulated hosts.
 func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -592,6 +580,7 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 		cfg:     cfg,
 		src:     src,
 		classes: classes,
+		check:   eventCheck{classes: classes, horizon: src.Horizon()},
 		nmach:   total,
 		vms:     make(map[string]*ctlVM),
 		migs:    make(map[string]*migration),
@@ -609,7 +598,7 @@ func NewStream(cfg Config, src TraceSource) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: machine class %s: %w", mc.Name, err)
 		}
 		// Probe one host per class so construction errors still surface
-		// at New time, as they did when every host was built eagerly.
+		// at NewStream time, as they did when every host was built eagerly.
 		if _, err := newMachineHost(spec, cfg, nil); err != nil {
 			return nil, fmt.Errorf("fleet: machine class %s: %w", mc.Name, err)
 		}
@@ -950,8 +939,7 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 		nextConsolidate = f.cfg.ConsolidateEvery
 	}
 
-	// Prime the one-event lookahead. A materialized trace was validated
-	// as non-empty by New; a streamed source surfaces emptiness here.
+	// Prime the one-event lookahead; an empty source surfaces here.
 	if err := f.nextSourceEvent(); err != nil {
 		return nil, err
 	}
@@ -982,7 +970,7 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 		// departures free capacity, arrivals consume it, consolidation
 		// sees the settled state, and the reporting barrier samples last.
 		for len(f.migQ) > 0 && f.migQ[0].at <= t {
-			if err := f.completeMigration(f.migQ.pop().name); err != nil {
+			if err := f.completeMigration(f.migQ.pop()); err != nil {
 				return nil, err
 			}
 		}
@@ -1037,43 +1025,18 @@ func (f *Fleet) Run(horizon sim.Time) (*Report, error) {
 	return f.rep, nil
 }
 
-// nextSourceEvent advances the trace lookahead by one event, applying
-// per-event what Trace.Validate checks in bulk: known class, sane
-// times and activity, and the (Arrive, Name) stream order. Global name
-// uniqueness cannot be checked in O(1) memory; arrive rejects a name
-// that is still live.
+// nextSourceEvent advances the trace lookahead by one event, checked
+// against the TraceSource contract. Global name uniqueness cannot be
+// checked in O(1) memory; arrive rejects a name that is still live.
 func (f *Fleet) nextSourceEvent() error {
 	ev, ok := f.src.Next()
 	if !ok {
 		f.evValid = false
 		return f.src.Err()
 	}
-	i := f.evIndex
-	f.evIndex++
-	if ev.Name == "" {
-		return fmt.Errorf("fleet: event %d without a VM name", i)
+	if err := f.check.next(&ev); err != nil {
+		return fmt.Errorf("fleet: trace event %d: %w", f.check.n, err)
 	}
-	if _, known := f.classes[ev.Class]; !known {
-		return fmt.Errorf("fleet: VM %s references unknown class %q", ev.Name, ev.Class)
-	}
-	if ev.Arrive < 0 || ev.Arrive >= f.src.Horizon() {
-		return fmt.Errorf("fleet: VM %s arrives at %v, outside [0, %v)", ev.Name, ev.Arrive, f.src.Horizon())
-	}
-	if ev.Lifetime <= 0 {
-		return fmt.Errorf("fleet: VM %s lifetime %v not positive", ev.Name, ev.Lifetime)
-	}
-	if !isFinite(ev.Activity) || ev.Activity < 0 || ev.Activity > 1 {
-		return fmt.Errorf("fleet: VM %s activity %v outside [0,1]", ev.Name, ev.Activity)
-	}
-	if i > 0 {
-		if ev.Arrive == f.prevArr && ev.Name == f.prevName {
-			return fmt.Errorf("fleet: duplicate VM name %q", ev.Name)
-		}
-		if ev.Arrive < f.prevArr || (ev.Arrive == f.prevArr && ev.Name < f.prevName) {
-			return fmt.Errorf("fleet: events not sorted by (arrive, name) at index %d", i)
-		}
-	}
-	f.prevArr, f.prevName = ev.Arrive, ev.Name
 	f.ev, f.evValid = ev, true
 	return nil
 }
@@ -1100,8 +1063,7 @@ func (f *Fleet) powerOn(idx int) error {
 // resources, and the owning shard attaches the VM.
 func (f *Fleet) arrive(ev *VMEvent) error {
 	if _, live := f.vms[ev.Name]; live {
-		// The streamed-source analogue of Trace.Validate's global name
-		// uniqueness: no two concurrently live VMs may share a name.
+		// No two concurrently live VMs may share a name.
 		return fmt.Errorf("fleet: duplicate VM name %q", ev.Name)
 	}
 	class := f.classes[ev.Class]
@@ -1303,7 +1265,7 @@ func slaOf(attained, demanded sim.Work) float64 {
 // pure control plane: no host is touched until a migration completes.
 func (f *Fleet) consolidate() error {
 	// f.migs is the exact in-flight census: completions and aborts both
-	// delete from it, while canceled entries linger in the migQ heap
+	// delete from it, while aborted entries linger in the migQ heap
 	// until their original completion time pops. With none in flight,
 	// no machine has an inbound reservation and no VM is migrating.
 	if len(f.migs) > 0 {
@@ -1394,26 +1356,29 @@ func (f *Fleet) consolidate() error {
 
 // abortMigration cancels an in-flight migration (the VM is departing),
 // releasing the target-side reservation. The queued completion entry
-// stays in the heap and is skipped when it pops.
+// stays in the heap and is skipped when it pops, even if a later VM of
+// the same name is migrating by then.
 func (f *Fleet) abortMigration(p *ctlVM) {
 	mg := p.mig
-	mg.canceled = true
 	f.release(mg.to, p.req)
 	f.inbound[mg.to]--
 	p.mig = nil
 	delete(f.migs, mg.name)
 }
 
-// completeMigration finishes one due migration: the source shard
-// detaches the guest, and the destination shard attaches a fresh guest
-// running the same dataVM's still-running workload.
-func (f *Fleet) completeMigration(name string) error {
-	mg, ok := f.migs[name]
-	if !ok || mg.canceled {
+// completeMigration finishes the migration of one popped migQ entry:
+// the source shard detaches the guest, and the destination shard
+// attaches a fresh guest running the same dataVM's still-running
+// workload. An entry whose migration was aborted is skipped; so is one
+// left by an aborted migration of an earlier VM of the same name, whose
+// completion time is not the live migration's.
+func (f *Fleet) completeMigration(e timedName) error {
+	mg, ok := f.migs[e.name]
+	if !ok || mg.done != e.at {
 		return nil // aborted by a departure
 	}
-	delete(f.migs, name)
-	p := f.vms[name]
+	delete(f.migs, e.name)
+	p := f.vms[e.name]
 	if err := f.dispatch(mg.from, command{kind: cmdMigrateOut, at: f.now, d: p.d}); err != nil {
 		return err
 	}

@@ -22,18 +22,82 @@ func testMachines(opti, xeon int) []MachineClass {
 	}
 }
 
-func genTrace(t *testing.T, cfg GenConfig) *Trace {
+// testTrace is a trace held in memory, so a test can run several
+// fleets on it and read its events: the class catalogue, the events in
+// (Arrive, Name) order, and the horizon.
+type testTrace struct {
+	Classes map[string]VMClass
+	Events  []VMEvent
+	Horizon sim.Time
+}
+
+// source returns a fresh slice-backed TraceSource over the trace.
+func (tr *testTrace) source() TraceSource { return &sliceSource{tr: tr} }
+
+// sliceSource streams a testTrace's events as they are, unchecked: the
+// fleet's pull must catch whatever the slice gets wrong.
+type sliceSource struct {
+	tr *testTrace
+	i  int
+}
+
+func (s *sliceSource) Classes() map[string]VMClass { return s.tr.Classes }
+func (s *sliceSource) Horizon() sim.Time           { return s.tr.Horizon }
+func (s *sliceSource) Err() error                  { return nil }
+
+func (s *sliceSource) Next() (VMEvent, bool) {
+	if s.i >= len(s.tr.Events) {
+		return VMEvent{}, false
+	}
+	s.i++
+	return s.tr.Events[s.i-1], true
+}
+
+// drain reads a source to its end into a testTrace, returning the
+// source's error if it ends early.
+func drain(src TraceSource) (*testTrace, error) {
+	tr := &testTrace{Classes: src.Classes(), Horizon: src.Horizon()}
+	for {
+		ev, ok := src.Next()
+		if !ok {
+			break
+		}
+		tr.Events = append(tr.Events, ev)
+	}
+	return tr, src.Err()
+}
+
+// genTrace drains the generator into memory.
+func genTrace(t *testing.T, cfg GenConfig) *testTrace {
 	t.Helper()
-	tr, err := Generate(cfg)
+	src, err := GenerateStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := drain(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tr
 }
 
-func runFleet(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) *Report {
+// parseTrace drains a CSV trace into memory.
+func parseTrace(t *testing.T, csv string) *testTrace {
 	t.Helper()
-	f, err := New(cfg, tr)
+	src, err := ParseTraceStream(strings.NewReader(csv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := drain(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func runFleet(t *testing.T, cfg Config, tr *testTrace, horizon sim.Time) *Report {
+	t.Helper()
+	f, err := NewStream(cfg, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +168,7 @@ func TestFleetBatchedEquivalence(t *testing.T) {
 					Seed:             3,
 					Reference:        reference,
 				}
-				f, err := New(cfg, tr)
+				f, err := NewStream(cfg, tr.source())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,10 +252,7 @@ vm,b,1,60,medium,0.4
 vm,c,2,300,small,0.4
 vm,d,3,300,small,0.4
 `
-	tr, err := ParseTrace(strings.NewReader(trace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := parseTrace(t, trace)
 	cfg := Config{
 		Machines: []MachineClass{{Name: "optiplex", Count: 3, Spec: consolidation.HostSpec{
 			MemoryMB: 8192, Profile: cpufreq.Optiplex755()}}},
@@ -262,7 +323,7 @@ func TestFleetRejectsWhenFull(t *testing.T) {
 // target, and a machine without room.
 func TestFleetDiagnosesBadPlacement(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 5, Horizon: 30 * sim.Second})
-	f, err := New(Config{Machines: testMachines(2, 1)}, tr)
+	f, err := NewStream(Config{Machines: testMachines(2, 1)}, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +446,7 @@ func TestFleetReportOutputs(t *testing.T) {
 // TestFleetRunValidation covers the one-shot and bad-horizon guards.
 func TestFleetRunValidation(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 3, Horizon: 10 * sim.Second})
-	f, err := New(Config{Machines: testMachines(1, 0)}, tr)
+	f, err := NewStream(Config{Machines: testMachines(1, 0)}, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,15 +459,15 @@ func TestFleetRunValidation(t *testing.T) {
 	if _, err := f.Run(10 * sim.Second); err == nil {
 		t.Error("second Run accepted")
 	}
-	if _, err := New(Config{}, tr); err == nil {
+	if _, err := NewStream(Config{}, tr.source()); err == nil {
 		t.Error("fleet without machines accepted")
 	}
-	if _, err := New(Config{Machines: testMachines(1, 0)}, &Trace{}); err == nil {
-		t.Error("invalid trace accepted")
+	if _, err := NewStream(Config{Machines: testMachines(1, 0)}, (&testTrace{}).source()); err == nil {
+		t.Error("source without a horizon accepted")
 	}
 }
 
-// TestFleetConfigValidation: New rejects a bad configuration up front
+// TestFleetConfigValidation: NewStream rejects a bad configuration up front
 // and names what is wrong.
 func TestFleetConfigValidation(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 3, Horizon: 10 * sim.Second})
@@ -433,7 +494,7 @@ func TestFleetConfigValidation(t *testing.T) {
 		{"obs buffer without recorder", Config{Machines: one, Obs: ObsConfig{Buffer: true}}, "Obs.Buffer"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := New(tc.cfg, tr); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, err := NewStream(tc.cfg, tr.source()); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %v, want it to mention %q", err, tc.want)
 			}
 		})
@@ -454,10 +515,7 @@ func TestFleetConsolidationRespectsCapacity(t *testing.T) {
 		{"single machine", "horizon,60\nclass,s,10,1024\nvm,a,0,120,s,0.2\n", 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tr, err := ParseTrace(strings.NewReader(tc.trace))
-			if err != nil {
-				t.Fatal(err)
-			}
+			tr := parseTrace(t, tc.trace)
 			rep := runFleet(t, Config{
 				Machines:         testMachines(2, 0),
 				Scheduler:        "pas",

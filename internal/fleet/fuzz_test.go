@@ -7,15 +7,14 @@ import (
 	"testing"
 
 	"pasched/internal/autoscale"
-	"pasched/internal/obs"
 	"pasched/internal/sim"
 	"pasched/internal/workload"
 )
 
-// FuzzParseTrace hammers the fleet trace parser with hostile input: the
-// parser must never panic, every accepted trace must pass Validate, and
-// writing it back out must reparse to the same trace (the CSV round
-// trip the CLI relies on), through ParseTrace and ParseTraceStream alike.
+// FuzzParseTrace hammers the CSV trace reader with hostile input: the
+// reader must never panic, and every stream it accepts, written back
+// with WriteCSVStream, must reparse to identical classes, horizon and
+// events (the CSV round trip the CLI relies on).
 func FuzzParseTrace(f *testing.F) {
 	f.Add(sampleTrace)
 	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,5,a,0.5\n")
@@ -42,43 +41,28 @@ func FuzzParseTrace(f *testing.F) {
 	f.Add("horizon,10\nclass,a,10,1024\nvm,x,0,1e22,a,0.5\n")                      // lifetime overflow
 
 	f.Fuzz(func(t *testing.T, input string) {
-		tr, err := ParseTrace(strings.NewReader(input))
+		src, err := ParseTraceStream(strings.NewReader(input))
 		if err != nil {
 			return
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("accepted trace fails Validate: %v", err)
+		tr, err := drain(src)
+		if err != nil {
+			return
 		}
 		var buf bytes.Buffer
-		if err := tr.WriteCSV(&buf); err != nil {
-			t.Fatalf("accepted trace fails WriteCSV: %v", err)
+		if err := WriteCSVStream(tr.source(), &buf); err != nil {
+			t.Fatalf("accepted trace fails WriteCSVStream: %v", err)
 		}
-		back, err := ParseTrace(bytes.NewReader(buf.Bytes()))
+		src, err = ParseTraceStream(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
 		}
-		if back.Horizon != tr.Horizon || len(back.Events) != len(tr.Events) ||
-			len(back.Classes) != len(tr.Classes) {
-			t.Fatalf("round trip changed shape: %+v vs %+v", back, tr)
-		}
-		for i := range tr.Events {
-			a, b := tr.Events[i], back.Events[i]
-			if a.Name != b.Name || a.Class != b.Class || a.Arrive != b.Arrive ||
-				a.Lifetime != b.Lifetime || a.Activity != b.Activity {
-				t.Fatalf("round trip changed event %d: %+v vs %+v", i, a, b)
-			}
-		}
-		// The streaming reader parses the written CSV to the same trace.
-		src, err := ParseTraceStream(bytes.NewReader(buf.Bytes()))
+		back, err := drain(src)
 		if err != nil {
-			t.Fatalf("stream rejected the written trace: %v\n%s", err, buf.String())
+			t.Fatalf("round trip rejected: %v\n%s", err, buf.String())
 		}
-		streamed, err := Drain(src)
-		if err != nil {
-			t.Fatalf("streamed trace fails Drain: %v\n%s", err, buf.String())
-		}
-		if !reflect.DeepEqual(streamed, tr) {
-			t.Fatalf("streamed parse differs from ParseTrace:\n%+v\nvs\n%+v", streamed, tr)
+		if !reflect.DeepEqual(back, tr) {
+			t.Fatalf("round trip changed the trace:\n%+v\nvs\n%+v", back, tr)
 		}
 	})
 }
@@ -96,9 +80,6 @@ const (
 	// and retiring replicas, and repartitioning arrival streams mid-run.
 	// It forces serving and the recorder.
 	fuzzAutoscale
-	// fuzzStream feeds the sharded side from the streaming generator, so
-	// its trace is never materialized.
-	fuzzStream
 )
 
 // FuzzShardEquivalence fuzzes the sharding contract: for arbitrary
@@ -124,9 +105,6 @@ func FuzzShardEquivalence(f *testing.F) {
 	f.Add(uint64(17), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzAutoscale))
 	f.Add(uint64(41), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzAutoscale))
 	f.Add(uint64(73), uint8(50), uint8(20), uint8(5), uint8(3), uint8(fuzzAutoscale))
-	f.Add(uint64(1), uint8(40), uint8(30), uint8(3), uint8(2), uint8(fuzzStream))
-	f.Add(uint64(7), uint8(60), uint8(15), uint8(7), uint8(4), uint8(fuzzStream))
-	f.Add(uint64(42), uint8(25), uint8(60), uint8(2), uint8(1), uint8(fuzzStream))
 
 	f.Fuzz(func(t *testing.T, seed uint64, arrivals, life, shards, workers, features uint8) {
 		activity := 0.6
@@ -143,10 +121,7 @@ func FuzzShardEquivalence(f *testing.F) {
 			BaseActivity: activity,
 			SegmentLen:   30 * sim.Second,
 		}
-		tr, err := Generate(gen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := genTrace(t, gen)
 		cfg := func(s, w int) Config {
 			c := Config{
 				Machines:         testMachines(4, 2),
@@ -182,21 +157,7 @@ func FuzzShardEquivalence(f *testing.F) {
 		}
 		want, wantEv := runFleetObs(t, cfg(1, 1), tr, horizon)
 		s, w := 1+int(shards)%7, 1+int(workers)%4
-		var got *Report
-		var gotEv []obs.Event
-		if features&fuzzStream != 0 {
-			src, err := GenerateStream(gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := NewStream(cfg(s, w), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotEv = runObs(t, fl, horizon)
-		} else {
-			got, gotEv = runFleetObs(t, cfg(s, w), tr, horizon)
-		}
+		got, gotEv := runFleetObs(t, cfg(s, w), tr, horizon)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("features=%#x shards=%d workers=%d: report differs from 1x1:\n%+v\nvs\n%+v",
 				features, s, w, got.Summary, want.Summary)

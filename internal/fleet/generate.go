@@ -8,25 +8,26 @@ import (
 	"pasched/internal/workload"
 )
 
-// ClassMix is one VM class with its share of the generated population.
-type ClassMix struct {
-	Class VMClass
-	// Weight is the relative frequency of the class; weights need not sum
-	// to anything in particular.
-	Weight float64
+// classMix is one VM class with its share of the generated population.
+type classMix struct {
+	class VMClass
+	// weight is the relative frequency of the class.
+	weight float64
 }
 
-// DefaultClassMix is a typical hosting estate: many small mostly-idle
-// services, fewer medium ones, a handful of large busy VMs.
-func DefaultClassMix() []ClassMix {
-	return []ClassMix{
-		{Class: VMClass{Name: "small", CreditPct: 10, MemoryMB: 1024}, Weight: 6},
-		{Class: VMClass{Name: "medium", CreditPct: 20, MemoryMB: 2048}, Weight: 3},
-		{Class: VMClass{Name: "large", CreditPct: 40, MemoryMB: 4096}, Weight: 1},
-	}
+// defaultClassMix is the generated population: a typical hosting
+// estate of many small mostly-idle services, fewer medium ones, and a
+// handful of large busy VMs.
+var defaultClassMix = []classMix{
+	{class: VMClass{Name: "small", CreditPct: 10, MemoryMB: 1024}, weight: 6},
+	{class: VMClass{Name: "medium", CreditPct: 20, MemoryMB: 2048}, weight: 3},
+	{class: VMClass{Name: "large", CreditPct: 40, MemoryMB: 4096}, weight: 1},
 }
 
-// GenConfig configures the synthetic trace generator.
+// GenConfig configures the synthetic trace generator. The class mix is
+// fixed (small, medium and large VMs in a 6:3:1 ratio), lifetimes are
+// capped at max(4 x Horizon, 4 x MeanLifetime), and the diurnal day is
+// Horizon/2 long, so the waves run two full cycles over the trace.
 type GenConfig struct {
 	// Seed seeds the generator; the same seed yields the same trace.
 	Seed uint64
@@ -34,17 +35,10 @@ type GenConfig struct {
 	Arrivals int
 	// Horizon bounds arrival times: VMs arrive in [0, Horizon). Required.
 	Horizon sim.Time
-	// Classes is the class mix; default DefaultClassMix.
-	Classes []ClassMix
 	// MeanLifetime is the mean VM lifetime. Lifetimes are heavy-tailed
 	// (bounded Pareto, alpha 1.5): most VMs are short-lived, a few run
 	// for a large multiple of the mean. Default Horizon/10.
 	MeanLifetime sim.Time
-	// MaxLifetime caps lifetimes; default 4 x Horizon.
-	MaxLifetime sim.Time
-	// DiurnalPeriod is the day length of the arrival-intensity and
-	// demand-activity waves; default Horizon/2.
-	DiurnalPeriod sim.Time
 	// DiurnalAmplitude in [0, 1) scales the waves: intensity and activity
 	// swing by this fraction around their means. Default 0.6.
 	DiurnalAmplitude float64
@@ -70,42 +64,11 @@ func (cfg GenConfig) withDefaults() (GenConfig, error) {
 	if cfg.Horizon > sim.FromSeconds(maxTraceSeconds) {
 		return cfg, fmt.Errorf("fleet: generator horizon %v beyond %g s", cfg.Horizon, maxTraceSeconds)
 	}
-	if len(cfg.Classes) == 0 {
-		cfg.Classes = DefaultClassMix()
-	}
-	total := 0.0
-	for _, m := range cfg.Classes {
-		if err := m.Class.Validate(); err != nil {
-			return cfg, err
-		}
-		if m.Weight < 0 {
-			return cfg, fmt.Errorf("fleet: class %s has negative weight %v", m.Class.Name, m.Weight)
-		}
-		total += m.Weight
-	}
-	if total <= 0 {
-		return cfg, fmt.Errorf("fleet: class mix has no positive weight")
-	}
 	if cfg.MeanLifetime == 0 {
 		cfg.MeanLifetime = cfg.Horizon / 10
 	}
 	if cfg.MeanLifetime <= 0 {
 		return cfg, fmt.Errorf("fleet: mean lifetime %v not positive", cfg.MeanLifetime)
-	}
-	if cfg.MaxLifetime == 0 {
-		cfg.MaxLifetime = 4 * cfg.Horizon
-		if m := 4 * cfg.MeanLifetime; m > cfg.MaxLifetime {
-			cfg.MaxLifetime = m
-		}
-	}
-	if cfg.MaxLifetime < cfg.MeanLifetime {
-		return cfg, fmt.Errorf("fleet: max lifetime %v below mean %v", cfg.MaxLifetime, cfg.MeanLifetime)
-	}
-	if cfg.DiurnalPeriod == 0 {
-		cfg.DiurnalPeriod = cfg.Horizon / 2
-	}
-	if cfg.DiurnalPeriod <= 0 {
-		return cfg, fmt.Errorf("fleet: diurnal period %v not positive", cfg.DiurnalPeriod)
 	}
 	if cfg.DiurnalAmplitude == 0 {
 		cfg.DiurnalAmplitude = 0.6
@@ -123,6 +86,18 @@ func (cfg GenConfig) withDefaults() (GenConfig, error) {
 		cfg.SegmentLen = 60 * sim.Second
 	}
 	return cfg, nil
+}
+
+// maxLifetime caps generated lifetimes: four horizons, or four mean
+// lifetimes when the mean is longer.
+func (cfg GenConfig) maxLifetime() sim.Time {
+	return max(4*cfg.Horizon, 4*cfg.MeanLifetime)
+}
+
+// diurnalPeriod is the day length of the arrival-intensity and
+// demand-activity waves.
+func (cfg GenConfig) diurnalPeriod() sim.Time {
+	return cfg.Horizon / 2
 }
 
 // paretoAlpha is the heavy-tail exponent of the lifetime distribution.
@@ -151,8 +126,8 @@ func mix64(x uint64) uint64 {
 // inverse of the diurnal cumulative intensity, so arrival k costs O(1)
 // memory and the stream is already in (Arrive, Name) order. Per-event
 // attributes (lifetime, class, demand jitter) come from an independent
-// RNG lane keyed on the event index, so they are identical whether the
-// trace is streamed or materialized.
+// RNG lane keyed on the event index, so event k's attributes do not
+// depend on the draws of the events before it.
 type genSource struct {
 	cfg         GenConfig
 	classes     map[string]VMClass
@@ -170,18 +145,22 @@ type genSource struct {
 
 // GenerateStream returns the synthetic trace as a TraceSource emitting
 // lazily: peak memory is O(1) in the arrival count, so a 10M-arrival
-// trace can feed NewStream or WriteCSVStream directly. Generate is this
-// stream materialized — the two are bit-identical event for event.
+// trace can feed NewStream or WriteCSVStream directly. Arrivals follow
+// a diurnal intensity wave over the horizon, lifetimes are heavy-tailed
+// around the configured mean, classes are drawn from the weighted mix,
+// and every VM carries a piecewise demand profile modulated by the same
+// diurnal wave plus per-segment jitter. The stream is deterministic in
+// the seed.
 func GenerateStream(cfg GenConfig) (TraceSource, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	classes := make(map[string]VMClass, len(cfg.Classes))
+	classes := make(map[string]VMClass, len(defaultClassMix))
 	totalWeight := 0.0
-	for _, m := range cfg.Classes {
-		classes[m.Class.Name] = m.Class
-		totalWeight += m.Weight
+	for _, m := range defaultClassMix {
+		classes[m.class.Name] = m.class
+		totalWeight += m.weight
 	}
 	// Pass 1: total of the N+1 exponential spacings. Pass 2 (Next)
 	// replays the identical draws from a fresh RNG on the same seed.
@@ -216,8 +195,7 @@ func (s *genSource) Next() (VMEvent, bool) {
 
 	// Arrival by inverse transform of the cumulative diurnal intensity:
 	// the k-th uniform order statistic mapped through Lambda^-1, so the
-	// arrival density is proportional to 1 + A*sin(2*pi*t/P) — the same
-	// wave the materialized generator targeted by rejection.
+	// arrival density is proportional to 1 + A*sin(2*pi*t/P).
 	arrive := sim.Time(invCumIntensity(u*s.lamH, cfg))
 	if arrive < 0 {
 		arrive = 0
@@ -233,7 +211,7 @@ func (s *genSource) Next() (VMEvent, bool) {
 	s.prevArrive = arrive
 
 	// Independent attribute lane per event: identical draws regardless
-	// of how many events came before, so streaming == materializing.
+	// of how many events came before.
 	lane := sim.NewRNG(mix64(cfg.Seed ^ uint64(s.i)*0x9e3779b97f4a7c15))
 
 	// Bounded Pareto lifetime with mean MeanLifetime (for the
@@ -241,8 +219,8 @@ func (s *genSource) Next() (VMEvent, bool) {
 	xm := float64(cfg.MeanLifetime) * (paretoAlpha - 1) / paretoAlpha
 	uLife := lane.Float64()
 	life := sim.Time(xm * math.Pow(1-uLife, -1/paretoAlpha))
-	if life > cfg.MaxLifetime {
-		life = cfg.MaxLifetime
+	if maxLife := cfg.maxLifetime(); life > maxLife {
+		life = maxLife
 	}
 	if life < sim.Millisecond {
 		life = sim.Millisecond
@@ -250,13 +228,13 @@ func (s *genSource) Next() (VMEvent, bool) {
 
 	// Weighted class pick.
 	pick := lane.Float64() * s.totalWeight
-	class := cfg.Classes[len(cfg.Classes)-1].Class
-	for _, m := range cfg.Classes {
-		if pick < m.Weight {
-			class = m.Class
+	class := defaultClassMix[len(defaultClassMix)-1].class
+	for _, m := range defaultClassMix {
+		if pick < m.weight {
+			class = m.class
 			break
 		}
-		pick -= m.Weight
+		pick -= m.weight
 	}
 
 	ev := VMEvent{
@@ -273,13 +251,13 @@ func (s *genSource) Next() (VMEvent, bool) {
 // diurnalWave is the shared intensity/activity modulation: 1 plus a
 // sine of the configured period, scaled by the amplitude.
 func diurnalWave(cfg GenConfig, at sim.Time) float64 {
-	return 1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*at.Seconds()/cfg.DiurnalPeriod.Seconds())
+	return 1 + cfg.DiurnalAmplitude*math.Sin(2*math.Pi*at.Seconds()/cfg.diurnalPeriod().Seconds())
 }
 
 // cumIntensity is the integral of the diurnal wave from 0 to tau (tau
 // in sim.Time units): tau + A*(P/2pi)*(1 - cos(2pi*tau/P)).
 func cumIntensity(tau float64, cfg GenConfig) float64 {
-	w := 2 * math.Pi / float64(cfg.DiurnalPeriod)
+	w := 2 * math.Pi / float64(cfg.diurnalPeriod())
 	return tau + cfg.DiurnalAmplitude/w*(1-math.Cos(w*tau))
 }
 
@@ -291,7 +269,7 @@ func invCumIntensity(target float64, cfg GenConfig) float64 {
 	if target <= 0 {
 		return 0
 	}
-	w := 2 * math.Pi / float64(cfg.DiurnalPeriod)
+	w := 2 * math.Pi / float64(cfg.diurnalPeriod())
 	lo, hi := 0.0, float64(cfg.Horizon)
 	tau := target // the identity part of Lambda makes this a good start
 	if tau > hi {
@@ -317,25 +295,6 @@ func invCumIntensity(target float64, cfg GenConfig) float64 {
 		tau = next
 	}
 	return tau
-}
-
-// Generate builds a synthetic VM lifecycle trace: arrivals follow a
-// diurnal intensity wave over the horizon, lifetimes are heavy-tailed
-// around the configured mean, classes are drawn from the weighted mix,
-// and every VM carries a piecewise demand profile modulated by the same
-// diurnal wave plus per-segment jitter. The trace is deterministic in the
-// seed, and bit-identical to draining GenerateStream — Generate is that
-// stream materialized and validated.
-func Generate(cfg GenConfig) (*Trace, error) {
-	src, err := GenerateStream(cfg)
-	if err != nil {
-		return nil, err
-	}
-	t, err := Drain(src)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: generated trace invalid: %w", err)
-	}
-	return t, nil
 }
 
 // demandProfile builds one VM's piecewise demand: segments of SegmentLen

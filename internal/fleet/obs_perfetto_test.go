@@ -52,7 +52,7 @@ func TestFleetPerfettoDeterministic(t *testing.T) {
 	scenarios := []struct {
 		name, marker string // marker: an instant the trace must carry
 		cfg          func(shards, workers int, seed uint64) Config
-		tr           *Trace
+		tr           *testTrace
 	}{
 		{"churn", `"mig-start"`, churnConfig, churnTrace(t, seed)},
 		{"autoscale", `"autoscale"`, autoscaleConfig, autoscaleTrace(t, seed)},
@@ -62,7 +62,7 @@ func TestFleetPerfettoDeterministic(t *testing.T) {
 			var buf bytes.Buffer
 			cfg := sc.cfg(shards, workers, seed)
 			cfg.Obs = ObsConfig{Enabled: true, Sink: obs.NewPerfettoWriter(&buf)}
-			f, err := New(cfg, sc.tr)
+			f, err := NewStream(cfg, sc.tr.source())
 			if err != nil {
 				t.Fatal(err)
 			}

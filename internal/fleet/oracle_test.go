@@ -30,7 +30,7 @@ func TestOneMachineFleetMatchesMachine(t *testing.T) {
 		rate := 5 * workload.ExactRate(ReferenceThroughput, credit, workload.DefaultRequestCost)
 		return []workload.Phase{{Start: start, End: end, Rate: rate}}
 	}
-	tr := &Trace{
+	tr := &testTrace{
 		Classes: map[string]VMClass{
 			"v20": {Name: "v20", CreditPct: 20, MemoryMB: 1024},
 			"v70": {Name: "v70", CreditPct: 70, MemoryMB: 2048},
@@ -47,12 +47,12 @@ func TestOneMachineFleetMatchesMachine(t *testing.T) {
 	for _, s := range []string{"pas", "credit", "credit2", "sedf", "pas-credit2"} {
 		t.Run(s, func(t *testing.T) {
 			t.Parallel()
-			f, err := New(Config{
+			f, err := NewStream(Config{
 				Machines: []MachineClass{{Name: "optiplex", Count: 1,
 					Spec: consolidation.HostSpec{MemoryMB: 8192, Profile: prof}}},
 				Scheduler: s,
 				Seed:      seed,
-			}, tr)
+			}, tr.source())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-
-	"pasched/internal/metrics"
 )
 
 // Interval is one reporting-barrier sample: what happened in the
@@ -182,40 +180,17 @@ type Report struct {
 	PerVM     []VMOutcome `json:"per_vm"`
 }
 
-// IntervalSeries renders the interval curves as named metric series
-// (energy, active machines, live VMs, SLA, migrations) sharing the
-// interval end times, ready for metrics.WriteCSV or the ASCII charts.
-func (r *Report) IntervalSeries() []*metrics.Series {
-	joules := metrics.NewSeries("joules")
-	power := metrics.NewSeries("avg_power_w")
-	active := metrics.NewSeries("active_machines")
-	live := metrics.NewSeries("live_vms")
-	sla := metrics.NewSeries("sla")
-	migr := metrics.NewSeries("migrations")
-	rej := metrics.NewSeries("rejected")
-	reqs := metrics.NewSeries("requests")
-	p50 := metrics.NewSeries("req_p50_ms")
-	p95 := metrics.NewSeries("req_p95_ms")
-	p99 := metrics.NewSeries("req_p99_ms")
-	for _, iv := range r.Intervals {
-		joules.Add(iv.TimeS, iv.Joules)
-		power.Add(iv.TimeS, iv.AvgPowerW)
-		active.Add(iv.TimeS, float64(iv.ActiveMachines))
-		live.Add(iv.TimeS, float64(iv.LiveVMs))
-		sla.Add(iv.TimeS, iv.SLA)
-		migr.Add(iv.TimeS, float64(iv.Migrations))
-		rej.Add(iv.TimeS, float64(iv.Rejected))
-		reqs.Add(iv.TimeS, float64(iv.Requests))
-		p50.Add(iv.TimeS, iv.ReqP50Ms)
-		p95.Add(iv.TimeS, iv.ReqP95Ms)
-		p99.Add(iv.TimeS, iv.ReqP99Ms)
-	}
-	return []*metrics.Series{joules, power, active, live, sla, migr, rej, reqs, p50, p95, p99}
-}
-
-// WriteCSV writes the interval curves as CSV with a shared time column.
+// WriteCSV writes the interval curves as CSV with a shared time column:
+// the buffered intervals replayed through a CSVSink, so the file is the
+// one a streaming run writes.
 func (r *Report) WriteCSV(w io.Writer) error {
-	return metrics.WriteCSV(w, r.IntervalSeries()...)
+	sink := NewCSVSink(w)
+	for i := range r.Intervals {
+		if err := sink.Interval(&r.Intervals[i]); err != nil {
+			return err
+		}
+	}
+	return sink.Finish(&r.Summary)
 }
 
 // WriteJSON writes the whole report as indented JSON.
@@ -267,13 +242,13 @@ func (r *Report) Finish(s *Summary) error {
 	return nil
 }
 
-// csvHeader matches the column order of Report.IntervalSeries.
+// csvHeader names the interval CSV columns, in CSVSink's cell order.
 const csvHeader = "time_s,joules,avg_power_w,active_machines,live_vms,sla,migrations,rejected,requests,req_p50_ms,req_p95_ms,req_p99_ms\n"
 
 // CSVSink streams the interval curves as CSV rows, one per reporting
-// barrier, byte-identical to Report.WriteCSV on the buffered report. It
-// ignores per-VM outcomes. Finish flushes; the caller owns closing the
-// underlying writer.
+// barrier: the interval CSV's only encoder (Report.WriteCSV replays the
+// buffered intervals through it). It ignores per-VM outcomes. Finish
+// flushes; the caller owns closing the underlying writer.
 type CSVSink struct {
 	w      *bufio.Writer
 	row    []byte
@@ -299,8 +274,8 @@ func (s *CSVSink) Interval(iv *Interval) error {
 	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	// Cells format exactly like metrics.WriteCSV: %g at full precision,
-	// counts passing through float64 conversion.
+	// Cells are %g at full precision, counts passing through float64
+	// conversion.
 	row := s.row[:0]
 	for i, v := range [...]float64{
 		iv.TimeS, iv.Joules, iv.AvgPowerW,
@@ -323,7 +298,7 @@ func (s *CSVSink) Interval(iv *Interval) error {
 func (s *CSVSink) Outcome(*VMOutcome) error { return nil }
 
 // Finish implements Sink: it writes the header even for a run with no
-// intervals (as Report.WriteCSV does) and flushes.
+// intervals and flushes.
 func (s *CSVSink) Finish(*Summary) error {
 	if err := s.writeHeader(); err != nil {
 		return err

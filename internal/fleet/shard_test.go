@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,7 +16,7 @@ import (
 // churnTrace generates a trace with heavy lifecycle churn: short
 // lifetimes against the horizon so departures keep emptying machines
 // and consolidation keeps migrating.
-func churnTrace(t *testing.T, seed uint64) *Trace {
+func churnTrace(t *testing.T, seed uint64) *testTrace {
 	t.Helper()
 	return genTrace(t, GenConfig{
 		Seed:         seed,
@@ -50,45 +51,51 @@ func churnConfig(shards, workers int, seed uint64) Config {
 // TestFleetShardEquivalence is the tentpole acceptance check: the report
 // of a sharded run is DeepEqual-bit-exact to the single-shard,
 // single-worker run for every shard count x worker count combination,
-// on traces with heavy migration and consolidation churn.
+// on traces with heavy migration and consolidation churn. Each seed's
+// 1x1 reference run is shared by its comparison subtests, which run in
+// parallel.
 func TestFleetShardEquivalence(t *testing.T) {
 	for _, seed := range []uint64{7, 99} {
-		tr := churnTrace(t, seed)
-		want, wantEv := runFleetObs(t, churnConfig(1, 1, seed), tr, 300*sim.Second)
-		if want.Summary.Migrated == 0 || want.Summary.Departed == 0 {
-			t.Fatalf("seed %d: no churn, comparison is vacuous: %+v", seed, want.Summary)
-		}
-		if len(wantEv) == 0 || want.Summary.LedgerSpanUs == 0 || want.Summary.LedgerMigratingUs == 0 {
-			t.Fatalf("seed %d: no observability signal, comparison is vacuous: %d events, %+v",
-				seed, len(wantEv), want.Summary)
-		}
-		for _, shards := range []int{1, 2, 4, 7} {
-			for _, workers := range []int{1, 4} {
-				got, gotEv := runFleetObs(t, churnConfig(shards, workers, seed), tr, 300*sim.Second)
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("seed=%d shards=%d workers=%d: report differs from 1x1:\n%+v\nvs\n%+v",
-						seed, shards, workers, got.Summary, want.Summary)
-				}
-				if !reflect.DeepEqual(gotEv, wantEv) {
-					t.Errorf("seed=%d shards=%d workers=%d: event stream differs from 1x1 (%d vs %d events)",
-						seed, shards, workers, len(gotEv), len(wantEv))
-					for i := range gotEv {
-						if i < len(wantEv) && gotEv[i] != wantEv[i] {
-							t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
-							break
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			tr := churnTrace(t, seed)
+			want, wantEv := runFleetObs(t, churnConfig(1, 1, seed), tr, 300*sim.Second)
+			if want.Summary.Migrated == 0 || want.Summary.Departed == 0 {
+				t.Fatalf("no churn, comparison is vacuous: %+v", want.Summary)
+			}
+			if len(wantEv) == 0 || want.Summary.LedgerSpanUs == 0 || want.Summary.LedgerMigratingUs == 0 {
+				t.Fatalf("no observability signal, comparison is vacuous: %d events, %+v",
+					len(wantEv), want.Summary)
+			}
+			for _, shards := range []int{1, 2, 4, 7} {
+				for _, workers := range []int{1, 4} {
+					t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+						t.Parallel()
+						got, gotEv := runFleetObs(t, churnConfig(shards, workers, seed), tr, 300*sim.Second)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("report differs from 1x1:\n%+v\nvs\n%+v", got.Summary, want.Summary)
 						}
-					}
+						if !reflect.DeepEqual(gotEv, wantEv) {
+							t.Errorf("event stream differs from 1x1 (%d vs %d events)", len(gotEv), len(wantEv))
+							for i := range gotEv {
+								if i < len(wantEv) && gotEv[i] != wantEv[i] {
+									t.Errorf("first divergence at event %d:\n%+v\nvs\n%+v", i, gotEv[i], wantEv[i])
+									break
+								}
+							}
+						}
+					})
 				}
 			}
-		}
+		})
 	}
 }
 
 // runFleetObs is runFleet plus the retained flight-recorder stream (nil
 // with the recorder off); see runObs.
-func runFleetObs(t *testing.T, cfg Config, tr *Trace, horizon sim.Time) (*Report, []obs.Event) {
+func runFleetObs(t *testing.T, cfg Config, tr *testTrace, horizon sim.Time) (*Report, []obs.Event) {
 	t.Helper()
-	f, err := New(cfg, tr)
+	f, err := NewStream(cfg, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +125,7 @@ func runObs(t *testing.T, f *Fleet, horizon sim.Time) (*Report, []obs.Event) {
 // VM's memory over the 1000 MB/s pre-copy bandwidth, exactly, and the VM
 // ends on the machine it migrated to.
 func TestFleetMigrationDuration(t *testing.T) {
-	tr, err := ParseTrace(strings.NewReader(`
+	tr := parseTrace(t, `
 horizon,120
 class,big,30,6144
 class,medium,15,2048
@@ -130,10 +137,7 @@ vm,a,0,120,big,0.4
 vm,b,1,30,medium,0.4
 vm,c,2,120,small,0.4
 vm,d,3,120,tiny,0.4
-`))
-	if err != nil {
-		t.Fatal(err)
-	}
+`)
 	rep, events := runFleetObs(t, Config{
 		Machines:         testMachines(2, 0),
 		Scheduler:        "pas",
@@ -167,27 +171,74 @@ vm,d,3,120,tiny,0.4
 	}
 }
 
+// TestFleetMigrationNameReuse: a migration aborted by its VM's
+// departure leaves its completion entry in the queue, and a later VM of
+// the same name that starts migrating before that entry pops must still
+// land at its own completion time. The first x migrates 2 s -> 6 s but
+// departs at 3 s; the second x arrives at 3.5 s and migrates 4 s -> 8 s.
+func TestFleetMigrationNameReuse(t *testing.T) {
+	tr := parseTrace(t, `
+horizon,20
+class,big,50,1000
+class,mid,30,1000
+class,xc,30,4000
+vm,b1,0,20,big,0.9
+vm,b2,0,1,big,0.9
+vm,c,0,20,mid,0.9
+vm,d,0,20,big,0.9
+vm,x,0,3,xc,0.05
+vm,x,3.5,10,xc,0.05
+`)
+	_, events := runFleetObs(t, Config{
+		Machines:         testMachines(3, 0),
+		Scheduler:        "pas",
+		Policy:           NewFirstFit(),
+		ReportEvery:      10 * sim.Second,
+		ConsolidateEvery: 2 * sim.Second,
+		Shards:           1,
+		Obs:              ObsConfig{Enabled: true, Buffer: true},
+	}, tr, 20*sim.Second)
+	var starts, dones []sim.Time
+	for _, ev := range events {
+		if ev.VM != "x" {
+			continue
+		}
+		switch ev.Kind {
+		case obs.KindMigStart:
+			starts = append(starts, ev.At)
+		case obs.KindMigDone:
+			dones = append(dones, ev.At)
+		}
+	}
+	wantStarts := []sim.Time{2 * sim.Second, 4 * sim.Second}
+	wantDones := []sim.Time{8 * sim.Second}
+	if !reflect.DeepEqual(starts, wantStarts) || !reflect.DeepEqual(dones, wantDones) {
+		t.Errorf("x migrations started at %v and landed at %v; want starts %v, one landing at %v",
+			starts, dones, wantStarts, wantDones)
+	}
+}
+
 // TestFleetShardDefaultsAndClamp covers the shard- and worker-count
 // configuration surface: negatives rejected, zero shards defaulting to
 // the worker count, and clamping to the machine count.
 func TestFleetShardDefaultsAndClamp(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 1, Arrivals: 3, Horizon: 10 * sim.Second})
-	if _, err := New(Config{Machines: testMachines(2, 0), Shards: -1}, tr); err == nil ||
+	if _, err := NewStream(Config{Machines: testMachines(2, 0), Shards: -1}, tr.source()); err == nil ||
 		!strings.Contains(err.Error(), "shard count") {
 		t.Errorf("negative shard count accepted: %v", err)
 	}
-	if _, err := New(Config{Machines: testMachines(2, 0), Workers: -1}, tr); err == nil ||
+	if _, err := NewStream(Config{Machines: testMachines(2, 0), Workers: -1}, tr.source()); err == nil ||
 		!strings.Contains(err.Error(), "worker count") {
 		t.Errorf("negative worker count accepted: %v", err)
 	}
-	f, err := New(Config{Machines: testMachines(2, 0), Shards: 64}, tr)
+	f, err := NewStream(Config{Machines: testMachines(2, 0), Shards: 64}, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if f.Shards() != 2 {
 		t.Errorf("64 shards on 2 machines: got %d, want clamp to 2", f.Shards())
 	}
-	f, err = New(Config{Machines: testMachines(3, 0), Workers: 2}, tr)
+	f, err = NewStream(Config{Machines: testMachines(3, 0), Workers: 2}, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,13 +258,13 @@ func TestFleetShardErrorSurfaces(t *testing.T) {
 	tr := genTrace(t, GenConfig{Seed: 4, Arrivals: 12, Horizon: horizon, MeanLifetime: horizon})
 	for _, shards := range []int{1, 2, 4, 7} {
 		for _, workers := range []int{1, 4} {
-			f, err := New(Config{
+			f, err := NewStream(Config{
 				Machines: testMachines(6, 4),
 				Policy:   NewFirstFit(),
 				Shards:   shards,
 				Workers:  workers,
 				Seed:     4,
-			}, tr)
+			}, tr.source())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -351,7 +402,7 @@ func TestFleetAccessorGuards(t *testing.T) {
 	cfg := Config{Machines: testMachines(4, 2), Workers: 2, Shards: 3, Seed: 3}
 	g := &guardSink{t: t}
 	cfg.Sinks = []Sink{g}
-	f, err := New(cfg, tr)
+	f, err := NewStream(cfg, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +443,7 @@ func TestFleetSinkErrorAbortsRun(t *testing.T) {
 	cfg := Config{Machines: testMachines(4, 0), Workers: 2, Shards: 2, Seed: 5}
 	sinkErr := &failSink{err: errSentinel}
 	cfg.Sinks = []Sink{sinkErr}
-	f, err := New(cfg, tr)
+	f, err := NewStream(cfg, tr.source())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestServingLatencySLO(t *testing.T) {
 		horizon  = 240 * sim.Second
 		seed     = 31
 	)
-	trace, err := Generate(GenConfig{
+	trace := genTrace(t, GenConfig{
 		Seed:         seed,
 		Arrivals:     arrivals,
 		Horizon:      horizon,
@@ -30,9 +30,6 @@ func TestServingLatencySLO(t *testing.T) {
 		BaseActivity: 0.9,
 		SegmentLen:   60 * sim.Second,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Committed thresholds in milliseconds (measured x ~1.2).
 	slos := []struct {
 		sched        string
@@ -47,14 +44,14 @@ func TestServingLatencySLO(t *testing.T) {
 		slo := slo
 		t.Run(slo.sched, func(t *testing.T) {
 			t.Parallel()
-			f, err := New(Config{
+			f, err := NewStream(Config{
 				Machines:    DefaultEstate(machines),
 				Scheduler:   slo.sched,
 				Policy:      NewFirstFit(),
 				ReportEvery: 2 * sim.Second,
 				Seed:        seed,
 				Serving:     ServingConfig{Enabled: true},
-			}, trace)
+			}, trace.source())
 			if err != nil {
 				t.Fatal(err)
 			}

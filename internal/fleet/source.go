@@ -13,23 +13,20 @@ import (
 
 // TraceSource is a pull-based VM lifecycle trace: the class catalogue
 // and horizon are known up front, the events stream one at a time in
-// the canonical (Arrive, Name) order. It is how the fleet consumes
-// traces too large to materialize — a 10M-arrival run holds one event,
-// not ten million.
+// the canonical (Arrive, Name) order. It is the fleet's only trace
+// representation — a 10M-arrival run holds one event, not ten million.
 //
-// Three implementations exist: Trace.Source (the materialized trace as
-// the trivial adapter), GenerateStream (the synthetic generator
-// emitting lazily), and ParseTraceStream (streaming CSV ingestion).
+// Two producers exist, GenerateStream (the synthetic generator) and
+// ParseTraceStream (CSV ingestion); NewStream consumes a source, and
+// WriteCSVStream writes one out as CSV.
 //
-// Contract: Next returns events strictly increasing in (Arrive, Name)
-// and ok=false at end of stream; after ok=false the caller must check
-// Err for a truncated or malformed stream. The fleet validates each
-// event as it is pulled (known class, arrival inside the horizon,
-// positive lifetime, activity in [0,1], order) — what it cannot check
-// in O(1) memory is global name uniqueness, so streamed sources only
-// guarantee that no two *concurrently live* VMs share a name (the
-// fleet rejects the collision); materialize and Validate when the full
-// guarantee matters.
+// Contract: Next returns events strictly increasing in (Arrive, Name),
+// each naming a VM of a catalogued class that arrives before the
+// horizon with a positive lifetime and activity in [0,1], and ok=false
+// at end of stream; after ok=false the caller must check Err for a
+// truncated or malformed stream. The fleet checks every pulled event
+// against the contract. A name may recur once its earlier holder has
+// departed; the fleet rejects two concurrently live VMs sharing a name.
 type TraceSource interface {
 	// Classes returns the class catalogue. Callers must treat the map
 	// as read-only.
@@ -45,61 +42,11 @@ type TraceSource interface {
 	Err() error
 }
 
-// traceSource adapts a materialized Trace to the streaming interface.
-type traceSource struct {
-	t *Trace
-	i int
-}
-
-// Source returns the trace as a TraceSource, the trivial adapter: the
-// events are already materialized and sorted, so the source just walks
-// them.
-func (t *Trace) Source() TraceSource { return &traceSource{t: t} }
-
-func (s *traceSource) Classes() map[string]VMClass { return s.t.Classes }
-func (s *traceSource) Horizon() sim.Time           { return s.t.Horizon }
-func (s *traceSource) Err() error                  { return nil }
-
-func (s *traceSource) Next() (VMEvent, bool) {
-	if s.i >= len(s.t.Events) {
-		return VMEvent{}, false
-	}
-	ev := s.t.Events[s.i]
-	s.i++
-	return ev, true
-}
-
-// Drain materializes a source into a Trace, the inverse of
-// Trace.Source. The result is validated in full — this is the
-// convenience path for small traces and tests; at streaming scale,
-// feed the source to NewStream instead.
-func Drain(src TraceSource) (*Trace, error) {
-	t := &Trace{Classes: make(map[string]VMClass, len(src.Classes())), Horizon: src.Horizon()}
-	for name, c := range src.Classes() {
-		t.Classes[name] = c
-	}
-	for {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		t.Events = append(t.Events, ev)
-	}
-	if err := src.Err(); err != nil {
-		return nil, err
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// csvSource streams the ParseTrace CSV format. The prologue — the
-// horizon record and every class record — must precede the first vm
-// record (WriteCSV and WriteCSVStream emit that layout), because the
-// stream cannot be buffered to resolve forward references; vm records
-// must already be sorted by (arrive, name), since a streaming reader
-// cannot sort. ParseTrace parses its records with the same methods.
+// csvSource streams the CSV trace format. The prologue — the horizon
+// record and every class record — must precede the first vm record
+// (WriteCSVStream emits that layout), because the stream cannot be
+// buffered to resolve forward references; vm records must already be
+// sorted by (arrive, name), since a streaming reader cannot sort.
 type csvSource struct {
 	sc      *bufio.Scanner
 	classes map[string]VMClass
@@ -110,24 +57,28 @@ type csvSource struct {
 	// pending holds the first vm record's fields, already scanned by
 	// the prologue loop in ParseTraceStream.
 	pending []string
-
-	prevArrive sim.Time
-	prevName   string
-	first      bool
+	check   eventCheck
 }
 
-// ParseTraceStream opens a streaming reader over the CSV trace format
-// ParseTrace reads. It consumes the prologue (horizon and class
-// records) immediately and returns a TraceSource streaming the vm
-// records one at a time, so a multi-gigabyte trace never materializes.
+// ParseTraceStream opens a streaming reader over a CSV fleet trace: one
+// record per line, fields comma-separated, '#' comments and blank lines
+// ignored, CRLF tolerated. Three record kinds exist:
 //
-// Unlike ParseTrace, the streaming reader requires the horizon and
-// every class record before the first vm record, and requires the vm
-// records sorted by (arrive, name); global name uniqueness is only
-// checked for adjacent records (the fleet additionally rejects any two
-// concurrently live VMs sharing a name).
+//	horizon,<seconds>
+//	class,<name>,<credit_pct>,<memory_mb>
+//	vm,<name>,<arrive_s>,<lifetime_s>,<class>,<activity>
+//
+// The horizon and every class record must precede the first vm record,
+// and the vm records must be sorted by (arrive, name): the layout
+// WriteCSVStream emits. ParseTraceStream consumes the prologue
+// immediately and returns a TraceSource streaming the vm records one at
+// a time, so a multi-gigabyte trace never materializes. Next checks
+// every record against the TraceSource contract, so the reader rejects
+// any event the fleet would.
 func ParseTraceStream(r io.Reader) (TraceSource, error) {
-	s := newCSVSource(r)
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+	s := &csvSource{sc: sc, classes: make(map[string]VMClass)}
 	// Consume the prologue: everything up to (not including) the first
 	// vm record.
 	for {
@@ -149,14 +100,8 @@ func ParseTraceStream(r io.Reader) (TraceSource, error) {
 			return nil, err
 		}
 	}
+	s.check = eventCheck{classes: s.classes, horizon: s.horizon}
 	return s, nil
-}
-
-// newCSVSource returns a record reader over r with an empty prologue.
-func newCSVSource(r io.Reader) *csvSource {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	return &csvSource{sc: sc, classes: make(map[string]VMClass), first: true}
 }
 
 // prologueRecord applies one horizon or class record.
@@ -252,31 +197,11 @@ func (s *csvSource) Next() (VMEvent, bool) {
 	return ev, true
 }
 
-// vmRecord parses the next streamed vm record and checks it follows its
-// predecessor in (arrive, name) order.
+// vmRecord parses the next streamed vm record and checks the event.
 func (s *csvSource) vmRecord(parts []string) (VMEvent, error) {
 	if parts[0] != "vm" {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %s record after the first vm record (streaming traces need the prologue first)", s.line, parts[0])
 	}
-	ev, err := s.vmEvent(parts)
-	if err != nil {
-		return VMEvent{}, err
-	}
-	if !s.first {
-		if ev.Arrive < s.prevArrive || (ev.Arrive == s.prevArrive && ev.Name < s.prevName) {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: vm records not sorted by (arrive, name)", s.line)
-		}
-		if ev.Arrive == s.prevArrive && ev.Name == s.prevName {
-			return VMEvent{}, fmt.Errorf("fleet: trace line %d: duplicate VM name %q", s.line, ev.Name)
-		}
-	}
-	s.first = false
-	s.prevArrive, s.prevName = ev.Arrive, ev.Name
-	return ev, nil
-}
-
-// vmEvent parses the fields of one vm record.
-func (s *csvSource) vmEvent(parts []string) (VMEvent, error) {
 	if len(parts) != 6 {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: want 'vm,name,arrive_s,lifetime_s,class,activity', got %q", s.line, strings.Join(parts, ","))
 	}
@@ -292,20 +217,24 @@ func (s *csvSource) vmEvent(parts []string) (VMEvent, error) {
 	if err != nil {
 		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
 	}
-	return VMEvent{
+	ev := VMEvent{
 		Name:     parts[1],
 		Class:    parts[4],
 		Arrive:   sim.FromSeconds(arrive),
 		Lifetime: sim.FromSeconds(lifetime),
 		Activity: activity,
-	}, nil
+	}
+	if err := s.check.next(&ev); err != nil {
+		return VMEvent{}, fmt.Errorf("fleet: trace line %d: %w", s.line, err)
+	}
+	return ev, nil
 }
 
-// WriteCSVStream writes a source's trace in the format ParseTrace and
-// ParseTraceStream read, pulling events one at a time — the streaming
-// counterpart of Trace.WriteCSV, which delegates here. The output is
-// byte-identical whether the trace was materialized first or streamed
-// straight through.
+// WriteCSVStream writes a source's trace in the format ParseTraceStream
+// reads, pulling events one at a time: the prologue first, then the vm
+// records in the source's order. Piecewise Demand profiles are not
+// serialized (the CSV carries the scalar Activity; a replayed trace
+// offers the equivalent constant profile).
 func WriteCSVStream(src TraceSource, w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	classes := src.Classes()

@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"bytes"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,125 +8,22 @@ import (
 	"pasched/internal/sim"
 )
 
-// TestGenerateStreamMatchesGenerate proves the streaming generator and
-// the materialized one are the same trace bit for bit: Generate is
-// GenerateStream drained, and a second independent stream replays
-// identically (the source is deterministic in the seed, not stateful
-// across constructions).
-func TestGenerateStreamMatchesGenerate(t *testing.T) {
-	cfg := GenConfig{Seed: 1234, Arrivals: 500, Horizon: 600 * sim.Second,
-		MeanLifetime: 90 * sim.Second, SegmentLen: 30 * sim.Second}
-	tr := genTrace(t, cfg)
-	src, err := GenerateStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Horizon() != tr.Horizon {
-		t.Fatalf("horizon: stream %v, trace %v", src.Horizon(), tr.Horizon)
-	}
-	if !reflect.DeepEqual(src.Classes(), tr.Classes) {
-		t.Fatalf("classes differ: %+v vs %+v", src.Classes(), tr.Classes)
-	}
-	for i := range tr.Events {
-		ev, ok := src.Next()
-		if !ok {
-			t.Fatalf("stream ended at event %d of %d: %v", i, len(tr.Events), src.Err())
-		}
-		if !reflect.DeepEqual(ev, tr.Events[i]) {
-			t.Fatalf("event %d differs:\nstream %+v\ntrace  %+v", i, ev, tr.Events[i])
-		}
-	}
-	if ev, ok := src.Next(); ok {
-		t.Fatalf("stream has extra event after %d: %+v", len(tr.Events), ev)
-	}
-	if err := src.Err(); err != nil {
-		t.Fatalf("clean stream reports error: %v", err)
-	}
-}
-
 // TestGenerateStreamSortedAndValid drains a larger stream through the
-// full Trace.Validate gauntlet: sorted (Arrive, Name) order, unique
-// names, in-horizon arrivals — the TraceSource contract.
+// fleet's event check plus global name uniqueness: sorted (Arrive, Name)
+// order, in-horizon arrivals, sane lifetimes and activities — the
+// TraceSource contract.
 func TestGenerateStreamSortedAndValid(t *testing.T) {
-	src, err := GenerateStream(GenConfig{Seed: 9, Arrivals: 3000, Horizon: 3600 * sim.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := genTrace(t, GenConfig{Seed: 9, Arrivals: 3000, Horizon: 3600 * sim.Second})
 	if len(tr.Events) != 3000 {
 		t.Fatalf("drained %d events, want 3000", len(tr.Events))
 	}
+	checkEvents(t, tr)
 }
 
-// TestTraceSourceRoundTrip: the materialized adapter drained back is
-// the trace it wrapped.
-func TestTraceSourceRoundTrip(t *testing.T) {
-	tr := genTrace(t, GenConfig{Seed: 3, Arrivals: 50, Horizon: 100 * sim.Second})
-	back, err := Drain(tr.Source())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, tr) {
-		t.Fatalf("Source->Drain changed the trace:\n%+v\nvs\n%+v", back, tr)
-	}
-}
-
-// TestWriteCSVStreamByteIdentity is the satellite acceptance check:
-// Generate -> materialize -> WriteCSV and GenerateStream ->
-// WriteCSVStream produce byte-identical files.
-func TestWriteCSVStreamByteIdentity(t *testing.T) {
-	cfg := GenConfig{Seed: 77, Arrivals: 400, Horizon: 300 * sim.Second}
-	tr := genTrace(t, cfg)
-	var buffered bytes.Buffer
-	if err := tr.WriteCSV(&buffered); err != nil {
-		t.Fatal(err)
-	}
-	src, err := GenerateStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	if err := WriteCSVStream(src, &streamed); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buffered.Bytes(), streamed.Bytes()) {
-		t.Fatalf("materialized and streamed CSV differ (%d vs %d bytes)",
-			buffered.Len(), streamed.Len())
-	}
-}
-
-// TestParseTraceStream: the streaming CSV reader yields the same trace
-// ParseTrace materializes from the same bytes.
-func TestParseTraceStream(t *testing.T) {
-	tr := genTrace(t, GenConfig{Seed: 5, Arrivals: 200, Horizon: 240 * sim.Second})
-	var buf bytes.Buffer
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	want, err := ParseTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	src, err := ParseTraceStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Drain(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed parse differs from ParseTrace:\n%+v\nvs\n%+v", got, want)
-	}
-}
-
-// TestParseTraceStreamErrors covers what the streaming reader must
-// reject that ParseTrace can repair by buffering: prologue records
-// after the first vm record, unsorted vm records, plus the shared
-// validation (duplicates, malformed fields, empty traces).
+// TestParseTraceStreamErrors covers the layout the reader requires
+// (the prologue before the first vm record, vm records sorted) and
+// where each error surfaces: at construction for the prologue, from
+// Next/Err for vm records.
 func TestParseTraceStreamErrors(t *testing.T) {
 	cases := []struct {
 		name, input, want string
@@ -178,64 +73,18 @@ func TestParseTraceStreamErrors(t *testing.T) {
 	}
 }
 
-// TestFleetStreamedSourceEquivalence extends the tentpole equivalence
-// check to the streaming path: a fleet consuming GenerateStream
-// directly must produce a report and flight-recorder event stream
-// DeepEqual-bit-exact to the materialized-trace baseline, for every
-// shard x worker combination.
-func TestFleetStreamedSourceEquivalence(t *testing.T) {
-	seed := uint64(7)
-	gen := GenConfig{
-		Seed:         seed,
-		Arrivals:     140,
-		Horizon:      300 * sim.Second,
-		MeanLifetime: 45 * sim.Second,
-		BaseActivity: 0.5,
-		SegmentLen:   30 * sim.Second,
-	}
-	tr := genTrace(t, gen)
-	want, wantEv := runFleetObs(t, churnConfig(1, 1, seed), tr, 300*sim.Second)
-	if want.Summary.Migrated == 0 || want.Summary.Departed == 0 {
-		t.Fatalf("no churn, comparison is vacuous: %+v", want.Summary)
-	}
-	for _, shards := range []int{1, 2, 4, 7} {
-		for _, workers := range []int{1, 4} {
-			src, err := GenerateStream(gen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fl, err := NewStream(churnConfig(shards, workers, seed), src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := fl.Run(300 * sim.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("shards=%d workers=%d: streamed report differs from materialized 1x1:\n%+v\nvs\n%+v",
-					shards, workers, got.Summary, want.Summary)
-			}
-			gotEv := fl.ObsEvents()
-			if !reflect.DeepEqual(gotEv, wantEv) {
-				t.Errorf("shards=%d workers=%d: streamed event stream differs (%d vs %d events)",
-					shards, workers, len(gotEv), len(wantEv))
-			}
-		}
-	}
-}
-
-// TestNewStreamValidation: the streaming constructor and run surface
-// the errors Trace.Validate would have raised up front.
+// TestNewStreamValidation: the constructor rejects a nil source, and
+// the run's pull checks each event, so a source that breaks the
+// TraceSource contract fails the run with the event's index.
 func TestNewStreamValidation(t *testing.T) {
 	cfg := Config{Machines: testMachines(2, 0)}
 	if _, err := NewStream(cfg, nil); err == nil ||
 		!strings.Contains(err.Error(), "nil trace source") {
 		t.Errorf("nil source: %v", err)
 	}
-	empty := &Trace{Classes: map[string]VMClass{"a": {Name: "a", CreditPct: 10, MemoryMB: 512}},
+	empty := &testTrace{Classes: map[string]VMClass{"a": {Name: "a", CreditPct: 10, MemoryMB: 512}},
 		Horizon: 10 * sim.Second}
-	fl, err := NewStream(cfg, empty.Source())
+	fl, err := NewStream(cfg, empty.source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +92,7 @@ func TestNewStreamValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "without VM events") {
 		t.Errorf("empty stream: %v", err)
 	}
-	bad := &Trace{
+	bad := &testTrace{
 		Classes: map[string]VMClass{"a": {Name: "a", CreditPct: 10, MemoryMB: 512}},
 		Events: []VMEvent{
 			{Name: "x", Class: "a", Arrive: 5 * sim.Second, Lifetime: sim.Second, Activity: 0.5},
@@ -251,27 +100,27 @@ func TestNewStreamValidation(t *testing.T) {
 		},
 		Horizon: 10 * sim.Second,
 	}
-	fl, err = NewStream(cfg, bad.Source())
+	fl, err = NewStream(cfg, bad.source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fl.Run(10 * sim.Second); err == nil ||
-		!strings.Contains(err.Error(), "not sorted") {
+		!strings.Contains(err.Error(), "trace event 1: VM y follows x: events not sorted") {
 		t.Errorf("unsorted stream: %v", err)
 	}
-	ghost := &Trace{
+	ghost := &testTrace{
 		Classes: map[string]VMClass{"a": {Name: "a", CreditPct: 10, MemoryMB: 512}},
 		Events: []VMEvent{
 			{Name: "x", Class: "ghost", Arrive: sim.Second, Lifetime: sim.Second, Activity: 0.5},
 		},
 		Horizon: 10 * sim.Second,
 	}
-	fl, err = NewStream(cfg, ghost.Source())
+	fl, err = NewStream(cfg, ghost.source())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fl.Run(10 * sim.Second); err == nil ||
-		!strings.Contains(err.Error(), "unknown class") {
+		!strings.Contains(err.Error(), "trace event 0: VM x references unknown class") {
 		t.Errorf("unknown class: %v", err)
 	}
 }

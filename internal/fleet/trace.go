@@ -35,10 +35,9 @@
 package fleet
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"math"
-	"sort"
 	"strconv"
 
 	"pasched/internal/sim"
@@ -87,7 +86,7 @@ func (c VMClass) Validate() error {
 // offers its demand profile, and departs Lifetime later (or at the run
 // horizon, whichever comes first).
 type VMEvent struct {
-	// Name labels the VM; unique within the trace.
+	// Name labels the VM; no two concurrently live VMs share one.
 	Name string
 	// Class names the VMClass the VM is created from.
 	Class string
@@ -108,126 +107,54 @@ type VMEvent struct {
 	Demand []workload.Phase
 }
 
-// Trace is a VM lifecycle trace: the class catalogue and the arrival
-// events in time order.
-type Trace struct {
-	// Classes catalogues the VM classes by name.
-	Classes map[string]VMClass
-	// Events holds the VM lifecycles sorted by (Arrive, Name).
-	Events []VMEvent
-	// Horizon is the nominal end of the trace. Events arrive strictly
-	// before it; lifetimes may extend past it (the fleet truncates them
-	// at its run horizon).
-	Horizon sim.Time
+// eventCheck is the one check of the TraceSource event contract, and
+// it owns the order state: every event names a VM, references a class
+// of the catalogue, arrives inside [0, horizon), lives a positive
+// lifetime with activity in [0, 1], and follows its predecessor
+// strictly in (Arrive, Name) order. ParseTraceStream checks each record
+// through it, and the fleet checks each event it pulls, so the CSV
+// reader rejects on its own everything the fleet would. A name may
+// recur later in the stream (a VM name reused after its earlier holder
+// left); the fleet rejects two concurrently live VMs sharing a name.
+type eventCheck struct {
+	classes map[string]VMClass
+	horizon sim.Time
+	// n counts the events accepted so far: the index of the next one.
+	n          int
+	prevArrive sim.Time
+	prevName   string
 }
 
-// Validate checks the whole trace: classes valid, events sorted and
-// unique, every event referencing a known class with sane times.
-func (t *Trace) Validate() error {
-	if t == nil {
-		return fmt.Errorf("fleet: nil trace")
+// next checks ev against the contract and its predecessor, and on
+// success makes it the predecessor of the next call. Errors carry no
+// position; callers prefix the line or event index they know.
+func (c *eventCheck) next(ev *VMEvent) error {
+	if ev.Name == "" {
+		return errors.New("VM without a name")
 	}
-	if t.Horizon <= 0 {
-		return fmt.Errorf("fleet: trace horizon %v not positive", t.Horizon)
+	if _, known := c.classes[ev.Class]; !known {
+		return fmt.Errorf("VM %s references unknown class %q", ev.Name, ev.Class)
 	}
-	if len(t.Events) == 0 {
-		return fmt.Errorf("fleet: trace without VM events")
+	if ev.Arrive < 0 || ev.Arrive >= c.horizon {
+		return fmt.Errorf("VM %s arrives at %v, outside [0, %v)", ev.Name, ev.Arrive, c.horizon)
 	}
-	for _, c := range t.Classes {
-		if err := c.Validate(); err != nil {
-			return err
-		}
+	if ev.Lifetime <= 0 {
+		return fmt.Errorf("VM %s lifetime %v not positive", ev.Name, ev.Lifetime)
 	}
-	seen := make(map[string]bool, len(t.Events))
-	for i, ev := range t.Events {
-		if ev.Name == "" {
-			return fmt.Errorf("fleet: event %d without a VM name", i)
+	if !isFinite(ev.Activity) || ev.Activity < 0 || ev.Activity > 1 {
+		return fmt.Errorf("VM %s activity %v outside [0,1]", ev.Name, ev.Activity)
+	}
+	if c.n > 0 {
+		if ev.Arrive == c.prevArrive && ev.Name == c.prevName {
+			return fmt.Errorf("duplicate VM name %q", ev.Name)
 		}
-		if seen[ev.Name] {
-			return fmt.Errorf("fleet: duplicate VM name %q", ev.Name)
-		}
-		seen[ev.Name] = true
-		if _, ok := t.Classes[ev.Class]; !ok {
-			return fmt.Errorf("fleet: VM %s references unknown class %q", ev.Name, ev.Class)
-		}
-		if ev.Arrive < 0 || ev.Arrive >= t.Horizon {
-			return fmt.Errorf("fleet: VM %s arrives at %v, outside [0, %v)", ev.Name, ev.Arrive, t.Horizon)
-		}
-		if ev.Lifetime <= 0 {
-			return fmt.Errorf("fleet: VM %s lifetime %v not positive", ev.Name, ev.Lifetime)
-		}
-		if !isFinite(ev.Activity) || ev.Activity < 0 || ev.Activity > 1 {
-			return fmt.Errorf("fleet: VM %s activity %v outside [0,1]", ev.Name, ev.Activity)
-		}
-		if i > 0 {
-			prev := t.Events[i-1]
-			if ev.Arrive < prev.Arrive || (ev.Arrive == prev.Arrive && ev.Name < prev.Name) {
-				return fmt.Errorf("fleet: events not sorted by (arrive, name) at index %d", i)
-			}
+		if ev.Arrive < c.prevArrive || (ev.Arrive == c.prevArrive && ev.Name < c.prevName) {
+			return fmt.Errorf("VM %s follows %s: events not sorted by (arrive, name)", ev.Name, c.prevName)
 		}
 	}
+	c.n++
+	c.prevArrive, c.prevName = ev.Arrive, ev.Name
 	return nil
-}
-
-// sortEvents puts the events into the canonical (Arrive, Name) order.
-func (t *Trace) sortEvents() {
-	sort.Slice(t.Events, func(i, j int) bool {
-		if t.Events[i].Arrive != t.Events[j].Arrive {
-			return t.Events[i].Arrive < t.Events[j].Arrive
-		}
-		return t.Events[i].Name < t.Events[j].Name
-	})
-}
-
-// ParseTrace reads a fleet trace from r: one record per line, fields
-// comma-separated, '#' comments and blank lines ignored, CRLF tolerated.
-// Three record kinds exist:
-//
-//	horizon,<seconds>
-//	class,<name>,<credit_pct>,<memory_mb>
-//	vm,<name>,<arrive_s>,<lifetime_s>,<class>,<activity>
-//
-// Records may appear in any order; events are sorted by arrival time. The
-// parsed trace is fully validated before it is returned. Each record is
-// parsed by the same code as ParseTraceStream's.
-func ParseTrace(r io.Reader) (*Trace, error) {
-	s := newCSVSource(r)
-	var events []VMEvent
-	for {
-		parts, ok := s.scanRecord()
-		if !ok {
-			break
-		}
-		if parts[0] != "vm" {
-			if err := s.prologueRecord(parts); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		ev, err := s.vmEvent(parts)
-		if err != nil {
-			return nil, err
-		}
-		events = append(events, ev)
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	t := &Trace{Classes: s.classes, Events: events, Horizon: s.horizon}
-	t.sortEvents()
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// WriteCSV writes the trace in the format ParseTrace reads, so generated
-// traces can be saved, inspected and replayed. Piecewise Demand profiles
-// are not serialized (the CSV carries the scalar Activity; a replayed
-// trace offers the equivalent constant profile). The output is
-// byte-identical to streaming the trace through WriteCSVStream.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	return WriteCSVStream(t.Source(), w)
 }
 
 // demandPhases returns the event's request-rate profile in absolute time:

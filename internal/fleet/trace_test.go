@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -24,10 +25,7 @@ vm,c,10.5,30,small,0
 `
 
 func TestParseTrace(t *testing.T) {
-	tr, err := ParseTrace(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := parseTrace(t, sampleTrace)
 	if tr.Horizon != 120*sim.Second {
 		t.Errorf("horizon = %v", tr.Horizon)
 	}
@@ -48,8 +46,23 @@ func TestParseTrace(t *testing.T) {
 
 func TestParseTraceCRLF(t *testing.T) {
 	crlf := strings.ReplaceAll(sampleTrace, "\n", "\r\n")
-	if _, err := ParseTrace(strings.NewReader(crlf)); err != nil {
-		t.Fatalf("CRLF trace rejected: %v", err)
+	if tr := parseTrace(t, crlf); len(tr.Events) != 3 {
+		t.Fatalf("CRLF trace parsed to %d events", len(tr.Events))
+	}
+}
+
+// readAll opens the CSV reader over r and pulls every event with a
+// plain Next loop, returning the first error: from construction, or
+// from Err once Next ends.
+func readAll(r io.Reader) error {
+	src, err := ParseTraceStream(r)
+	if err != nil {
+		return err
+	}
+	for {
+		if _, ok := src.Next(); !ok {
+			return src.Err()
+		}
 	}
 }
 
@@ -76,111 +89,107 @@ func TestParseTraceErrors(t *testing.T) {
 		"bad class credit":  "horizon,10\nclass,a,0,1024\nvm,x,0,10,a,0.5\n",
 		"bad class memory":  "horizon,10\nclass,a,10,-5\nvm,x,0,10,a,0.5\n",
 	}
-	// The streaming reader rejects each trace too. Both readers parse
-	// records with the same helpers and end in the same validation, so
-	// the messages match, except for inputs that break the prologue-first
-	// layout only the streaming reader requires.
-	layout := map[string]bool{"empty": true, "no horizon": true}
 	for name, in := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, err := ParseTrace(strings.NewReader(in))
-			if err == nil {
-				t.Fatal("ParseTrace accepted")
+			err := readAll(strings.NewReader(in))
+			if name != "duplicate vm" {
+				if err == nil {
+					t.Fatal("reader accepted")
+				}
+				return
 			}
-			src, serr := ParseTraceStream(strings.NewReader(in))
-			if serr == nil {
-				_, serr = Drain(src)
+			// The two x records are well-formed, sorted and distinct in
+			// (arrive, name): the reader accepts them, and the fleet
+			// rejects the second x because the first is still live.
+			if err != nil {
+				t.Fatalf("reader rejected a name reuse: %v", err)
 			}
-			if serr == nil {
-				t.Fatalf("streaming reader accepted what ParseTrace rejects: %v", err)
+			src, err := ParseTraceStream(strings.NewReader(in))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !layout[name] && serr.Error() != err.Error() {
-				t.Errorf("messages differ:\nParseTrace: %v\nstream:     %v", err, serr)
+			f, err := NewStream(Config{Machines: testMachines(2, 0)}, src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Run(10 * sim.Second); err == nil || !strings.Contains(err.Error(), `duplicate VM name "x"`) {
+				t.Errorf("fleet run: %v, want a duplicate VM name error", err)
 			}
 		})
 	}
 
-	// A read failure names the line the scanner failed in, for both
-	// readers, and wraps its cause.
+	// A read failure names the line the scanner failed in and wraps its
+	// cause.
 	good := "horizon,10\nclass,a,10,1024\nvm,x,0,10,a,0.5\n"
 	readFailures := map[string]struct {
-		in    func() io.Reader
+		in    io.Reader
 		cause error
 	}{
-		"line over 1 MiB": {func() io.Reader {
-			return strings.NewReader(good + strings.Repeat("x", 1<<20+1) + "\nvm,y,1,10,a,0.5\n")
-		}, bufio.ErrTooLong},
-		"read error": {func() io.Reader {
-			return io.MultiReader(strings.NewReader(good), iotest.ErrReader(io.ErrUnexpectedEOF))
-		}, io.ErrUnexpectedEOF},
+		"line over 1 MiB": {
+			strings.NewReader(good + strings.Repeat("x", 1<<20+1) + "\nvm,y,1,10,a,0.5\n"),
+			bufio.ErrTooLong},
+		"read error": {
+			io.MultiReader(strings.NewReader(good), iotest.ErrReader(io.ErrUnexpectedEOF)),
+			io.ErrUnexpectedEOF},
 	}
 	for name, c := range readFailures {
 		t.Run(name, func(t *testing.T) {
-			_, err := ParseTrace(c.in())
-			src, serr := ParseTraceStream(c.in())
-			if serr == nil {
-				_, serr = Drain(src)
-			}
-			for reader, err := range map[string]error{"ParseTrace": err, "stream": serr} {
-				if !errors.Is(err, c.cause) || !strings.HasPrefix(fmt.Sprint(err), "fleet: trace line 4: read: ") {
-					t.Errorf("%s: got %v, want a line 4 read error wrapping %v", reader, err, c.cause)
-				}
+			err := readAll(c.in)
+			if !errors.Is(err, c.cause) || !strings.HasPrefix(fmt.Sprint(err), "fleet: trace line 4: read: ") {
+				t.Errorf("got %v, want a line 4 read error wrapping %v", err, c.cause)
 			}
 		})
 	}
 }
 
+// TestTraceCSVRoundTrip: WriteCSVStream's output reads back to the
+// same trace, for a handwritten trace and a generated one (whose
+// piecewise Demand profiles the CSV does not carry).
 func TestTraceCSVRoundTrip(t *testing.T) {
-	orig, err := ParseTrace(strings.NewReader(sampleTrace))
-	if err != nil {
-		t.Fatal(err)
+	gen := genTrace(t, GenConfig{Seed: 5, Arrivals: 200, Horizon: 240 * sim.Second})
+	for i := range gen.Events {
+		gen.Events[i].Demand = nil
 	}
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTrace(&buf)
-	if err != nil {
-		t.Fatalf("reparse: %v\n%s", err, buf.String())
-	}
-	if back.Horizon != orig.Horizon || len(back.Events) != len(orig.Events) {
-		t.Fatalf("round trip changed shape: %+v vs %+v", back, orig)
-	}
-	for i := range orig.Events {
-		if back.Events[i].Name != orig.Events[i].Name ||
-			back.Events[i].Arrive != orig.Events[i].Arrive ||
-			back.Events[i].Lifetime != orig.Events[i].Lifetime ||
-			back.Events[i].Class != orig.Events[i].Class ||
-			back.Events[i].Activity != orig.Events[i].Activity {
-			t.Errorf("event %d changed: %+v vs %+v", i, back.Events[i], orig.Events[i])
+	for name, orig := range map[string]*testTrace{"sample": parseTrace(t, sampleTrace), "generated": gen} {
+		var buf bytes.Buffer
+		if err := WriteCSVStream(orig.source(), &buf); err != nil {
+			t.Fatal(err)
 		}
+		if back := parseTrace(t, buf.String()); !reflect.DeepEqual(back, orig) {
+			t.Errorf("%s: round trip changed the trace", name)
+		}
+	}
+}
+
+// checkEvents runs a trace's events through the fleet's event check and
+// requires globally unique names, which the generator guarantees.
+func checkEvents(t *testing.T, tr *testTrace) {
+	t.Helper()
+	c := eventCheck{classes: tr.Classes, horizon: tr.Horizon}
+	seen := make(map[string]bool, len(tr.Events))
+	for i := range tr.Events {
+		if err := c.next(&tr.Events[i]); err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		if seen[tr.Events[i].Name] {
+			t.Fatalf("event %d reuses the name %q", i, tr.Events[i].Name)
+		}
+		seen[tr.Events[i].Name] = true
 	}
 }
 
 func TestGenerateDeterministicAndValid(t *testing.T) {
 	cfg := GenConfig{Seed: 7, Arrivals: 200, Horizon: 600 * sim.Second}
-	a, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := genTrace(t, cfg)
+	b := genTrace(t, cfg)
 	if len(a.Events) != 200 || len(b.Events) != 200 {
 		t.Fatalf("generated %d / %d events", len(a.Events), len(b.Events))
 	}
-	for i := range a.Events {
-		ea, eb := a.Events[i], b.Events[i]
-		if ea.Name != eb.Name || ea.Arrive != eb.Arrive || ea.Lifetime != eb.Lifetime ||
-			ea.Class != eb.Class || ea.Activity != eb.Activity {
-			t.Fatalf("same seed diverged at event %d: %+v vs %+v", i, ea, eb)
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed produced different traces")
 	}
-	c, err := Generate(GenConfig{Seed: 8, Arrivals: 200, Horizon: 600 * sim.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	checkEvents(t, a)
+	c := genTrace(t, GenConfig{Seed: 8, Arrivals: 200, Horizon: 600 * sim.Second})
 	same := 0
 	for i := range a.Events {
 		if a.Events[i].Arrive == c.Events[i].Arrive {
@@ -210,16 +219,17 @@ func TestGenerateDeterministicAndValid(t *testing.T) {
 }
 
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(GenConfig{Arrivals: 0, Horizon: sim.Second}); err == nil {
-		t.Error("0 arrivals accepted")
-	}
-	if _, err := Generate(GenConfig{Arrivals: 1, Horizon: 0}); err == nil {
-		t.Error("0 horizon accepted")
-	}
-	if _, err := Generate(GenConfig{Arrivals: 1, Horizon: sim.Second, DiurnalAmplitude: 1.5}); err == nil {
-		t.Error("amplitude 1.5 accepted")
-	}
-	if _, err := Generate(GenConfig{Arrivals: 1, Horizon: sim.Second, BaseActivity: 2}); err == nil {
-		t.Error("activity 2 accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  GenConfig
+	}{
+		{"0 arrivals", GenConfig{Arrivals: 0, Horizon: sim.Second}},
+		{"0 horizon", GenConfig{Arrivals: 1, Horizon: 0}},
+		{"amplitude 1.5", GenConfig{Arrivals: 1, Horizon: sim.Second, DiurnalAmplitude: 1.5}},
+		{"activity 2", GenConfig{Arrivals: 1, Horizon: sim.Second, BaseActivity: 2}},
+	} {
+		if _, err := GenerateStream(tc.cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
