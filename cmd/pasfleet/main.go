@@ -37,6 +37,7 @@
 package main
 
 import (
+	"errors"
 	"expvar"
 	"flag"
 	"fmt"
@@ -454,7 +455,9 @@ func parseStream(spec string) (format, path string, ok bool) {
 	return "", "", false
 }
 
-// writeFile creates path and streams write into it.
+// writeFile creates path and streams write into it. When the write or
+// the close fails it removes the file, so no empty or truncated output
+// outlives the failure.
 func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -463,6 +466,10 @@ func writeFile(path string, write func(io.Writer) error) error {
 	err = write(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err != nil {
+		// A failed removal is reported too: it leaves the partial file.
+		err = errors.Join(err, os.Remove(path))
 	}
 	return err
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"expvar"
 	"os"
 	"path/filepath"
@@ -138,12 +139,16 @@ func TestVMTraceRejectsInvalidEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	code := run([]string{"-vmtrace", bad, "-write-trace", filepath.Join(dir, "out.csv")}, &out, &errOut)
+	written := filepath.Join(dir, "out.csv")
+	code := run([]string{"-vmtrace", bad, "-write-trace", written}, &out, &errOut)
 	if code != 1 {
 		t.Fatalf("exit %d, want 1\nstdout: %s\nstderr: %s", code, out.String(), errOut.String())
 	}
 	if want := `fleet: trace line 3: VM x references unknown class "ghost"`; !strings.Contains(errOut.String(), want) {
 		t.Errorf("stderr %q, want %q", errOut.String(), want)
+	}
+	if _, err := os.Stat(written); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("failed -write-trace left %s behind (stat: %v)", written, err)
 	}
 }
 

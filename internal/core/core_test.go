@@ -509,6 +509,48 @@ func TestPASWithoutLoadSourceIsPlainCredit(t *testing.T) {
 	}
 }
 
+// TestCredit2FamilyBooksCreditWeight: Credit2 books a credit VM's weight
+// once, as sched.WeightForCredit of its credit, and PAS-credit2 books
+// nothing on top. A 20.5% VM therefore weighs 21 under both: racing a VM
+// of explicit weight 21, it wins an equal share of the processor.
+func TestCredit2FamilyBooksCreditWeight(t *testing.T) {
+	cpu, err := cpufreq.NewCPU(cpufreq.Optiplex755())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pasCredit2, err := core.NewPASCredit2(cpu, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []sched.Scheduler{sched.NewCredit2(), pasCredit2} {
+		credited, err := vm.New(1, vm.Config{Name: "credited", Credit: 20.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		weighted, err := vm.New(2, vm.Config{Name: "weighted", Weight: 21})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran := map[*vm.VM]int{}
+		for _, v := range []*vm.VM{credited, weighted} {
+			v.SetWorkload(&workload.Hog{})
+			if err := s.Add(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for now := sim.Time(0); now < 420*sim.Millisecond; now += sim.Millisecond {
+			v := s.Pick(now)
+			ran[v]++
+			s.Charge(v, sim.Millisecond, now+sim.Millisecond)
+			s.Tick(now + sim.Millisecond)
+		}
+		if d := ran[credited] - ran[weighted]; d < -1 || d > 1 {
+			t.Errorf("%s: the 20.5%% VM ran %d quanta against weight 21's %d, want an equal share",
+				s.Name(), ran[credited], ran[weighted])
+		}
+	}
+}
+
 func TestUserLevelCreditManagerCompensates(t *testing.T) {
 	// Variant 1 of Section 4.1: the governor lowers the frequency; the
 	// user-level daemon compensates the credits a polling period later.
@@ -517,11 +559,7 @@ func TestUserLevelCreditManagerCompensates(t *testing.T) {
 		t.Fatal(err)
 	}
 	credit := sched.NewCredit()
-	gov, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := host.New(host.Config{CPU: cpu, Scheduler: credit, Governor: gov})
+	h, err := host.New(host.Config{CPU: cpu, Scheduler: credit, Governor: governor.NewPaperOndemand(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,12 @@ type PAS struct {
 }
 
 var (
-	_ sched.Scheduler        = (*PAS)(nil)
-	_ sched.CapSetter        = (*PAS)(nil)
-	_ sched.EffectiveCapper  = (*PAS)(nil)
-	_ sched.BoundaryReporter = (*PAS)(nil)
-	_ sched.Batcher          = (*PAS)(nil)
-	_ sched.PatternBatcher   = (*PAS)(nil)
-	_ sched.TraceSetter      = (*PAS)(nil)
-	_ sched.Throttler        = (*PAS)(nil)
+	_ sched.Scheduler       = (*PAS)(nil)
+	_ sched.CapSetter       = (*PAS)(nil)
+	_ sched.EffectiveCapper = (*PAS)(nil)
+	_ sched.Batcher         = (*PAS)(nil)
+	_ sched.TraceSetter     = (*PAS)(nil)
+	_ sched.Throttler       = (*PAS)(nil)
 )
 
 // NewPAS builds a PAS scheduler for cpu. cf is the per-P-state
@@ -96,8 +94,7 @@ func (p *PAS) Charge(v *vm.VM, busy, now sim.Time) { p.credit.Charge(v, busy, no
 
 // SetTracer implements sched.TraceSetter: PAS enforces through Credit,
 // so the refill/exhaustion events come from the inner scheduler; PAS
-// additionally retains the tracer for its own recompensation events
-// (sched.RecompensateTracer).
+// additionally retains the tracer for its own recompensation events.
 func (p *PAS) SetTracer(t sched.Tracer) {
 	p.tracer = t
 	p.credit.SetTracer(t)
@@ -116,7 +113,7 @@ func (p *PAS) Tick(now sim.Time) {
 	p.tick(now, p)
 }
 
-// NextBoundary implements sched.BoundaryReporter: the earlier of the
+// NextBoundary implements sched.Scheduler: the earlier of the
 // Credit refill and the next PAS recomputation (which can change the
 // frequency and every VM's cap, so batched steps must stop before it).
 func (p *PAS) NextBoundary(now sim.Time) sim.Time {
@@ -130,7 +127,7 @@ func (p *PAS) BatchPick(v *vm.VM, quantum sim.Time, max int, now sim.Time) (int,
 	return p.credit.BatchPick(v, quantum, max, now)
 }
 
-// BatchPattern implements sched.PatternBatcher by delegating to the
+// BatchPattern implements sched.Scheduler by delegating to the
 // underlying Credit scheduler: between recomputations (excluded from
 // batched stretches by NextBoundary) PAS schedules exactly like Credit
 // under the momentary compensated caps, so contended stretches collapse
@@ -157,8 +154,8 @@ func (p *PAS) enforce(at sim.Time, t Target, switched bool) {
 	// One decision event per frequency change, which is when the
 	// compensated caps move; a single event keeps the emission
 	// independent of the contract map's iteration order.
-	if rt, ok := p.tracer.(sched.RecompensateTracer); ok {
-		rt.TraceRecompensate(at, int64(t.Freq), compensated)
+	if p.tracer != nil {
+		p.tracer.TraceRecompensate(at, int64(t.Freq), compensated)
 	}
 }
 

@@ -37,10 +37,8 @@ type PASCredit2 struct {
 }
 
 var (
-	_ sched.Scheduler        = (*PASCredit2)(nil)
-	_ sched.CapSetter        = (*PASCredit2)(nil)
-	_ sched.BoundaryReporter = (*PASCredit2)(nil)
-	_ sched.PatternBatcher   = (*PASCredit2)(nil)
+	_ sched.Scheduler = (*PASCredit2)(nil)
+	_ sched.CapSetter = (*PASCredit2)(nil)
 )
 
 // NewPASCredit2 builds a Credit2-based PAS scheduler for cpu; cf is the
@@ -57,19 +55,13 @@ func NewPASCredit2(cpu *cpufreq.CPU, cf []float64) (*PASCredit2, error) {
 func (p *PASCredit2) Name() string { return "pas-credit2" }
 
 // Add implements sched.Scheduler. The VM's configured credit is
-// remembered as its contracted credit and becomes its initial weight.
+// remembered as its contracted credit, and Credit2 books it as the VM's
+// initial weight unless the VM has an explicit one.
 func (p *PASCredit2) Add(v *vm.VM) error {
 	if err := p.c2.Add(v); err != nil {
 		return err
 	}
 	p.contracts[v.ID()] = v.Credit()
-	if v.Credit() > 0 {
-		if err := p.c2.SetWeight(v.ID(), sched.WeightForCredit(v.Credit())); err != nil {
-			_ = p.c2.Remove(v.ID())
-			delete(p.contracts, v.ID())
-			return err
-		}
-	}
 	return nil
 }
 
@@ -98,14 +90,14 @@ func (p *PASCredit2) Tick(now sim.Time) {
 	p.tick(now, p)
 }
 
-// NextBoundary implements sched.BoundaryReporter: Credit2 itself has no
+// NextBoundary implements sched.Scheduler: Credit2 itself has no
 // accounting boundary, so the next PAS recomputation (which can change
 // the frequency) is the only one batched steps must stop before.
 func (p *PASCredit2) NextBoundary(now sim.Time) sim.Time {
 	return p.boundary(p.c2.NextBoundary(now))
 }
 
-// BatchPattern implements sched.PatternBatcher by delegating to Credit2:
+// BatchPattern implements sched.Scheduler by delegating to Credit2:
 // between recomputations (excluded from batched stretches by
 // NextBoundary) the variant schedules exactly like Credit2 under the
 // momentary weights, so contended stretches collapse to the same

@@ -1,7 +1,8 @@
 // Package engine is the shared simulation engine behind every simulated
-// machine in the repository: the single host (internal/host), the
-// multi-core cluster (internal/multicore) and the consolidation data
-// center (internal/consolidation).
+// machine in the repository: each host (internal/host) runs on its own
+// Engine, and the multi-core cluster (internal/multicore) and the fleet
+// (internal/fleet) step many hosts concurrently between barriers with
+// RunParallel.
 //
 // The engine owns the three things every machine used to hand-roll
 // separately — the simulated clock, the ordered event queue, and the
@@ -18,13 +19,13 @@
 // computes the earliest upcoming moment anything discrete can happen — a
 // scheduled event, a periodic-action boundary, the run target — and
 // offers the machine the whole uninterrupted stretch as one batched step.
-// The machine accepts only when it can prove the stretch is uniform
-// (idle processor, or a single runnable VM consuming full quanta with no
-// scheduler, governor or workload boundary inside), so a batched run is
+// The machine accepts only when it can prove the stretch is uniform — no
+// scheduler, governor or workload boundary inside, and a processor that
+// idles, runs a single VM for full quanta, or runs a contended pattern
+// the scheduler folds into per-VM tallies — so a batched run is
 // observationally identical to stepping the quanta one by one; otherwise
-// the engine falls back to a single reference-semantics quantum. Idle
-// hosts and single-runnable-VM stretches thus cost O(1) per horizon
-// instead of O(quanta).
+// the engine falls back to a single reference-semantics quantum. Such
+// stretches thus cost O(1) per horizon instead of O(quanta).
 package engine
 
 import (

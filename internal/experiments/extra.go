@@ -99,10 +99,7 @@ func ablationRun(variant implVariant) (deficit float64, transitions int, err err
 	case implInScheduler:
 		scheduler = "pas"
 	case implUserCredit:
-		gov, err = governor.NewPaperOndemand(governor.PaperOndemandConfig{CF: prof.EfficiencyTable()})
-		if err != nil {
-			return 0, 0, err
-		}
+		gov = governor.NewPaperOndemand(prof.EfficiencyTable())
 	}
 	h, err := host.NewMachine(scheduler, 0, host.Config{Profile: prof, Governor: gov})
 	if err != nil {

@@ -58,28 +58,20 @@ type scenario struct {
 // DVFS itself and runs with "none" only.
 var scenarioGovernors = []struct {
 	name  string
-	build func() (governor.Governor, error)
+	build func() governor.Governor
 }{
-	{"performance", func() (governor.Governor, error) { return &governor.Performance{}, nil }},
-	{"powersave", func() (governor.Governor, error) { return &governor.Powersave{}, nil }},
-	{"conservative", func() (governor.Governor, error) {
-		return governor.NewConservative(governor.ConservativeConfig{})
-	}},
+	{"performance", func() governor.Governor { return &governor.Performance{} }},
+	{"powersave", func() governor.Governor { return &governor.Powersave{} }},
+	{"conservative", func() governor.Governor { return governor.NewConservative() }},
 	// The stock Linux ondemand governor.
-	{"ondemand", func() (governor.Governor, error) {
-		return governor.NewLinuxOndemand(governor.LinuxOndemandConfig{})
-	}},
+	{"ondemand", func() governor.Governor { return governor.NewLinuxOndemand() }},
 	// The paper's smoothed governor with the Optiplex 755's cf table.
-	{"paper", func() (governor.Governor, error) {
-		return governor.NewPaperOndemand(governor.PaperOndemandConfig{
-			CF: cpufreq.Optiplex755().EfficiencyTable(),
-		})
+	{"paper", func() governor.Governor {
+		return governor.NewPaperOndemand(cpufreq.Optiplex755().EfficiencyTable())
 	}},
 	// The same governor assuming cf=1 at every P-state.
-	{"paper-cf1", func() (governor.Governor, error) {
-		return governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-	}},
-	{"none", func() (governor.Governor, error) { return nil, nil }},
+	{"paper-cf1", func() governor.Governor { return governor.NewPaperOndemand(nil) }},
+	{"none", func() governor.Governor { return nil }},
 }
 
 // TraceGovernors lists the governor names Trace accepts — the scenario
@@ -97,7 +89,7 @@ var TraceGovernors = func() string {
 func scenarioGovernor(name string) (governor.Governor, error) {
 	for _, g := range scenarioGovernors {
 		if g.name == name {
-			return g.build()
+			return g.build(), nil
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown governor %q (%s)", name, TraceGovernors)

@@ -1,8 +1,8 @@
 // Package governor implements the DVFS governors discussed in Sections 2.2
 // and 5.4 of the paper:
 //
-//   - Performance, Powersave, Userspace, Conservative: the standard Linux
-//     cpufreq governors.
+//   - Performance, Powersave, Conservative: the standard Linux cpufreq
+//     governors.
 //   - LinuxOndemand: the stock Ondemand governor, which the paper found
 //     "quite aggressive and unstable" (Figure 3).
 //   - PaperOndemand: the paper's own governor, "less aggressive and more
@@ -12,12 +12,12 @@
 //
 // Governors are passive policies: the host calls Tick every scheduling
 // quantum with cumulative counters, and the governor answers with a target
-// frequency when its internal sampling period has elapsed.
+// frequency when its internal sampling period has elapsed. Each governor
+// runs at fixed settings: the kernel defaults for the stock governors, and
+// the paper's for its own.
 package governor
 
 import (
-	"fmt"
-
 	"pasched/internal/cpufreq"
 	"pasched/internal/sim"
 )
@@ -48,17 +48,11 @@ type Governor interface {
 	// frequency and true when the governor wants the frequency (re)set;
 	// (0, false) means no decision this quantum.
 	Tick(stats Stats) (cpufreq.Freq, bool)
-}
-
-// DecisionHorizon is implemented by governors that can promise when their
-// next decision could possibly happen: until the returned time, Tick is a
-// pure no-op (no decision, no internal state change), so the simulation
-// engine may skip the per-quantum Tick calls inside a batched step.
-// Governors without this interface force quantum-by-quantum stepping.
-type DecisionHorizon interface {
 	// NextDecision returns the earliest time at or after which Tick may
 	// return a decision or mutate governor state, given the current
-	// statistics; sim.Never means no pending decision.
+	// statistics; sim.Never means no pending decision. Until then Tick
+	// is a pure no-op, so the simulation engine skips the per-quantum
+	// Tick calls inside a batched step.
 	NextDecision(st Stats) sim.Time
 }
 
@@ -79,7 +73,7 @@ func (g *Performance) Tick(st Stats) (cpufreq.Freq, bool) {
 	return st.Prof.Max(), true
 }
 
-// NextDecision implements DecisionHorizon.
+// NextDecision implements Governor.
 func (g *Performance) NextDecision(st Stats) sim.Time {
 	if g.applied && st.Cur == st.Prof.Max() {
 		return sim.Never
@@ -104,45 +98,12 @@ func (g *Powersave) Tick(st Stats) (cpufreq.Freq, bool) {
 	return st.Prof.Min(), true
 }
 
-// NextDecision implements DecisionHorizon.
+// NextDecision implements Governor.
 func (g *Powersave) NextDecision(st Stats) sim.Time {
 	if g.applied && st.Cur == st.Prof.Min() {
 		return sim.Never
 	}
 	return st.Now
-}
-
-// Userspace lets an application set the frequency manually, as the Linux
-// userspace governor does for tools like cpufreq-set.
-type Userspace struct {
-	target  cpufreq.Freq
-	pending bool
-}
-
-// Name implements Governor.
-func (g *Userspace) Name() string { return "userspace" }
-
-// Set requests frequency f at the next tick.
-func (g *Userspace) Set(f cpufreq.Freq) {
-	g.target = f
-	g.pending = true
-}
-
-// Tick implements Governor.
-func (g *Userspace) Tick(Stats) (cpufreq.Freq, bool) {
-	if !g.pending {
-		return 0, false
-	}
-	g.pending = false
-	return g.target, true
-}
-
-// NextDecision implements DecisionHorizon.
-func (g *Userspace) NextDecision(st Stats) sim.Time {
-	if g.pending {
-		return st.Now
-	}
-	return sim.Never
 }
 
 // Clamped wraps a governor and bounds its decisions to a floor P-state.
@@ -178,14 +139,8 @@ func (c *Clamped) Tick(st Stats) (cpufreq.Freq, bool) {
 	return f, true
 }
 
-// NextDecision implements DecisionHorizon by delegating to the wrapped
-// governor when it reports a horizon.
-func (c *Clamped) NextDecision(st Stats) sim.Time {
-	if dh, ok := c.Inner.(DecisionHorizon); ok {
-		return dh.NextDecision(st)
-	}
-	return st.Now
-}
+// NextDecision implements Governor by delegating to the wrapped governor.
+func (c *Clamped) NextDecision(st Stats) sim.Time { return c.Inner.NextDecision(st) }
 
 // utilSampler computes utilization over fixed sampling intervals from the
 // cumulative busy counter.
@@ -215,6 +170,13 @@ func (s *utilSampler) sample(st Stats) (float64, bool) {
 // next returns the earliest time the sampler can produce a sample.
 func (s *utilSampler) next() sim.Time { return s.lastT + s.interval }
 
+// The stock ondemand governor's settings: the kernel's default
+// sampling_rate in the Xen 4.1 era and its default up_threshold.
+const (
+	ondemandInterval    = 10 * sim.Millisecond
+	ondemandUpThreshold = 80 // percent load
+)
+
 // LinuxOndemand models the stock Ondemand governor: it samples utilization
 // over short windows and, on every sample, either jumps straight to the
 // maximum frequency (load at or above the up-threshold) or drops to the
@@ -222,40 +184,12 @@ func (s *utilSampler) next() sim.Time { return s.lastT + s.interval }
 // The short memoryless window is what makes it oscillate under bursty web
 // load (Figure 3).
 type LinuxOndemand struct {
-	sampler     utilSampler
-	upThreshold float64 // percent, default 80
-}
-
-// LinuxOndemandConfig configures the stock ondemand model.
-type LinuxOndemandConfig struct {
-	// SamplingInterval defaults to 10 ms, the kernel's default
-	// sampling_rate in the Xen 4.1 era. The short memoryless window is
-	// what makes the stock governor "quite aggressive and unstable"
-	// (Section 5.4) under bursty load.
-	SamplingInterval sim.Time
-	// UpThreshold is the percent load that triggers a jump to the
-	// maximum frequency; default 80 (the kernel default).
-	UpThreshold float64
+	sampler utilSampler
 }
 
 // NewLinuxOndemand returns a stock-ondemand governor.
-func NewLinuxOndemand(cfg LinuxOndemandConfig) (*LinuxOndemand, error) {
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 10 * sim.Millisecond
-	}
-	if cfg.SamplingInterval < 0 {
-		return nil, fmt.Errorf("governor: negative sampling interval %v", cfg.SamplingInterval)
-	}
-	if cfg.UpThreshold == 0 {
-		cfg.UpThreshold = 80
-	}
-	if cfg.UpThreshold <= 0 || cfg.UpThreshold > 100 {
-		return nil, fmt.Errorf("governor: up-threshold %v outside (0,100]", cfg.UpThreshold)
-	}
-	return &LinuxOndemand{
-		sampler:     utilSampler{interval: cfg.SamplingInterval},
-		upThreshold: cfg.UpThreshold,
-	}, nil
+func NewLinuxOndemand() *LinuxOndemand {
+	return &LinuxOndemand{sampler: utilSampler{interval: ondemandInterval}}
 }
 
 // Name implements Governor.
@@ -268,57 +202,36 @@ func (g *LinuxOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 		return 0, false
 	}
 	load := util * 100
-	if load >= g.upThreshold {
+	if load >= ondemandUpThreshold {
 		return st.Prof.Max(), true
 	}
 	// Scale down to the lowest frequency that keeps the load under the
 	// threshold: load scales by cur/f when moving to frequency f.
-	needed := float64(st.Cur) * load / g.upThreshold
+	needed := float64(st.Cur) * load / ondemandUpThreshold
 	return st.Prof.FloorFor(cpufreq.Freq(needed + 1)), true
 }
 
-// NextDecision implements DecisionHorizon: the sampler's next window end.
+// NextDecision implements Governor: the sampler's next window end.
 func (g *LinuxOndemand) NextDecision(Stats) sim.Time { return g.sampler.next() }
+
+// The conservative governor's settings: a 100 ms window, and the
+// kernel's default up (80 %) and down (20 %) thresholds.
+const (
+	conservativeInterval      = 100 * sim.Millisecond
+	conservativeUpThreshold   = 80 // percent load
+	conservativeDownThreshold = 20 // percent load
+)
 
 // Conservative models the Linux conservative governor: it moves one ladder
 // step at a time, up when load exceeds the up-threshold and down when load
 // falls below the down-threshold.
 type Conservative struct {
-	sampler       utilSampler
-	upThreshold   float64
-	downThreshold float64
-}
-
-// ConservativeConfig configures the conservative governor.
-type ConservativeConfig struct {
-	// SamplingInterval defaults to 100 ms.
-	SamplingInterval sim.Time
-	// UpThreshold defaults to 80 (percent).
-	UpThreshold float64
-	// DownThreshold defaults to 20 (percent), the kernel default.
-	DownThreshold float64
+	sampler utilSampler
 }
 
 // NewConservative returns a conservative governor.
-func NewConservative(cfg ConservativeConfig) (*Conservative, error) {
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = 100 * sim.Millisecond
-	}
-	if cfg.UpThreshold == 0 {
-		cfg.UpThreshold = 80
-	}
-	if cfg.DownThreshold == 0 {
-		cfg.DownThreshold = 20
-	}
-	if cfg.DownThreshold >= cfg.UpThreshold {
-		return nil, fmt.Errorf("governor: down-threshold %v not below up-threshold %v",
-			cfg.DownThreshold, cfg.UpThreshold)
-	}
-	return &Conservative{
-		sampler:       utilSampler{interval: cfg.SamplingInterval},
-		upThreshold:   cfg.UpThreshold,
-		downThreshold: cfg.DownThreshold,
-	}, nil
+func NewConservative() *Conservative {
+	return &Conservative{sampler: utilSampler{interval: conservativeInterval}}
 }
 
 // Name implements Governor.
@@ -336,13 +249,13 @@ func (g *Conservative) Tick(st Stats) (cpufreq.Freq, bool) {
 		return 0, false
 	}
 	switch {
-	case load > g.upThreshold && idx < st.Prof.Levels()-1:
+	case load > conservativeUpThreshold && idx < st.Prof.Levels()-1:
 		return st.Prof.States[idx+1].Freq, true
-	case load < g.downThreshold && idx > 0:
+	case load < conservativeDownThreshold && idx > 0:
 		return st.Prof.States[idx-1].Freq, true
 	}
 	return 0, false
 }
 
-// NextDecision implements DecisionHorizon: the sampler's next window end.
+// NextDecision implements Governor: the sampler's next window end.
 func (g *Conservative) NextDecision(Stats) sim.Time { return g.sampler.next() }

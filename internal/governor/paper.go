@@ -1,11 +1,32 @@
 package governor
 
 import (
-	"fmt"
-
 	"pasched/internal/core"
 	"pasched/internal/cpufreq"
 	"pasched/internal/sim"
+)
+
+// The paper's governor settings (Section 5.4).
+const (
+	// paperInterval is the sampling window.
+	paperInterval = sim.Second
+	// paperSamples is the number of successive utilizations averaged,
+	// the paper's footnote 5.
+	paperSamples = 3
+	// paperHeadroom is the spare capacity fraction required above the
+	// averaged absolute load before a frequency is sufficient.
+	paperHeadroom = 0.10
+	// paperUpThreshold is the raw utilization percentage treated as
+	// saturation (the kernel's ondemand default): at or above it the
+	// governor jumps straight to the maximum frequency. A host full of
+	// hard-capped VMs saturates below 100%, and its *measured* absolute
+	// load (work delivered, not demanded) always fits the current
+	// capacity.
+	paperUpThreshold = 80
+	// paperDownStability is the number of consecutive samples that must
+	// agree on a lower target before the governor lowers the frequency;
+	// raising is immediate.
+	paperDownStability = 2
 )
 
 // PaperOndemand is the paper's own ondemand governor ("we implemented our
@@ -22,10 +43,8 @@ import (
 //     load with a headroom margin, and only lowers the frequency after the
 //     decision has been stable for several consecutive samples.
 type PaperOndemand struct {
-	cfg       PaperOndemandConfig
-	lastT     sim.Time
-	lastBusy  sim.Time
-	ring      []float64 // absolute-load samples, percent
+	sampler   utilSampler
+	ring      [paperSamples]float64 // absolute-load samples, percent
 	idx       int
 	filled    int
 	downRuns  int
@@ -33,94 +52,24 @@ type PaperOndemand struct {
 	cf        []float64
 }
 
-// PaperOndemandConfig configures the paper's governor.
-type PaperOndemandConfig struct {
-	// SamplingInterval defaults to 1 s.
-	SamplingInterval sim.Time
-	// Samples is the number of successive utilizations averaged;
-	// default 3, matching the paper's footnote.
-	Samples int
-	// Headroom is the required spare capacity fraction above the
-	// absolute load before a frequency is considered sufficient.
-	// Zero selects the default of 0.10; to run without headroom use a
-	// very small positive value.
-	Headroom float64
-	// UpThreshold is the raw utilization percentage that is treated as
-	// saturation: at or above it the governor jumps straight to the
-	// maximum frequency, like the stock ondemand governor. This matters
-	// because a host full of hard-capped VMs saturates below 100% and
-	// its *measured* absolute load (work delivered, not demanded) always
-	// fits the current capacity. Zero selects the default of 80 (the
-	// kernel default).
-	UpThreshold float64
-	// DownStability is the number of consecutive samples a lower target
-	// must persist before the governor lowers the frequency; raising is
-	// immediate. Default 2.
-	DownStability int
-	// CF is the per-P-state calibration factor table (the paper's CF[]);
-	// nil assumes cf=1 everywhere. When set, its length must equal the
-	// profile's number of P-states.
-	CF []float64
-}
-
-// NewPaperOndemand returns the paper's smoothed governor.
-func NewPaperOndemand(cfg PaperOndemandConfig) (*PaperOndemand, error) {
-	if cfg.SamplingInterval == 0 {
-		cfg.SamplingInterval = sim.Second
-	}
-	if cfg.SamplingInterval < 0 {
-		return nil, fmt.Errorf("governor: negative sampling interval %v", cfg.SamplingInterval)
-	}
-	if cfg.Samples == 0 {
-		cfg.Samples = 3
-	}
-	if cfg.Samples < 1 {
-		return nil, fmt.Errorf("governor: samples must be >= 1, got %d", cfg.Samples)
-	}
-	if cfg.Headroom < 0 {
-		return nil, fmt.Errorf("governor: negative headroom %v", cfg.Headroom)
-	}
-	if cfg.Headroom == 0 {
-		cfg.Headroom = 0.10
-	}
-	if cfg.UpThreshold == 0 {
-		cfg.UpThreshold = 80
-	}
-	if cfg.UpThreshold <= 0 || cfg.UpThreshold > 100 {
-		return nil, fmt.Errorf("governor: up-threshold %v outside (0,100]", cfg.UpThreshold)
-	}
-	if cfg.DownStability < 1 {
-		cfg.DownStability = 2
-	}
-	return &PaperOndemand{
-		cfg:  cfg,
-		ring: make([]float64, cfg.Samples),
-		cf:   cfg.CF,
-	}, nil
+// NewPaperOndemand returns the paper's smoothed governor. cf is the
+// per-P-state calibration factor table (the paper's CF[]) in ladder
+// order; nil assumes cf = 1 everywhere.
+func NewPaperOndemand(cf []float64) *PaperOndemand {
+	return &PaperOndemand{sampler: utilSampler{interval: paperInterval}, cf: cf}
 }
 
 // Name implements Governor.
 func (g *PaperOndemand) Name() string { return "paper-ondemand" }
 
-// NextDecision implements DecisionHorizon: the end of the current
-// sampling window.
-func (g *PaperOndemand) NextDecision(Stats) sim.Time {
-	return g.lastT + g.cfg.SamplingInterval
-}
+// NextDecision implements Governor: the sampler's next window end.
+func (g *PaperOndemand) NextDecision(Stats) sim.Time { return g.sampler.next() }
 
 // Tick implements Governor.
 func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
-	if st.Now-g.lastT < g.cfg.SamplingInterval {
+	util, ok := g.sampler.sample(st)
+	if !ok {
 		return 0, false
-	}
-	util := float64(st.CumBusy-g.lastBusy) / float64(st.Now-g.lastT)
-	g.lastT = st.Now
-	g.lastBusy = st.CumBusy
-	if util < 0 {
-		util = 0
-	}
-	if util > 1 {
-		util = 1
 	}
 	// Convert the interval utilization to absolute load using the paper's
 	// formula: Absolute = Global * Freq/Freq[max] * cf.
@@ -145,7 +94,7 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 	// always fits the current capacity, so the capacity rule alone would
 	// never raise the frequency. Jump to the maximum like the stock
 	// governor's up-threshold rule.
-	if util*100 >= g.cfg.UpThreshold {
+	if util*100 >= paperUpThreshold {
 		g.downRuns = 0
 		if st.Cur == st.Prof.Max() {
 			return 0, false
@@ -155,7 +104,7 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 
 	// The lowest frequency whose capacity absorbs the averaged absolute
 	// load plus headroom: Listing 1.1 with a stability margin.
-	target := core.ComputeNewFreq(st.Prof, g.cf, avg*(1+g.cfg.Headroom))
+	target := core.ComputeNewFreq(st.Prof, g.cf, avg*(1+paperHeadroom))
 	switch {
 	case target > st.Cur:
 		g.downRuns = 0
@@ -163,15 +112,14 @@ func (g *PaperOndemand) Tick(st Stats) (cpufreq.Freq, bool) {
 	case target < st.Cur:
 		if target != g.downWants {
 			g.downWants = target
-			g.downRuns = 1
-			return 0, false
+			g.downRuns = 0
 		}
 		g.downRuns++
-		if g.downRuns >= g.cfg.DownStability {
-			g.downRuns = 0
-			return target, true
+		if g.downRuns < paperDownStability {
+			return 0, false
 		}
-		return 0, false
+		g.downRuns = 0
+		return target, true
 	default:
 		g.downRuns = 0
 		return 0, false

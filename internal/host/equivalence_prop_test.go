@@ -66,10 +66,7 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 	// A governor only composes with non-PAS schedulers (PAS drives DVFS
 	// itself); draw one for a third of those scenarios.
 	if pas == nil && r.Intn(3) == 0 {
-		gov, err = governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		gov = governor.NewPaperOndemand(nil)
 	}
 	h, err := host.New(host.Config{CPU: cpu, Scheduler: s, Governor: gov, Reference: reference})
 	if err != nil {

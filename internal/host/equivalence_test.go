@@ -107,14 +107,10 @@ func equivalenceScenarios() []scenario {
 			// boundaries all bound the batches.
 			name: "sedf+paper-governor",
 			build: func(t *testing.T, reference bool) *host.Host {
-				gov, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-				if err != nil {
-					t.Fatal(err)
-				}
 				h, err := host.New(host.Config{
 					Profile:   prof,
 					Scheduler: sched.NewSEDF(sched.SEDFConfig{DefaultExtratime: true}),
-					Governor:  gov,
+					Governor:  governor.NewPaperOndemand(nil),
 					Reference: reference,
 				})
 				if err != nil {
@@ -133,7 +129,7 @@ func equivalenceScenarios() []scenario {
 			// Contended fix-credit host: three hard-capped hogs plus a
 			// web VM keep 2-4 VMs runnable at once, so batching must
 			// fold Credit's weighted round-robin rotations between
-			// refills (the PatternBatcher path) instead of bailing out.
+			// refills (the BatchPattern path) instead of bailing out.
 			name: "credit-contended",
 			build: func(t *testing.T, reference bool) *host.Host {
 				h, err := host.New(host.Config{
@@ -229,7 +225,7 @@ func equivalenceScenarios() []scenario {
 		{
 			// Contended Credit2 host: three hogs plus a web VM race on
 			// the smallest-vruntime merge, so batching must fold the
-			// closed-form weighted interleaving (the PatternBatcher path)
+			// closed-form weighted interleaving (the BatchPattern path)
 			// instead of stepping quantum by quantum.
 			name: "credit2-contended",
 			build: func(t *testing.T, reference bool) *host.Host {

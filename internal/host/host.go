@@ -21,13 +21,13 @@
 // Time itself is owned by the shared simulation engine (internal/engine):
 // the host registers its load meter, user-level agents and recorder
 // sampler as engine actions and implements the engine's Machine interface.
-// When scheduler, governor and workloads can all certify that nothing
-// scheduler-relevant happens inside the offered stretch (see
-// sched.BoundaryReporter, governor.DecisionHorizon, workload.Forecaster),
-// the host executes the whole stretch as one batched step — idle hosts,
-// single-runnable-VM runs (sched.Batcher) and contended multi-runnable
-// stretches whose pick pattern the scheduler can fold into per-VM tallies
-// (sched.PatternBatcher) cost O(1) per event horizon instead of
+// When scheduler, governor and workloads all certify that nothing
+// scheduler-relevant happens inside the offered stretch (their
+// NextBoundary, NextDecision and NextChange horizons), the host executes
+// the whole stretch as one batched step — idle hosts, single-runnable-VM
+// runs (sched.Batcher, where the scheduler has it) and contended
+// multi-runnable stretches whose pick pattern the scheduler folds into
+// per-VM tallies (BatchPattern) cost O(1) per event horizon instead of
 // O(quanta) — and otherwise falls back to the reference quantum-by-quantum
 // semantics. Config.Reference forces the fallback everywhere, which is
 // the baseline the equivalence tests compare batched runs against.
@@ -136,11 +136,9 @@ type Host struct {
 	agents int
 	maxTp  float64 // throughput at maximum frequency, cached
 
-	// Batching capabilities, resolved once at construction.
-	schedBR      sched.BoundaryReporter
+	// The scheduler's optional single-runnable fast path, resolved once
+	// at construction.
 	schedBatcher sched.Batcher
-	schedPattern sched.PatternBatcher
-	govDH        governor.DecisionHorizon
 
 	quotaBuf []sched.PatternQuota // reused per batched pattern step
 
@@ -224,12 +222,7 @@ func New(cfg Config) (*Host, error) {
 		energy:    em,
 		maxTp:     maxTp,
 	}
-	h.schedBR, _ = cfg.Scheduler.(sched.BoundaryReporter)
 	h.schedBatcher, _ = cfg.Scheduler.(sched.Batcher)
-	h.schedPattern, _ = cfg.Scheduler.(sched.PatternBatcher)
-	if cfg.Governor != nil {
-		h.govDH, _ = cfg.Governor.(governor.DecisionHorizon)
-	}
 	h.maxFreq = cpu.Profile().Max()
 	if cfg.Obs != nil {
 		h.obs = cfg.Obs
@@ -520,18 +513,17 @@ func (h *Host) quantaBefore(d sim.Time) int {
 // processor occupancy the scheduler certifies for every covered quantum —
 // idle, a single runnable VM consuming full quanta (sched.Batcher), or a
 // contended multi-runnable pattern with per-VM consumed-quanta tallies
-// (sched.PatternBatcher). It returns 0 whenever any of those
-// certifications is unavailable, and the engine falls back to the
-// reference step.
+// (BatchPattern). It returns 0 whenever any of those certifications
+// fails, and the engine falls back to the reference step.
 func (h *Host) batchStep(now sim.Time, max int) (int, error) {
-	if h.cfg.Reference || h.schedBR == nil || (h.gov != nil && h.govDH == nil) {
+	if h.cfg.Reference {
 		return 0, nil
 	}
 	// Cheapest disqualifier first: the quantum holding a scheduler
 	// boundary (every PAS recomputation, every Credit refill) always runs
 	// through the reference path, whoever is runnable.
 	n := max
-	if b := h.schedBR.NextBoundary(now); b != sim.Never {
+	if b := h.scheduler.NextBoundary(now); b != sim.Never {
 		if b <= now {
 			return 0, nil
 		}
@@ -542,16 +534,11 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	if n < 2 {
 		return 0, nil
 	}
-	// More than one runnable VM interleaves picks, which needs the
-	// scheduler's pattern certification — without it only the reference
-	// path models the contention.
 	var single *vm.VM
 	runnable := 0
 	for _, v := range h.vms {
 		if v.Runnable() {
-			if runnable++; runnable > 1 && h.schedPattern == nil {
-				return 0, nil
-			}
+			runnable++
 			single = v
 		}
 	}
@@ -567,7 +554,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 			n = k
 		}
 	}
-	if h.govDH != nil {
+	if h.gov != nil {
 		st := governor.Stats{
 			Now:     now,
 			CumBusy: h.cumBusy,
@@ -575,7 +562,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 			Cur:     h.cpu.Freq(),
 			Prof:    h.cpu.Profile(),
 		}
-		if d := h.govDH.NextDecision(st); d != sim.Never {
+		if d := h.gov.NextDecision(st); d != sim.Never {
 			if d <= now {
 				return 0, nil
 			}
@@ -588,11 +575,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 		return 0, nil
 	}
 	for _, v := range h.vms {
-		nc, ok := v.NextChange(now)
-		if !ok {
-			return 0, nil
-		}
-		if nc != sim.Never {
+		if nc := v.Workload().NextChange(now); nc != sim.Never {
 			if nc <= now {
 				return 0, nil
 			}
@@ -683,9 +666,6 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 // inside its pending work so the runnable set cannot change from within
 // the pattern; the draining tail always runs through the reference path.
 func (h *Host) batchPattern(q sim.Time, freq cpufreq.Freq, max int, now sim.Time) (int, error) {
-	if h.schedPattern == nil || max < 2 {
-		return 0, nil
-	}
 	capWork := h.cpu.WorkRate() * sim.Work(q)
 	if capWork <= 0 {
 		return 0, nil
@@ -703,7 +683,7 @@ func (h *Host) batchPattern(q sim.Time, freq cpufreq.Freq, max int, now sim.Time
 		}
 		quotas = append(quotas, sched.PatternQuota{VM: v, MaxPicks: m})
 	}
-	picks, idle := h.schedPattern.BatchPattern(quotas, q, max, now)
+	picks, idle := h.scheduler.BatchPattern(quotas, q, max, now)
 	for i := range quotas {
 		quotas[i] = sched.PatternQuota{} // drop VM pointers from the reused buffer
 	}
@@ -944,8 +924,8 @@ func (h *Host) TraceExhausted(now sim.Time, v *vm.VM) {
 	}
 }
 
-// TraceRecompensate implements sched.RecompensateTracer: a frequency
-// change rewrote the enforced caps of vms VMs (Listing 1.2).
+// TraceRecompensate implements sched.Tracer: a frequency change
+// rewrote the enforced caps of vms VMs (Listing 1.2).
 func (h *Host) TraceRecompensate(now sim.Time, freqMHz, vms int64) {
 	if h.obs != nil {
 		h.obs.Emit(now, obs.KindRecompensate, "", freqMHz, vms)

@@ -22,7 +22,7 @@ type weightSetter interface {
 	SetWeight(id vm.ID, w int64) error
 }
 
-// buildResizeHost builds one PatternBatcher scheduler under four
+// buildResizeHost builds one registry scheduler under four
 // always-runnable capped hogs — so every simulated instant sits inside
 // a contended stretch the batched path folds into certified patterns —
 // and schedules cap/weight resizes at quantum-unaligned instants inside
@@ -128,7 +128,7 @@ func buildResizeHost(t *testing.T, schedName string, reference bool) *host.Host 
 }
 
 // TestResizeDuringBatchedPattern resizes VMs inside contended batched
-// stretches for every PatternBatcher scheduler and asserts the batched
+// stretches for every registry scheduler and asserts the batched
 // host stays bit-exact with the reference host — the regression guard
 // for the autoscaler's cap/weight actions landing mid-pattern.
 func TestResizeDuringBatchedPattern(t *testing.T) {

@@ -13,14 +13,13 @@ import (
 // host equivalence suite: every core hosts 2-4 runnable VMs (hard-capped
 // hogs plus a web VM), under per-socket DVFS so coordination and
 // compensation interleave with the batching.
-func buildContendedCluster(t *testing.T, scheduler string, reference bool) *Cluster {
+func buildContendedCluster(t *testing.T, reference bool) *Cluster {
 	t.Helper()
 	prof := cpufreq.Optiplex755()
 	c, err := New(Config{
 		Profile:   prof,
 		Cores:     3,
 		Domain:    PerSocket,
-		Scheduler: scheduler,
 		Reference: reference,
 	})
 	if err != nil {
@@ -83,26 +82,20 @@ func buildContendedCluster(t *testing.T, scheduler string, reference bool) *Clus
 // cluster must produce bit-identical traces on every core — no
 // tolerances, since busy time, work and energy are exact integer
 // accounting. The credit cores batch through Credit's rotation patterns
-// under compensated caps; the credit2 cores batch through the
-// closed-form smallest-vruntime merge with the coordinator driving DVFS
-// alone.
+// under compensated caps.
 func TestClusterBatchedEquivalence(t *testing.T) {
-	for _, scheduler := range []string{"credit", "credit2"} {
-		scheduler := scheduler
-		t.Run(scheduler, func(t *testing.T) {
-			t.Parallel()
-			const horizon = 30 * sim.Second
-			batched := buildContendedCluster(t, scheduler, false)
-			reference := buildContendedCluster(t, scheduler, true)
-			if err := batched.Run(horizon); err != nil {
-				t.Fatal(err)
-			}
-			if err := reference.Run(horizon); err != nil {
-				t.Fatal(err)
-			}
-			assertClusterEquivalence(t, batched, reference)
-		})
-	}
+	t.Run("credit", func(t *testing.T) {
+		const horizon = 30 * sim.Second
+		batched := buildContendedCluster(t, false)
+		reference := buildContendedCluster(t, true)
+		if err := batched.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		if err := reference.Run(horizon); err != nil {
+			t.Fatal(err)
+		}
+		assertClusterEquivalence(t, batched, reference)
+	})
 }
 
 // assertClusterEquivalence compares the batched and reference clusters

@@ -64,14 +64,6 @@ type Config struct {
 	Cores int
 	// Domain selects per-core or per-socket DVFS. Default PerCore.
 	Domain DVFSDomain
-	// Scheduler selects the per-core VM scheduler by its registry name
-	// (host.NewMachine): "credit" (default, alias "fix-credit") is the
-	// fix-credit scheduler whose caps the coordinator compensates at
-	// reduced frequencies; "credit2" is the weight-proportional
-	// work-conserving scheduler — a variable-credit scheduler in the
-	// paper's taxonomy, which needs no compensation, so the coordinator
-	// only drives the DVFS policy.
-	Scheduler string
 	// Workers bounds how many cores step concurrently between
 	// coordination barriers. Cores are fully independent hosts (own
 	// engine, scheduler, meters), so the result is identical for any
@@ -93,11 +85,13 @@ const (
 	settleSteps = 4
 )
 
-// coreState is one core: a single-core host plus coordination state.
+// coreState is one core: a single-core host on the fix-credit
+// scheduler, whose caps the coordinator compensates, plus coordination
+// state.
 type coreState struct {
 	host        *host.Host
 	cpu         *cpufreq.CPU
-	capper      sched.CapSetter // nil when the scheduler has no caps to compensate
+	credit      *sched.Credit
 	initCredit  map[vm.ID]float64
 	settleUntil int // coordination step index
 }
@@ -132,28 +126,16 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Workers < 0 {
 		return nil, fmt.Errorf("multicore: negative worker count %d", cfg.Workers)
 	}
-	if cfg.Scheduler == "" {
-		cfg.Scheduler = "credit"
-	}
-	// The coordinator sets every core's frequency and compensates Credit
-	// caps, so it runs the two Credit-family schedulers only; the PAS
-	// family would manage DVFS itself.
-	name, ok := host.CanonicalScheduler(cfg.Scheduler)
-	if !ok || (name != "credit" && name != "credit2") {
-		return nil, fmt.Errorf("multicore: scheduler %q cannot run under the cluster coordinator (credit (fix-credit), credit2)", cfg.Scheduler)
-	}
-	cfg.Scheduler = name
 	c := &Cluster{cfg: cfg, cf: cfg.Profile.EfficiencyTable()}
 	for i := 0; i < cfg.Cores; i++ {
-		h, err := host.NewMachine(cfg.Scheduler, 0, host.Config{Profile: cfg.Profile, Reference: cfg.Reference})
+		h, err := host.NewMachine("credit", 0, host.Config{Profile: cfg.Profile, Reference: cfg.Reference})
 		if err != nil {
 			return nil, fmt.Errorf("multicore: core %d: %w", i, err)
 		}
-		capper, _ := h.Scheduler().(sched.CapSetter) // credit2 has no caps
 		c.cores = append(c.cores, &coreState{
 			host:       h,
 			cpu:        h.CPU(),
-			capper:     capper,
+			credit:     h.Scheduler().(*sched.Credit),
 			initCredit: make(map[vm.ID]float64),
 		})
 	}
@@ -175,11 +157,7 @@ func (c *Cluster) AddVM(coreIdx int, v *vm.VM) error {
 	if err := cs.host.AddVM(v); err != nil {
 		return fmt.Errorf("multicore: %w", err)
 	}
-	if cs.capper != nil {
-		// Initial credits are recorded only to be compensated (equation
-		// 4); a cap-less scheduler (credit2) never consults them.
-		cs.initCredit[v.ID()] = v.Credit()
-	}
+	cs.initCredit[v.ID()] = v.Credit()
 	return nil
 }
 
@@ -281,14 +259,9 @@ func (c *Cluster) coordinate() {
 }
 
 // apply compensates one core's VMs' credits for t (equation 4), exactly
-// as the single-core PAS does, and sets the core's frequency. Cores
-// running a scheduler without caps (Credit2) skip the compensation: a
-// work-conserving weight-proportional scheduler preserves relative shares
-// at any frequency on its own.
+// as the single-core PAS does, and sets the core's frequency.
 func (c *Cluster) apply(cs *coreState, t core.Target) {
-	if cs.capper != nil {
-		core.Compensate(cs.capper, cs.initCredit, t.Ratio, t.CF)
-	}
+	core.Compensate(cs.credit, cs.initCredit, t.Ratio, t.CF)
 	if t.Freq != cs.cpu.Freq() {
 		_ = cs.cpu.SetFreq(t.Freq, c.now) // a ladder frequency by construction
 		cs.settleUntil = c.step + settleSteps

@@ -31,39 +31,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-// TestSchedulerNames: the cluster accepts the registry's names and
-// aliases for the two Credit-family schedulers its coordinator drives,
-// and rejects the rest, the PAS family and SEDF included.
-func TestSchedulerNames(t *testing.T) {
-	prof := cpufreq.Optiplex755()
-	for _, tt := range []struct {
-		name, want string
-		caps       bool
-	}{
-		{"", "credit", true},
-		{"credit", "credit", true},
-		{"fix-credit", "credit", true},
-		{"credit2", "credit2", false},
-	} {
-		c, err := New(Config{Profile: prof, Cores: 2, Scheduler: tt.name})
-		if err != nil {
-			t.Errorf("Scheduler %q rejected: %v", tt.name, err)
-			continue
-		}
-		for i, cs := range c.cores {
-			if got := cs.host.Scheduler().Name(); got != tt.want || (cs.capper != nil) != tt.caps {
-				t.Errorf("Scheduler %q: core %d runs %q (caps %v), want %q (caps %v)",
-					tt.name, i, got, cs.capper != nil, tt.want, tt.caps)
-			}
-		}
-	}
-	for _, name := range []string{"pas", "pas-credit2", "sedf", "cfs", "Credit"} {
-		if _, err := New(Config{Profile: prof, Cores: 2, Scheduler: name}); err == nil {
-			t.Errorf("Scheduler %q accepted", name)
-		}
-	}
-}
-
 func TestDomainString(t *testing.T) {
 	if PerCore.String() != "per-core" || PerSocket.String() != "per-socket" {
 		t.Error("domain strings wrong")

@@ -145,12 +145,7 @@ func (p Platform) Stack(prof *cpufreq.Profile, mode GovernorMode) (scheduler str
 		if p.PAS {
 			return "pas", nil, nil
 		}
-		inner, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{
-			CF: prof.EfficiencyTable(),
-		})
-		if err != nil {
-			return "", nil, fmt.Errorf("platform: %w", err)
-		}
+		inner := governor.NewPaperOndemand(prof.EfficiencyTable())
 		if p.FloorIndex > 0 {
 			return scheduler, &governor.Clamped{Inner: inner, FloorIndex: p.FloorIndex}, nil
 		}

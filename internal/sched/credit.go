@@ -46,13 +46,11 @@ type Credit struct {
 }
 
 var (
-	_ Scheduler        = (*Credit)(nil)
-	_ CapSetter        = (*Credit)(nil)
-	_ BoundaryReporter = (*Credit)(nil)
-	_ Batcher          = (*Credit)(nil)
-	_ PatternBatcher   = (*Credit)(nil)
-	_ TraceSetter      = (*Credit)(nil)
-	_ Throttler        = (*Credit)(nil)
+	_ Scheduler   = (*Credit)(nil)
+	_ CapSetter   = (*Credit)(nil)
+	_ Batcher     = (*Credit)(nil)
+	_ TraceSetter = (*Credit)(nil)
+	_ Throttler   = (*Credit)(nil)
 )
 
 // NewCredit returns a Credit scheduler refilling budgets every
@@ -193,7 +191,7 @@ func (c *Credit) Tick(now sim.Time) {
 	}
 }
 
-// NextBoundary implements BoundaryReporter: the next budget refill.
+// NextBoundary implements Scheduler: the next budget refill.
 func (c *Credit) NextBoundary(sim.Time) sim.Time { return c.nextRefill }
 
 // BatchPick implements Batcher. With v the only runnable VM, Pick keeps
@@ -228,7 +226,7 @@ func (c *Credit) BatchPick(v *vm.VM, quantum sim.Time, max int, _ sim.Time) (int
 	return max, true
 }
 
-// BatchPattern implements PatternBatcher. Between credit refills (which
+// BatchPattern implements Scheduler. Between credit refills (which
 // NextBoundary keeps outside the offered stretch) Pick's selection is a
 // strict-priority round-robin whose tier membership only changes when a
 // member's budget runs out, so the weighted pattern over a contended host

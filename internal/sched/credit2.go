@@ -8,13 +8,12 @@ import (
 	"pasched/internal/vm"
 )
 
-// Credit2 weight bounds. Weights derive from vm.Config.EffectiveWeight; a
-// derived weight below 1 (a fractional credit) is rounded up to 1, while a
-// weight above credit2MaxWeight is rejected at Add — silently clamping it
-// would distort the configured share ratios. The bound keeps every
-// cross-multiplied comparison below far from int64 overflow (runtime in
-// microseconds times weight must fit; 4096 leaves room for simulations of
-// years).
+// Credit2 weight bounds. A credit-derived weight below 1 (a credit under
+// half a percent) is raised to 1, while an explicit weight above
+// credit2MaxWeight is rejected at Add — silently clamping it would distort
+// the configured share ratios. The bound keeps every cross-multiplied
+// comparison below far from int64 overflow (runtime in microseconds times
+// weight must fit; 4096 leaves room for simulations of years).
 const (
 	credit2MinWeight = 1
 	credit2MaxWeight = 1 << 12
@@ -22,9 +21,10 @@ const (
 
 // WeightForCredit books a contracted credit percentage as a Credit2
 // weight: the rounded credit, clamped to the accepted weight range. It is
-// how PAS-credit2 weighs its VMs and how a cap resize maps onto a plain
-// Credit2 machine. Contracted credits stay within 100 and resized caps
-// within a machine's free credit, so the clamp never binds in practice.
+// how Credit2 weighs a VM without an explicit weight and how a cap resize
+// maps onto a Credit2 machine. Contracted credits stay within 100 and
+// resized caps within a machine's free credit, so only a credit under half
+// a percent, such as a null credit, reaches the clamp (weight 1).
 func WeightForCredit(pct float64) int64 {
 	w := int64(math.Round(pct))
 	if w < credit2MinWeight {
@@ -113,11 +113,7 @@ type c2cand struct {
 	n     int64 // certified tally
 }
 
-var (
-	_ Scheduler        = (*Credit2)(nil)
-	_ BoundaryReporter = (*Credit2)(nil)
-	_ PatternBatcher   = (*Credit2)(nil)
-)
+var _ Scheduler = (*Credit2)(nil)
 
 // NewCredit2 returns a Credit2 scheduler.
 func NewCredit2() *Credit2 {
@@ -131,16 +127,17 @@ func NewCredit2() *Credit2 {
 // Name implements Scheduler.
 func (c *Credit2) Name() string { return "credit2" }
 
-// credit2Weight derives the integer weight for a VM, rejecting weights the
-// exact-arithmetic comparisons cannot carry.
+// credit2Weight derives the integer weight for a VM: its explicit
+// weight, otherwise WeightForCredit of its credit. It rejects explicit
+// weights the exact-arithmetic comparisons cannot carry.
 func credit2Weight(v *vm.VM) (int64, error) {
-	w := int64(v.Config().EffectiveWeight())
+	w := int64(v.Config().Weight)
+	if w == 0 {
+		return WeightForCredit(v.Credit()), nil
+	}
 	if w > credit2MaxWeight {
 		return 0, fmt.Errorf("sched: credit2 weight %d for VM %d exceeds %d",
 			w, v.ID(), credit2MaxWeight)
-	}
-	if w < credit2MinWeight {
-		w = credit2MinWeight
 	}
 	return w, nil
 }
@@ -236,7 +233,7 @@ func (c *Credit2) Charge(v *vm.VM, busy sim.Time, _ sim.Time) {
 // Tick implements Scheduler. Credit2 needs no periodic accounting.
 func (c *Credit2) Tick(sim.Time) {}
 
-// NextBoundary implements BoundaryReporter: virtual-runtime scheduling has
+// NextBoundary implements Scheduler: virtual-runtime scheduling has
 // no periodic accounting, so no scheduler-internal boundary ever bounds a
 // stretch. Pattern expiry — the vruntime crossover at which a quota-bound
 // VM would overdraw its pending work — is reported exactly through
@@ -255,9 +252,9 @@ func (c *Credit2) Weight(id vm.ID) (float64, error) {
 }
 
 // SetWeight updates the VM's proportional-share weight at run time. The
-// Credit2-based PAS variant calls it when a VM is added or re-contracted
-// (weights are frequency-invariant, so nothing refreshes them at the PAS
-// cadence), and the fleet when it resizes a Credit2 VM. The VM's runtime
+// Credit2-based PAS variant calls it when a VM is re-contracted (weights
+// are frequency-invariant, so nothing refreshes them at the PAS cadence),
+// and the fleet when it resizes a Credit2 VM. The VM's runtime
 // is rebased so its virtual runtime (runtime/weight) is preserved across
 // the change: the VM neither gains a catch-up advantage nor loses
 // already-earned service. Weights above credit2MaxWeight are rejected;
@@ -283,7 +280,7 @@ func (c *Credit2) SetWeight(id vm.ID, w int64) error {
 	return nil
 }
 
-// BatchPattern implements PatternBatcher. Between wake-ups and lifecycle
+// BatchPattern implements Scheduler. Between wake-ups and lifecycle
 // events the runnable set is static and every certified pick consumes one
 // full quantum, so the smallest-vruntime interleaving is computable in
 // closed form: VM i's k-th pick happens at virtual time

@@ -88,12 +88,8 @@ func checkPatternEquivalence(t *testing.T, build func(t *testing.T) Scheduler,
 	t.Helper()
 	pat := build(t)
 	ref := build(t)
-	pb, ok := pat.(PatternBatcher)
-	if !ok {
-		t.Fatalf("%s does not implement PatternBatcher", pat.Name())
-	}
 	const t0 = sim.Time(0)
-	picks, idle := pb.BatchPattern(quota(pat), quantum, max, t0)
+	picks, idle := pat.BatchPattern(quota(pat), quantum, max, t0)
 	if idle {
 		t.Fatalf("unexpected idle certification")
 	}
@@ -445,7 +441,7 @@ func TestCredit2BatchPatternWakeUpClamp(t *testing.T) {
 	t0 := sim.Time(warmup) * quantum
 	pat := build(t)
 	ref := build(t)
-	picks, idle := pat.(PatternBatcher).BatchPattern(generousQuota(pat), quantum, 80, t0)
+	picks, idle := pat.BatchPattern(generousQuota(pat), quantum, 80, t0)
 	if idle || picks == nil {
 		t.Fatalf("pattern not certified after wake-up: picks=%v idle=%v", picks, idle)
 	}

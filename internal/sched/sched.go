@@ -39,6 +39,11 @@ var ErrDuplicateVM = errors.New("sched: duplicate VM")
 //	s.Charge(v, busy, now)  // how long it actually ran
 //	s.Tick(now)             // end-of-quantum accounting
 //
+// Every scheduler also certifies batched stretches for the simulation
+// engine: NextBoundary names the instants the host must step through
+// quantum by quantum, and BatchPattern folds a contended stretch between
+// them into per-VM tallies.
+//
 // Implementations are not safe for concurrent use.
 type Scheduler interface {
 	// Name identifies the scheduling policy, e.g. "credit".
@@ -58,25 +63,59 @@ type Scheduler interface {
 	// Tick performs end-of-quantum accounting (credit refills, deadline
 	// rollovers).
 	Tick(now sim.Time)
-}
 
-// BoundaryReporter is implemented by schedulers that can report their next
-// accounting boundary (credit refill, deadline rollover, PAS
-// recomputation) — the next instant at which Tick does real work or Pick
-// decisions can change for scheduler-internal reasons. The simulation
-// engine stops batched steps strictly before the boundary, so the quantum
-// containing it always runs with reference semantics. Schedulers without
-// this interface are never batched.
-type BoundaryReporter interface {
-	// NextBoundary returns the scheduler's next accounting boundary after
-	// now, or sim.Never when there is none.
+	// NextBoundary returns the scheduler's next accounting boundary
+	// after now (credit refill, deadline rollover, PAS recomputation) —
+	// the next instant at which Tick does real work or Pick decisions
+	// can change for scheduler-internal reasons — or sim.Never when
+	// there is none. The engine stops batched steps strictly before it,
+	// so the quantum containing it always runs with reference semantics.
 	NextBoundary(now sim.Time) sim.Time
+
+	// BatchPattern collapses a contended stretch of scheduling quanta
+	// (or a single-runnable one, for a scheduler without Batcher) into
+	// one composite pattern step: it certifies the scheduler's full
+	// interleaving — Credit's weighted round-robin rotation between
+	// credit refills, SEDF's EDF order between deadline boundaries,
+	// Credit2's closed-form smallest-vruntime merge — as per-VM
+	// consumed-quanta tallies.
+	//
+	// The engine calls it only when no scheduler boundary, no governor
+	// decision, no frequency transition and no workload change lies
+	// inside the offered stretch, so the certified pattern holds exactly
+	// when the runnable set is static and every pick consumes a full
+	// quantum, which quota guarantees. It certifies a pattern step of up
+	// to max quanta starting at now; quota lists exactly the currently
+	// runnable VMs with their per-VM pick bounds. It returns either
+	//
+	//   - (picks, false): the reference Pick sequence for the next
+	//     total = Σ picks[i].Quanta quanta (total <= max) grants each
+	//     listed VM exactly its tally, each pick consuming one full
+	//     quantum, and after those quanta the scheduler's pick state
+	//     (round-robin cursors) is as committed by this call. The caller
+	//     applies the consumed time through one Charge call per VM; the
+	//     tallies are chosen so that those bulk charges land in the same
+	//     accounting branch every per-quantum Charge would have
+	//     (scheduler-internal counters end bit-identical).
+	//   - (nil, true): Pick would return nil for each of the next max
+	//     quanta — every runnable VM is unserviceable (budget exhausted
+	//     under a hard cap, slice exhausted without extratime) — so the
+	//     processor idles for the whole offered stretch.
+	//   - (nil, false): the stretch cannot be certified (pattern shorter
+	//     than two quanta, or a policy the scheduler cannot fold); the
+	//     caller falls back to the reference Pick/Charge/Tick cycle. No
+	//     scheduler state is committed in this case.
+	//
+	// The returned slice is only valid until this scheduler's next
+	// BatchPattern call: implementations reuse the backing buffer.
+	BatchPattern(quota []PatternQuota, quantum sim.Time, max int, now sim.Time) ([]PatternPick, bool)
 }
 
-// Batcher is implemented by schedulers that can collapse a uniform run of
-// scheduling quanta into one batched step. The engine calls it only when
-// v is the only runnable VM and no scheduler boundary (NextBoundary) lies
-// inside the stretch.
+// Batcher is the one optional fast path: a scheduler that implements it
+// collapses a uniform run of scheduling quanta into one batched step
+// when v is the only runnable VM and no scheduler boundary (NextBoundary)
+// lies inside the stretch; without it, a single runnable VM goes through
+// BatchPattern like a contended stretch.
 type Batcher interface {
 	// BatchPick certifies a uniform stretch of up to max quanta starting
 	// at now, assuming v stays the only runnable VM. It returns either
@@ -119,48 +158,6 @@ type PatternPick struct {
 	Quanta int
 }
 
-// PatternBatcher is implemented by schedulers that can collapse a
-// *multi-runnable* stretch of scheduling quanta into one composite
-// pattern step. It generalizes Batcher: where BatchPick certifies a run
-// of identical picks of a sole runnable VM, BatchPattern certifies the
-// scheduler's full interleaving — Credit's weighted round-robin rotation
-// between credit refills, SEDF's EDF order between deadline boundaries,
-// Credit2's closed-form smallest-vruntime merge — as per-VM
-// consumed-quanta tallies.
-//
-// The engine calls it only when no scheduler boundary (NextBoundary), no
-// governor decision, no frequency transition and no workload change lies
-// inside the offered stretch, so the certified pattern holds exactly when
-// the runnable set is static and every pick consumes a full quantum,
-// which quota guarantees.
-type PatternBatcher interface {
-	// BatchPattern certifies a pattern step of up to max quanta starting
-	// at now. quota lists exactly the currently runnable VMs with their
-	// per-VM pick bounds. It returns either
-	//
-	//   - (picks, false): the reference Pick sequence for the next
-	//     total = Σ picks[i].Quanta quanta (total <= max) grants each
-	//     listed VM exactly its tally, each pick consuming one full
-	//     quantum, and after those quanta the scheduler's pick state
-	//     (round-robin cursors) is as committed by this call. The caller
-	//     applies the consumed time through one Charge call per VM; the
-	//     tallies are chosen so that those bulk charges land in the same
-	//     accounting branch every per-quantum Charge would have
-	//     (scheduler-internal counters end bit-identical).
-	//   - (nil, true): Pick would return nil for each of the next max
-	//     quanta — every runnable VM is unserviceable (budget exhausted
-	//     under a hard cap, slice exhausted without extratime) — so the
-	//     processor idles for the whole offered stretch.
-	//   - (nil, false): the stretch cannot be certified (pattern shorter
-	//     than two quanta, or a policy the scheduler cannot fold); the
-	//     caller falls back to the reference Pick/Charge/Tick cycle. No
-	//     scheduler state is committed in this case.
-	//
-	// The returned slice is only valid until this scheduler's next
-	// BatchPattern call: implementations reuse the backing buffer.
-	BatchPattern(quota []PatternQuota, quantum sim.Time, max int, now sim.Time) ([]PatternPick, bool)
-}
-
 // CapSetter is implemented by schedulers whose per-VM CPU allocation can be
 // adjusted at run time. The PAS scheduler uses it to enforce the
 // recomputed, frequency-compensated credits (Listing 1.2 of the paper).
@@ -192,23 +189,19 @@ type Tracer interface {
 	// TraceExhausted marks v's budget crossing zero under a hard cap at
 	// now.
 	TraceExhausted(now sim.Time, v *vm.VM)
+	// TraceRecompensate marks a recomputation that changed the processor
+	// frequency and rewrote the enforcement (the PAS credit
+	// recompensation of Listing 1.2), with the new frequency and how
+	// many VMs were recompensated. One event per recomputation (not per
+	// VM) keeps the emission independent of the scheduler's map
+	// iteration order.
+	TraceRecompensate(now sim.Time, freqMHz, vms int64)
 }
 
 // TraceSetter is implemented by schedulers that can report decision
 // events to a Tracer. Setting a nil tracer disables tracing.
 type TraceSetter interface {
 	SetTracer(t Tracer)
-}
-
-// RecompensateTracer is an optional Tracer extension for schedulers that
-// rewrite their enforcement when the processor frequency changes (the
-// PAS credit recompensation of Listing 1.2). TraceRecompensate fires
-// once per recomputation that changes the processor frequency, with the
-// new frequency and how many VMs were recompensated. One event per
-// recomputation (not per VM) keeps the emission independent of the
-// scheduler's map iteration order.
-type RecompensateTracer interface {
-	TraceRecompensate(now sim.Time, freqMHz, vms int64)
 }
 
 // Throttler is implemented by schedulers that can distinguish a

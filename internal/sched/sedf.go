@@ -73,12 +73,10 @@ type SEDF struct {
 }
 
 var (
-	_ Scheduler        = (*SEDF)(nil)
-	_ CapSetter        = (*SEDF)(nil)
-	_ BoundaryReporter = (*SEDF)(nil)
-	_ Batcher          = (*SEDF)(nil)
-	_ PatternBatcher   = (*SEDF)(nil)
-	_ Throttler        = (*SEDF)(nil)
+	_ Scheduler = (*SEDF)(nil)
+	_ CapSetter = (*SEDF)(nil)
+	_ Batcher   = (*SEDF)(nil)
+	_ Throttler = (*SEDF)(nil)
 )
 
 // Throttled implements Throttler: a VM whose slice is exhausted and
@@ -226,7 +224,7 @@ func (s *SEDF) Tick(now sim.Time) {
 	}
 }
 
-// NextBoundary implements BoundaryReporter: the earliest deadline, where
+// NextBoundary implements Scheduler: the earliest deadline, where
 // a slice replenishment changes who Pick prefers.
 func (s *SEDF) NextBoundary(sim.Time) sim.Time {
 	next := sim.Never
@@ -269,7 +267,7 @@ func (s *SEDF) BatchPick(v *vm.VM, quantum sim.Time, max int, _ sim.Time) (int, 
 	return max, true
 }
 
-// BatchPattern implements PatternBatcher. Between deadline boundaries
+// BatchPattern implements Scheduler. Between deadline boundaries
 // (which NextBoundary keeps outside the offered stretch) the EDF order is
 // frozen, so a contended stretch is sequential, not interleaved: the
 // earliest-deadline VM holding slice time runs until its slice crosses

@@ -29,10 +29,11 @@ const (
 	Hour        Time = 60 * Minute
 )
 
-// Never is the sentinel "no deadline" time returned by horizon reporters
-// (sched.BoundaryReporter, workload.Forecaster, governor.DecisionHorizon)
-// when no future boundary exists. It is far beyond any reachable simulated
-// time while leaving headroom against overflow in comparisons.
+// Never is the sentinel "no deadline" time returned by the horizon
+// methods (sched.Scheduler.NextBoundary, workload.Workload.NextChange,
+// governor.Governor.NextDecision) when no future boundary exists. It is
+// far beyond any reachable simulated time while leaving headroom against
+// overflow in comparisons.
 const Never Time = 1 << 62
 
 // Seconds returns t expressed in (simulated) seconds.

@@ -46,18 +46,6 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// EffectiveWeight returns the proportional-share weight: the configured
-// weight, or one derived from the credit.
-func (c Config) EffectiveWeight() int {
-	if c.Weight > 0 {
-		return c.Weight
-	}
-	if c.Credit > 0 {
-		return int(c.Credit)
-	}
-	return 1
-}
-
 // VM is a virtual machine instance. It binds a configuration to a workload
 // and keeps the hypervisor-side accounting: total scheduled CPU time and
 // total work executed.
@@ -67,7 +55,6 @@ type VM struct {
 	id  ID
 	cfg Config
 	wl  workload.Workload
-	fc  workload.Forecaster // wl's Forecaster side, nil if absent
 
 	paused  bool
 	cpuTime sim.Time // total busy CPU time granted to the VM
@@ -110,17 +97,6 @@ func (v *VM) SetWorkload(wl workload.Workload) {
 		wl = workload.Idle{}
 	}
 	v.wl = wl
-	v.fc, _ = wl.(workload.Forecaster)
-}
-
-// NextChange forwards to the workload's Forecaster (see
-// workload.Forecaster); the second return value is false when the
-// workload cannot forecast at all.
-func (v *VM) NextChange(now sim.Time) (sim.Time, bool) {
-	if v.fc == nil {
-		return 0, false
-	}
-	return v.fc.NextChange(now), true
 }
 
 // Workload returns the currently bound workload.

@@ -31,22 +31,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestEffectiveWeight(t *testing.T) {
-	tests := []struct {
-		cfg  Config
-		want int
-	}{
-		{Config{Weight: 5, Credit: 20}, 5},
-		{Config{Credit: 20}, 20},
-		{Config{}, 1},
-	}
-	for _, tt := range tests {
-		if got := tt.cfg.EffectiveWeight(); got != tt.want {
-			t.Errorf("EffectiveWeight(%+v) = %d, want %d", tt.cfg, got, tt.want)
-		}
-	}
-}
-
 func TestNewDefaults(t *testing.T) {
 	v, err := New(3, Config{Credit: 20})
 	if err != nil {

@@ -121,7 +121,7 @@ func (w *WebApp) arrive() {
 // Pending implements Workload.
 func (w *WebApp) Pending() sim.Work { return w.queue }
 
-// NextChange implements Forecaster. The renewal chain always holds the
+// NextChange implements Workload. The renewal chain always holds the
 // exact next arrival (or is exhausted), independent of tick granularity,
 // so the promise is precise: the queue next changes at that arrival, or
 // never. An arrival at or before now is already due but not yet

@@ -42,21 +42,15 @@ type Workload interface {
 	// consumed. now is the simulated time at the end of the consumption
 	// interval, used for completion bookkeeping.
 	Consume(max sim.Work, now sim.Time) sim.Work
-}
-
-// Forecaster is implemented by workloads that can promise when their
-// pending work can next change for any reason other than a Consume call:
-// a request arrival, a phase transition, or internal bookkeeping that a
-// Tick between now and the returned time would have performed. The simulation engine uses the promise to
-// batch stretches of quanta; a workload that cannot see that far simply
-// returns now (or is not a Forecaster at all), which forces
-// quantum-by-quantum stepping. Returning a time at or before now means
-// "cannot forecast / state is stale": the engine then ticks the workload
-// quantum by quantum, so a conservative answer is always safe.
-type Forecaster interface {
-	// NextChange returns the earliest time > now at which Pending may
-	// change without a Consume call, sim.Never if it cannot, or a time
-	// <= now when no promise can be made.
+	// NextChange promises when the pending work can next change for any
+	// reason other than a Consume call: a request arrival, a phase
+	// transition, or internal bookkeeping that a Tick between now and the
+	// returned time would have performed. It returns the earliest time >
+	// now at which Pending may change without a Consume call, sim.Never
+	// if it cannot, or a time <= now when no promise can be made. The
+	// simulation engine batches stretches of quanta up to the promise; a
+	// time at or before now forces quantum-by-quantum stepping, so a
+	// conservative answer is always safe.
 	NextChange(now sim.Time) sim.Time
 }
 
@@ -73,7 +67,7 @@ func (Idle) Pending() sim.Work { return 0 }
 // Consume implements Workload.
 func (Idle) Consume(sim.Work, sim.Time) sim.Work { return 0 }
 
-// NextChange implements Forecaster: an idle workload never gains work.
+// NextChange implements Workload: an idle workload never gains work.
 func (Idle) NextChange(sim.Time) sim.Time { return sim.Never }
 
 // Hog is an always-runnable CPU hog with unbounded work, used by the
@@ -100,7 +94,7 @@ func (h *Hog) Consume(max sim.Work, _ sim.Time) sim.Work {
 // Consumed returns the total work executed by the hog.
 func (h *Hog) Consumed() sim.Work { return h.consumed }
 
-// NextChange implements Forecaster: a hog's backlog only moves through
+// NextChange implements Workload: a hog's backlog only moves through
 // Consume.
 func (h *Hog) NextChange(sim.Time) sim.Time { return sim.Never }
 
@@ -176,6 +170,6 @@ func (p *PiApp) Progress() float64 {
 	return float64(p.total-p.remaining) / float64(p.total)
 }
 
-// NextChange implements Forecaster: the fixed work pool only drains
+// NextChange implements Workload: the fixed work pool only drains
 // through Consume.
 func (p *PiApp) NextChange(sim.Time) sim.Time { return sim.Never }

@@ -93,11 +93,7 @@ func WithPerformanceGovernor() Option {
 // WithOndemandGovernor installs the paper's smoothed ondemand governor.
 func WithOndemandGovernor() Option {
 	return func(c *systemConfig) error {
-		g, err := governor.NewPaperOndemand(governor.PaperOndemandConfig{})
-		if err != nil {
-			return err
-		}
-		c.host.Governor = g
+		c.host.Governor = governor.NewPaperOndemand(nil)
 		return nil
 	}
 }
