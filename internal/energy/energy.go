@@ -44,9 +44,13 @@ func EnergyFromPicojoules(pj int64) Energy {
 	return Energy{j: pj / picoPerJoule, pj: pj % picoPerJoule}
 }
 
-// AddPicojoules returns e plus an integer picojoule count.
+// AddPicojoules returns e plus an integer picojoule count. A count below
+// one joule, what a single quantum draws, adds without normalizing.
 func (e Energy) AddPicojoules(pj int64) Energy {
-	return e.Add(EnergyFromPicojoules(pj))
+	if pj < 0 || pj >= picoPerJoule {
+		return e.Add(EnergyFromPicojoules(pj))
+	}
+	return e.Add(Energy{pj: pj})
 }
 
 // Add returns the exact sum e + o.
@@ -80,12 +84,15 @@ func (e Energy) Joules() float64 {
 // coefficients are precomputed at construction so the per-quantum Add on
 // the simulation hot path involves no map operations or profile lookups;
 // the quantized microwatt power matches cpufreq.Profile.Power to within
-// half a microwatt.
+// half a microwatt. The two utilizations every batched and idle stretch
+// charges, 0 and 1, are quantized once per P-state.
 type Meter struct {
 	prof    *cpufreq.Profile
 	total   Energy
 	freqs   []cpufreq.Freq // ladder frequencies, by P-state index
 	dyn     []float64      // dynamic power coefficient in watts, by P-state index
+	idleUW  []int64        // powerMicrowatts(i, 0), by P-state index
+	busyUW  []int64        // powerMicrowatts(i, 1), by P-state index
 	byState []Energy       // energy, by P-state index
 	lastF   cpufreq.Freq   // index cache: frequencies change rarely
 	lastI   int
@@ -101,6 +108,8 @@ func NewMeter(prof *cpufreq.Profile) (*Meter, error) {
 		prof:    prof,
 		freqs:   make([]cpufreq.Freq, prof.Levels()),
 		dyn:     make([]float64, prof.Levels()),
+		idleUW:  make([]int64, prof.Levels()),
+		busyUW:  make([]int64, prof.Levels()),
 		byState: make([]Energy, prof.Levels()),
 		lastI:   -1,
 	}
@@ -108,6 +117,8 @@ func NewMeter(prof *cpufreq.Profile) (*Meter, error) {
 		fGHz := float64(s.Freq) / 1000
 		m.freqs[i] = s.Freq
 		m.dyn[i] = prof.DynCoeff * s.Voltage * s.Voltage * fGHz
+		m.idleUW[i] = m.powerMicrowatts(i, 0)
+		m.busyUW[i] = m.powerMicrowatts(i, 1)
 	}
 	return m, nil
 }
@@ -146,7 +157,16 @@ func (m *Meter) Add(dt sim.Time, f cpufreq.Freq, util float64) error {
 		}
 		m.lastF, m.lastI = f, i
 	}
-	pj := m.powerMicrowatts(i, util) * int64(dt)
+	var uw int64
+	switch util {
+	case 0:
+		uw = m.idleUW[i]
+	case 1:
+		uw = m.busyUW[i]
+	default:
+		uw = m.powerMicrowatts(i, util)
+	}
+	pj := uw * int64(dt)
 	m.total = m.total.AddPicojoules(pj)
 	m.byState[i] = m.byState[i].AddPicojoules(pj)
 	m.elapsed += dt

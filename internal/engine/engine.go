@@ -178,13 +178,15 @@ func (e *Engine) SteppedQuanta() int64 { return e.stepped }
 //
 // Every RunUntil iteration counts exactly once, so the map is a census of
 // what to attack next when batching coverage stalls: a dominant
-// "machine-declined" count means the machine (typically its scheduler)
-// cannot certify the stretches the engine offers, while dominant
-// engine-side sources mean batching is already limited only by genuine
-// discrete activity. With every in-tree scheduler now certifying its
-// pattern, "machine-declined" should stay near zero in the stock
-// scenarios; a regression here is the first symptom of a scheduler losing
-// its certification.
+// "machine-declined" count means the machine cannot certify the
+// stretches the engine offers, while dominant engine-side sources mean
+// batching is already limited only by genuine discrete activity. A host
+// steps the quantum holding every scheduler boundary through the
+// reference path, so on Credit and PAS hosts "machine-declined" counts
+// the quantum of every credit refill and PAS recomputation — more than
+// half the batch offers of a PAS fleet — while on Credit2 and SEDF hog
+// hosts it stays at zero. A rise beyond the boundary count is the first
+// symptom of a scheduler losing its certification.
 func (e *Engine) BoundarySources() map[string]int64 {
 	return map[string]int64{
 		"target":            e.sources.target,
@@ -221,29 +223,35 @@ func QuantaCovering(d, quantum sim.Time) int {
 	return int(n)
 }
 
-// quantaCovering is QuantaCovering at the engine's own quantum.
-func (e *Engine) quantaCovering(d sim.Time) int {
-	return QuantaCovering(d, e.quantum)
-}
-
 // horizonQuanta returns the number of quanta from now to the event
 // horizon — the earliest of the run target, the next scheduled event and
 // the next periodic-action boundary, each rounded up to a whole quantum —
 // along with which source set it (earlier sources win ties).
+//
+// Rounding up is monotone, so the horizon is the earliest boundary time
+// rounded once; the source is the first one, in (target, event, actions)
+// order, whose boundary the horizon's quanta cover.
 func (e *Engine) horizonQuanta(now, target sim.Time) (int, boundarySource) {
-	max := e.quantaCovering(target - now)
-	src := srcTarget
-	if at, ok := e.queue.Next(); ok {
-		if n := e.quantaCovering(at - now); n < max {
-			max, src = n, srcEvent
-		}
+	first := target
+	at, hasEvent := e.queue.Next()
+	if hasEvent && at < first {
+		first = at
 	}
 	for _, a := range e.actions {
-		if n := e.quantaCovering(a.next - now); n < max {
-			max, src = n, srcAction
+		if a.next < first {
+			first = a.next
 		}
 	}
-	return max, src
+	n := QuantaCovering(first-now, e.quantum)
+	end := now + sim.Time(n)*e.quantum
+	switch {
+	case target <= end:
+		return n, srcTarget
+	case hasEvent && at <= end:
+		return n, srcEvent
+	default:
+		return n, srcAction
+	}
 }
 
 // Run advances the simulation by d.

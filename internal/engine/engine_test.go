@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -333,5 +334,124 @@ func TestRunParallel(t *testing.T) {
 	}
 	if err := RunParallel(4, nil); err != nil {
 		t.Fatalf("empty task list: %v", err)
+	}
+}
+
+// horizonQuantaRef is the per-source horizon horizonQuanta replaced: each
+// boundary is rounded up to whole quanta on its own, and a later source
+// takes over only with strictly fewer quanta.
+func horizonQuantaRef(e *Engine, now, target sim.Time) (int, boundarySource) {
+	max := QuantaCovering(target-now, e.quantum)
+	src := srcTarget
+	if at, ok := e.queue.Next(); ok {
+		if n := QuantaCovering(at-now, e.quantum); n < max {
+			max, src = n, srcEvent
+		}
+	}
+	for _, a := range e.actions {
+		if n := QuantaCovering(a.next-now, e.quantum); n < max {
+			max, src = n, srcAction
+		}
+	}
+	return max, src
+}
+
+// horizonEngine builds an engine at quantum q whose queue holds events at
+// the given times and whose actions next fire at the given times.
+func horizonEngine(t *testing.T, q sim.Time, events, actions []sim.Time) *Engine {
+	t.Helper()
+	e := newTestEngine(t, q, &scriptMachine{})
+	for _, at := range events {
+		e.Schedule(at, func(sim.Time) {})
+	}
+	for i := range actions {
+		if err := e.AddAction(fmt.Sprintf("a%d", i), q, OrderMeter, func(sim.Time) error {
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, at := range actions {
+		e.actions[i].next = at
+	}
+	return e
+}
+
+// TestHorizonQuantaMatchesPerSourceReference checks the one-division
+// horizon against the per-source reference, count and source, so the
+// BoundarySources census cannot move: hand-picked ties across sources
+// and boundaries at or before now, then random mixes of quanta, targets,
+// events and actions placed on and between quantum ends.
+func TestHorizonQuantaMatchesPerSourceReference(t *testing.T) {
+	const q = sim.Millisecond
+	cases := []struct {
+		name            string
+		now, target     sim.Time
+		events, actions []sim.Time
+		wantN           int
+		wantSrc         boundarySource
+	}{
+		{"target-only", 0, 10 * q, nil, nil, 10, srcTarget},
+		{"target-ties-event-and-action", 0, 3 * q, []sim.Time{2*q + 1}, []sim.Time{3 * q}, 3, srcTarget},
+		{"event-ties-action", 0, 9 * q, []sim.Time{4*q - 7}, []sim.Time{4 * q, 3*q + 1}, 4, srcEvent},
+		{"action-before-event", 0, 9 * q, []sim.Time{6 * q}, []sim.Time{7 * q, 2*q + 5}, 3, srcAction},
+		{"event-before-actions", 5, 9 * q, []sim.Time{q}, []sim.Time{4 * q, 2 * q}, 1, srcEvent},
+		{"event-at-now", 4 * q, 9 * q, []sim.Time{4 * q}, []sim.Time{5 * q}, 1, srcEvent},
+		{"action-before-now", 4 * q, 9 * q, []sim.Time{8 * q}, []sim.Time{6 * q, 3 * q}, 1, srcAction},
+		{"target-within-a-quantum", 4 * q, 4*q + 1, []sim.Time{3 * q}, []sim.Time{2 * q}, 1, srcTarget},
+	}
+	for _, tc := range cases {
+		e := horizonEngine(t, q, tc.events, tc.actions)
+		n, src := e.horizonQuanta(tc.now, tc.target)
+		wn, wsrc := horizonQuantaRef(e, tc.now, tc.target)
+		if n != wn || src != wsrc {
+			t.Fatalf("%s: horizon %d/%d, reference %d/%d", tc.name, n, src, wn, wsrc)
+		}
+		if n != tc.wantN || src != tc.wantSrc {
+			t.Fatalf("%s: horizon %d/%d, want %d/%d", tc.name, n, src, tc.wantN, tc.wantSrc)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(26))
+	seen := map[boundarySource]int{}
+	for trial := 0; trial < 20000; trial++ {
+		q := sim.Time(1 + rng.Intn(1500))
+		now := sim.Time(rng.Int63n(1 << 40))
+		// Boundaries at or before now, on quantum ends (ties), or anywhere
+		// in the next twenty quanta.
+		at := func() sim.Time {
+			switch rng.Intn(4) {
+			case 0:
+				return now - sim.Time(rng.Int63n(3*int64(q)))
+			case 1:
+				return now + sim.Time(rng.Intn(8))*q
+			default:
+				return now + sim.Time(rng.Int63n(20*int64(q)))
+			}
+		}
+		times := func(k int) []sim.Time {
+			out := make([]sim.Time, k)
+			for i := range out {
+				out[i] = at()
+			}
+			return out
+		}
+		target := now + 1 + sim.Time(rng.Int63n(20*int64(q)))
+		if rng.Intn(3) == 0 {
+			target = now + sim.Time(1+rng.Intn(20))*q
+		}
+		e := horizonEngine(t, q, times(rng.Intn(3)), times(rng.Intn(4)))
+		n, src := e.horizonQuanta(now, target)
+		wn, wsrc := horizonQuantaRef(e, now, target)
+		if n != wn || src != wsrc {
+			t.Fatalf("q=%d now=%d target=%d: horizon %d/%d, reference %d/%d",
+				q, now, target, n, src, wn, wsrc)
+		}
+		seen[src]++
+	}
+	for _, src := range []boundarySource{srcTarget, srcEvent, srcAction} {
+		if seen[src] == 0 {
+			t.Fatalf("source %d never limited a random horizon: %v", src, seen)
+		}
 	}
 }

@@ -13,8 +13,9 @@ import (
 // TestHostStepNoAllocsWithoutObs proves the flight-recorder hooks cost
 // the disabled hot path nothing: with Config.Obs nil, steady-state host
 // stepping — the contended multi-VM pattern path, the single-runnable
-// batched path, and PAS with its recomputation every 10 ms — performs
-// zero allocations per advance.
+// batched path, PAS with its recomputation every 10 ms, and the
+// fleet-shaped PAS machine whose WebApp VMs come and go from the
+// runnable set — performs zero allocations per advance.
 // The recorder's sampling interval is pushed beyond the measured window
 // so its (amortized, pre-existing) series appends stay out of the
 // measurement; the load meter runs at its fixed 100 ms.
@@ -40,16 +41,16 @@ func TestHostStepNoAllocsWithoutObs(t *testing.T) {
 		return h
 	}
 	for _, tc := range []struct {
-		name      string
-		scheduler string
-		credits   []float64
+		name  string
+		build func() *host.Host
 	}{
-		{"single-runnable", "credit", []float64{20}},
-		{"contended-pattern", "credit", []float64{20, 30, 40}},
-		{"pas-contended", "pas", []float64{20, 30, 40}},
+		{"single-runnable", func() *host.Host { return build("credit", []float64{20}) }},
+		{"contended-pattern", func() *host.Host { return build("credit", []float64{20, 30, 40}) }},
+		{"pas-contended", func() *host.Host { return build("pas", []float64{20, 30, 40}) }},
+		{"pas-webapp", func() *host.Host { return pasWebAppHost(t, false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := build(tc.scheduler, tc.credits)
+			h := tc.build()
 			// Warm up past transients (first refills, slice growth).
 			if err := h.Run(5 * sim.Second); err != nil {
 				t.Fatal(err)

@@ -32,6 +32,43 @@ func benchHost(b *testing.B, s sched.Scheduler) *host.Host {
 	return h
 }
 
+// pasWebAppHost builds a fleet-shaped machine the way the fleet builds
+// one — host.NewMachine("pas", 10, ...) with recorder sampling off — and
+// adds four WebApp VMs with unbounded backlogs, as the fleet's VMs have,
+// at mixed request rates: two offer more than their credit buys and stay
+// runnable, two fall idle between arrivals, so every step walks a mixed
+// runnable set and every arrival bounds a stretch.
+func pasWebAppHost(tb testing.TB, reference bool) *host.Host {
+	tb.Helper()
+	h, err := host.NewMachine("pas", 10, host.Config{
+		Profile:        cpufreq.Optiplex755(),
+		SampleInterval: -1,
+		Reference:      reference,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for i, spec := range []struct{ credit, rate float64 }{{20, 12}, {30, 4}, {10, 2}, {25, 16}} {
+		wl, err := workload.NewWebApp(workload.WebAppConfig{
+			Phases:     []workload.Phase{{Start: 0, End: 1e6 * sim.Second, Rate: spec.rate}},
+			MaxBacklog: -1,
+			Seed:       uint64(i + 1),
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v, err := vm.New(vm.ID(i+1), vm.Config{Credit: spec.credit})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		v.SetWorkload(wl)
+		if err := h.AddVM(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return h
+}
+
 // BenchmarkHostStep measures the engine's event-horizon batching against
 // the reference quantum-by-quantum loop: one op advances one simulated
 // second (1000 quanta). The batched/reference ratio per scenario is the
@@ -42,7 +79,10 @@ func benchHost(b *testing.B, s sched.Scheduler) *host.Host {
 // three-hog extratime SEDF host whose frozen EDF order (slice phases,
 // then extratime rotations) must fold between deadline boundaries; and
 // the "pas-contended" pair on a 10/20/70 three-hog PAS host, whose
-// frequency and cap recomputation every 10 ms is a scheduler boundary.
+// frequency and cap recomputation every 10 ms is a scheduler boundary;
+// and the "pas-webapp" pair on the fleet-shaped PAS machine of
+// pasWebAppHost, where request arrivals and a changing runnable set cut
+// the stretches between recomputations.
 func BenchmarkHostStep(b *testing.B) {
 	scenarios := []struct {
 		name  string
@@ -128,6 +168,9 @@ func BenchmarkHostStep(b *testing.B) {
 				}
 			}
 			return h
+		}},
+		{"pas-webapp-batched", func(b *testing.B, reference bool) *host.Host {
+			return pasWebAppHost(b, reference)
 		}},
 	}
 	for _, sc := range scenarios {

@@ -140,7 +140,10 @@ type Host struct {
 	// at construction.
 	schedBatcher sched.Batcher
 
-	quotaBuf []sched.PatternQuota // reused per batched pattern step
+	// Reused per batched step: the runnable VMs as pattern quotas, and
+	// their pending work (parallel).
+	quotaBuf   []sched.PatternQuota
+	pendingBuf []sim.Work
 
 	// Flight recorder state; obs == nil disables every observation at a
 	// single pointer check per step.
@@ -480,30 +483,16 @@ func (h *Host) step(now sim.Time) error {
 }
 
 // quantaWithin returns floor(pending/capWork) — how many full quanta of
-// work a backlog covers — clamped to 1<<30 so the conversion stays
-// defined on 32-bit platforms (a Hog's sim.MaxWork backlog would
-// otherwise overflow int and silently disable batching there), and so a
-// later quanta-times-capacity product stays far from int64 overflow.
-func quantaWithin(pending, capWork sim.Work) int {
-	r := pending / capWork
-	if r >= 1<<30 {
-		return 1 << 30
+// work a backlog covers — or limit when the backlog covers at least that
+// many: a bound above the offer binds nothing, so the division runs only
+// for a backlog that may bind, and a Hog's sim.MaxWork backlog never
+// reaches an int conversion. The host's offers end at its meter
+// interval, which keeps limit*capWork far from int64 overflow.
+func quantaWithin(pending, capWork sim.Work, limit int) int {
+	if pending >= sim.Work(limit)*capWork {
+		return limit
 	}
-	return int(r)
-}
-
-// quantaCovering returns ceil(d/quantum), the number of quanta after
-// which a boundary at distance d is handled.
-func (h *Host) quantaCovering(d sim.Time) int {
-	return engine.QuantaCovering(d, h.cfg.Quantum)
-}
-
-// quantaBefore returns the number of whole quanta that fit strictly
-// before a boundary at distance d, so that no covered quantum end reaches
-// it: the quantum containing the boundary always runs through the
-// reference path.
-func (h *Host) quantaBefore(d sim.Time) int {
-	return h.quantaCovering(d) - 1
+	return int(pending / capWork)
 }
 
 // batchStep executes up to max quanta starting at now as one batched
@@ -515,32 +504,24 @@ func (h *Host) quantaBefore(d sim.Time) int {
 // contended multi-runnable pattern with per-VM consumed-quanta tallies
 // (BatchPattern). It returns 0 whenever any of those certifications
 // fails, and the engine falls back to the reference step.
+//
+// The limits are kept as times and rounded to quanta once per kind: the
+// stretch stops strictly before the scheduler boundary and the governor
+// decision (before), and may end on the quantum that covers a frequency
+// transition or a workload change (covering). Rounding up is monotone,
+// so the earliest time of a kind gives that kind's quanta bound.
 func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	if h.cfg.Reference {
 		return 0, nil
 	}
-	// Cheapest disqualifier first: the quantum holding a scheduler
-	// boundary (every PAS recomputation, every Credit refill) always runs
+	q := h.cfg.Quantum
+	// Cheapest disqualifier first, before any VM is touched: a scheduler
+	// boundary (every PAS recomputation, every Credit refill) within two
+	// quanta leaves fewer than two quanta before it, so its quantum runs
 	// through the reference path, whoever is runnable.
-	n := max
-	if b := h.scheduler.NextBoundary(now); b != sim.Never {
-		if b <= now {
-			return 0, nil
-		}
-		if k := h.quantaBefore(b - now); k < n {
-			n = k
-		}
-	}
-	if n < 2 {
+	before := h.scheduler.NextBoundary(now)
+	if before-now <= 2*q {
 		return 0, nil
-	}
-	var single *vm.VM
-	runnable := 0
-	for _, v := range h.vms {
-		if v.Runnable() {
-			runnable++
-			single = v
-		}
 	}
 	// Completing a due frequency transition first (as the reference step
 	// would at this quantum start) both matches reference semantics and
@@ -549,10 +530,9 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	if h.obs != nil {
 		h.obsFreqCheck(now)
 	}
+	covering := sim.Never
 	if _, at, pending := h.cpu.PendingSwitch(); pending {
-		if k := h.quantaCovering(at - now); k < n {
-			n = k
-		}
+		covering = at
 	}
 	if h.gov != nil {
 		st := governor.Stats{
@@ -562,34 +542,44 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 			Cur:     h.cpu.Freq(),
 			Prof:    h.cpu.Profile(),
 		}
-		if d := h.gov.NextDecision(st); d != sim.Never {
-			if d <= now {
-				return 0, nil
-			}
-			if k := h.quantaBefore(d - now); k < n {
-				n = k
-			}
+		if d := h.gov.NextDecision(st); d < before {
+			before = d
 		}
 	}
-	if n < 2 {
+	if before-now <= 2*q || covering-now <= q {
 		return 0, nil
 	}
+	// One pass over the VMs: the earliest workload change, and the
+	// runnable set with each member's pending work for the quotas.
+	quotas, pending := h.quotaBuf[:0], h.pendingBuf[:0]
 	for _, v := range h.vms {
-		if nc := v.Workload().NextChange(now); nc != sim.Never {
-			if nc <= now {
-				return 0, nil
-			}
-			if k := h.quantaCovering(nc - now); k < n {
-				n = k
-			}
+		wl := v.Workload()
+		if nc := wl.NextChange(now); nc < covering {
+			covering = nc
+		}
+		if v.Paused() {
+			continue
+		}
+		if p := wl.Pending(); p > 0 { // v.Runnable()
+			quotas = append(quotas, sched.PatternQuota{VM: v})
+			pending = append(pending, p)
 		}
 	}
-	if n < 2 {
+	h.quotaBuf, h.pendingBuf = quotas, pending
+	defer h.dropQuotas()
+	if covering-now <= q {
 		return 0, nil
 	}
-	q := h.cfg.Quantum
+	// Both bounds are at least two quanta here, so n >= 2.
+	n := max
+	if before-now <= sim.Time(n)*q {
+		n = engine.QuantaCovering(before-now, q) - 1
+	}
+	if covering-now <= sim.Time(n-1)*q {
+		n = engine.QuantaCovering(covering-now, q)
+	}
 	freq := h.cpu.Freq()
-	if runnable == 0 {
+	if len(quotas) == 0 {
 		d := sim.Time(n) * q
 		if h.obs != nil {
 			h.obsIdleStretch(now, d)
@@ -599,9 +589,10 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 		}
 		return n, nil
 	}
-	if runnable > 1 || h.schedBatcher == nil {
+	if len(quotas) > 1 || h.schedBatcher == nil {
 		return h.batchPattern(q, freq, n, now)
 	}
+	single := quotas[0].VM
 	picks, idle := h.schedBatcher.BatchPick(single, q, n, now)
 	// A 0/1 answer falls back to the reference step; any pick state the
 	// scheduler committed is idempotent with re-picking the same sole
@@ -629,7 +620,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	// Keep strictly below the pending work so every batched quantum
 	// consumes a full capWork and the VM stays runnable at every covered
 	// pick; the draining tail runs through the reference path.
-	if avail := quantaWithin(single.Workload().Pending(), capWork) - 1; avail < n {
+	if avail := quantaWithin(pending[0], capWork, n+1) - 1; avail < n {
 		n = avail
 	}
 	if n < 2 {
@@ -656,6 +647,13 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	return n, nil
 }
 
+// dropQuotas empties the reused quota buffers, dropping their VM
+// pointers so a removed VM can be collected.
+func (h *Host) dropQuotas() {
+	clear(h.quotaBuf)
+	h.quotaBuf, h.pendingBuf = h.quotaBuf[:0], h.pendingBuf[:0]
+}
+
 // batchPattern collapses a contended (or scheduler-restricted) stretch of
 // up to max quanta into one composite pattern step: the scheduler
 // certifies its pick interleaving — Credit's weighted round-robin
@@ -665,29 +663,23 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 // quantum fully busy. The per-VM quotas keep each pattern VM strictly
 // inside its pending work so the runnable set cannot change from within
 // the pattern; the draining tail always runs through the reference path.
+// batchStep has listed the runnable VMs in h.quotaBuf, with their
+// pending work in h.pendingBuf.
 func (h *Host) batchPattern(q sim.Time, freq cpufreq.Freq, max int, now sim.Time) (int, error) {
 	capWork := h.cpu.WorkRate() * sim.Work(q)
 	if capWork <= 0 {
 		return 0, nil
 	}
-	quotas := h.quotaBuf[:0]
-	for _, v := range h.vms {
-		if !v.Runnable() {
-			continue
-		}
+	quotas := h.quotaBuf
+	for i, p := range h.pendingBuf {
 		// Strictly below the pending work, so every granted pick consumes
-		// a full quantum and the VM stays runnable past the pattern.
-		m := quantaWithin(v.Workload().Pending(), capWork) - 1
-		if m < 0 {
-			m = 0
+		// a full quantum and the VM stays runnable past the pattern; no
+		// pattern exceeds max, so a bound of max binds like any larger.
+		if m := quantaWithin(p, capWork, max+1) - 1; m > 0 {
+			quotas[i].MaxPicks = m
 		}
-		quotas = append(quotas, sched.PatternQuota{VM: v, MaxPicks: m})
 	}
 	picks, idle := h.scheduler.BatchPattern(quotas, q, max, now)
-	for i := range quotas {
-		quotas[i] = sched.PatternQuota{} // drop VM pointers from the reused buffer
-	}
-	h.quotaBuf = quotas[:0]
 	if idle {
 		d := sim.Time(max) * q
 		if h.obs != nil {

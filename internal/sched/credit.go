@@ -110,39 +110,43 @@ func (c *Credit) refillMicros(capPct float64) int64 {
 //  1. Strict priority tiers, highest first: runnable capped VMs holding
 //     budget, round-robin within the tier (Dom0 is served here).
 //  2. Uncapped ("null credit") VMs, which absorb idle slack.
+//
+// One pass ranks both tiers at once, each by cyclic distance from its
+// own round-robin cursor.
 func (c *Credit) Pick(now sim.Time) *vm.VM {
-	// Pass 1: budgeted VMs by strict priority.
-	best := -1
-	bestPrio := 0
-	// Find the highest priority tier that has an eligible VM, then
-	// round-robin inside that tier.
+	n := len(c.vms)
+	if n == 0 {
+		return nil
+	}
+	bs, us := c.rrBudget.start(n), c.rrUncapped.start(n)
+	best, bestPrio, bestDist := -1, 0, 0
+	uncapped, uncappedDist := -1, 0
 	for i, v := range c.vms {
 		if !v.Runnable() {
 			continue
 		}
-		if c.st[i].cap <= 0 || c.st[i].budget <= 0 {
+		st := &c.st[i]
+		if st.cap <= 0 {
+			if d := cyclicDist(i, us, n); uncapped < 0 || d < uncappedDist {
+				uncapped, uncappedDist = i, d
+			}
 			continue
 		}
-		if best == -1 || v.Priority() > bestPrio {
-			best = i
-			bestPrio = v.Priority()
+		if st.budget <= 0 {
+			continue
+		}
+		p, d := v.Priority(), cyclicDist(i, bs, n)
+		if best < 0 || p > bestPrio || (p == bestPrio && d < bestDist) {
+			best, bestPrio, bestDist = i, p, d
 		}
 	}
 	if best >= 0 {
-		i := c.rrBudget.next(len(c.vms), func(i int) bool {
-			v := c.vms[i]
-			return v.Runnable() && v.Priority() == bestPrio &&
-				c.st[i].cap > 0 && c.st[i].budget > 0
-		})
-		if i >= 0 {
-			return c.vms[i]
-		}
+		c.rrBudget.last = best
+		return c.vms[best]
 	}
-	// Pass 2: uncapped VMs.
-	if i := c.rrUncapped.next(len(c.vms), func(i int) bool {
-		return c.vms[i].Runnable() && c.st[i].cap <= 0
-	}); i >= 0 {
-		return c.vms[i]
+	if uncapped >= 0 {
+		c.rrUncapped.last = uncapped
+		return c.vms[uncapped]
 	}
 	return nil
 }
@@ -242,55 +246,57 @@ func (c *Credit) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _
 	if quantum <= 0 || max <= 0 {
 		return nil, false
 	}
-	// Mirror Pick's tier selection on the runnable set, which the caller
-	// certifies is static across the stretch.
+	// One pass mirrors Pick's tier selection on the runnable set, which
+	// the caller certifies is static across the stretch, and gathers both
+	// candidate tiers: their members in ascending order, their tightest
+	// quota and, for the highest budgeted tier, its smallest budget.
+	budgeted, uncapped := c.rrBudget.members[:0], c.rrUncapped.members[:0]
+	bestPrio, budgetedQuota, uncappedQuota := 0, 0, 0
+	minBudget := int64(0)
 	anyRunnable := false
-	anyUncapped := false
-	bestPrio := 0
-	haveBudgeted := false
+	quotas := quotaWalk{quota: quota}
 	for i, v := range c.vms {
+		m := quotas.of(v)
 		if !v.Runnable() {
 			continue
 		}
 		anyRunnable = true
-		if c.st[i].cap <= 0 {
-			anyUncapped = true
+		st := &c.st[i]
+		if st.cap <= 0 {
+			if len(uncapped) == 0 || m < uncappedQuota {
+				uncappedQuota = m
+			}
+			uncapped = append(uncapped, i)
 			continue
 		}
-		if c.st[i].budget > 0 && (!haveBudgeted || v.Priority() > bestPrio) {
-			bestPrio = v.Priority()
-			haveBudgeted = true
+		if st.budget <= 0 {
+			continue
+		}
+		switch p := v.Priority(); {
+		case len(budgeted) == 0 || p > bestPrio:
+			budgeted = append(budgeted[:0], i)
+			bestPrio, budgetedQuota, minBudget = p, m, st.budget
+		case p == bestPrio:
+			budgeted = append(budgeted, i)
+			budgetedQuota = min(budgetedQuota, m)
+			minBudget = min(minBudget, st.budget)
 		}
 	}
-	var cursor *rrQueue
-	var eligible func(i int) bool
-	// life bounds a member's rotations so it survives every one of its
-	// own picks; nil members have no budget to run out of.
-	var life func(i int) int
+	c.rrBudget.members, c.rrUncapped.members = budgeted, uncapped
 	switch {
-	case haveBudgeted:
-		cursor = &c.rrBudget
-		eligible = func(i int) bool {
-			v := c.vms[i]
-			return v.Runnable() && v.Priority() == bestPrio &&
-				c.st[i].cap > 0 && c.st[i].budget > 0
-		}
-		life = func(i int) int {
-			return int(ceilDiv(c.st[i].budget, int64(quantum)))
-		}
-	case anyUncapped:
-		cursor = &c.rrUncapped
-		eligible = func(i int) bool {
-			return c.vms[i].Runnable() && c.st[i].cap <= 0
-		}
+	case len(budgeted) > 0:
+		// A member stays eligible for ceil(budget/quantum) of its own
+		// picks; the smallest budget bounds the whole tier.
+		life := int(ceilDiv(minBudget, int64(quantum)))
+		return c.rrBudget.rotationPattern(c.vms, budgeted, min(budgetedQuota, life), max), false
+	case len(uncapped) > 0:
+		return c.rrUncapped.rotationPattern(c.vms, uncapped, uncappedQuota, max), false
 	case anyRunnable:
 		// Every runnable VM is capped with an exhausted budget: Pick
 		// returns nil until the refill, which lies beyond the stretch.
 		return nil, true
-	default:
-		return nil, false
 	}
-	return rotationPattern(c.vms, cursor, quota, max, eligible, life), false
+	return nil, false
 }
 
 // SetCap implements CapSetter. Raising or lowering a cap mid-period adjusts

@@ -317,7 +317,9 @@ func (c *Credit2) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, 
 	// scratch copies; nothing is committed unless a pattern certifies.
 	cands := c.patBuf[:0]
 	floorNum := c.vcNum - int64(c.maxLag)*c.vcDen
+	quotas := quotaWalk{quota: quota}
 	for i, v := range c.vms {
+		qk := int64(quotas.of(v))
 		if !v.Runnable() {
 			continue
 		}
@@ -326,7 +328,6 @@ func (c *Credit2) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, 
 		if floorNum > 0 && run*c.vcDen < floorNum*st.weight {
 			run = ceilDiv(floorNum*st.weight, c.vcDen)
 		}
-		qk := int64(patternQuotaFor(quota, v))
 		if qk > int64(max) {
 			qk = int64(max) // tallies can never exceed the offer
 		}

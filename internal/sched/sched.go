@@ -86,7 +86,8 @@ type Scheduler interface {
 	// when the runnable set is static and every pick consumes a full
 	// quantum, which quota guarantees. It certifies a pattern step of up
 	// to max quanta starting at now; quota lists exactly the currently
-	// runnable VMs with their per-VM pick bounds. It returns either
+	// runnable VMs, in registration order (the order of VMs), with their
+	// per-VM pick bounds. It returns either
 	//
 	//   - (picks, false): the reference Pick sequence for the next
 	//     total = Σ picks[i].Quanta quanta (total <= max) grants each
@@ -250,64 +251,23 @@ func reindexAfterRemove(byID map[vm.ID]int, idx int) {
 	}
 }
 
-// patternQuotaFor returns the MaxPicks bound the caller supplied for v,
-// or 0 when v has no quota entry (which excludes it from batching).
-func patternQuotaFor(quota []PatternQuota, v *vm.VM) int {
-	for _, q := range quota {
-		if q.VM == v {
-			return q.MaxPicks
-		}
-	}
-	return 0
+// quotaWalk reads a BatchPattern quota list in one forward pass beside
+// the scheduler's VM slice: the list names VMs in registration order, so
+// each lookup compares one entry. A VM without an entry gets 0, which
+// excludes it from batching.
+type quotaWalk struct {
+	quota []PatternQuota
+	j     int
 }
 
-// rotationPattern builds a whole-rotations pattern step over the VMs
-// accepted by eligible: every member gets one full quantum per rotation,
-// in the exact cyclic order the cursor would serve them. The rotation
-// count is the tightest member bound — the caller's quota, the
-// scheduler-policy pick life returned by life (nil means unbounded, e.g.
-// uncapped or extratime members), and the offered max. On success it
-// commits the cursor past the rotation and returns the per-member
-// tallies; it returns nil (cursor untouched) when fewer than two quanta
-// certify.
-func rotationPattern(vms []*vm.VM, cursor *rrQueue, quota []PatternQuota,
-	max int, eligible func(i int) bool, life func(i int) int) []PatternPick {
-	rotations := max
-	members := 0
-	for i, v := range vms {
-		if !eligible(i) {
-			continue
-		}
-		members++
-		r := patternQuotaFor(quota, v)
-		if life != nil {
-			if k := life(i); k < r {
-				r = k
-			}
-		}
-		if r < rotations {
-			rotations = r
-		}
+// of returns the MaxPicks bound for v. Call it for every registered VM,
+// in registration order.
+func (w *quotaWalk) of(v *vm.VM) int {
+	if w.j < len(w.quota) && w.quota[w.j].VM == v {
+		w.j++
+		return w.quota[w.j-1].MaxPicks
 	}
-	if members == 0 {
-		return nil
-	}
-	if r := max / members; r < rotations {
-		rotations = r
-	}
-	if rotations*members < 2 {
-		return nil
-	}
-	order := cursor.rotation(len(vms), eligible)
-	for i := range cursor.pickBuf {
-		cursor.pickBuf[i] = PatternPick{} // drop stale VM pointers
-	}
-	picks := cursor.pickBuf[:0]
-	for _, i := range order {
-		picks = append(picks, PatternPick{VM: vms[i], Quanta: rotations})
-	}
-	cursor.pickBuf = picks
-	return picks
+	return 0
 }
 
 // IndexOf returns the slice index of v by identity, -1 if absent. The
@@ -323,57 +283,81 @@ func IndexOf(vms []*vm.VM, v *vm.VM) int {
 	return -1
 }
 
-// rrQueue is a tiny round-robin helper: it remembers the last VM served and
-// starts the next scan after it, giving equal service to equal claimants.
-// The order and pick buffers are reused across rotations — batch pattern
+// rrQueue is a tiny round-robin helper: it remembers the last VM served,
+// and the next scan starts after it, giving equal service to equal
+// claimants. A candidate's rank is its cyclic distance from that start
+// (cyclicDist), so one pass over the VMs finds the next one served. The
+// member and pick buffers are reused across rotations — batch pattern
 // construction runs on every contended host step, and a fresh slice per
 // step was the schedulers' dominant allocation.
 type rrQueue struct {
-	last     int
-	orderBuf []int
-	pickBuf  []PatternPick
+	last    int
+	members []int
+	pickBuf []PatternPick
 }
 
-// next scans candidates round-robin starting after the previously served
-// index and returns the index of the first candidate accepted by ok, or -1.
-func (q *rrQueue) next(n int, ok func(i int) bool) int {
-	if n == 0 {
-		return -1
+// start returns the index a scan over n > 0 candidates begins at: the
+// one after the last served, wrapped. Remove can leave last past the end,
+// which wraps the same way.
+func (q *rrQueue) start(n int) int {
+	switch s := q.last + 1; {
+	case s < n:
+		return s
+	case s == n:
+		return 0
+	default:
+		return s % n
 	}
-	start := q.last + 1
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if ok(i) {
-			q.last = i
-			return i
-		}
-	}
-	return -1
 }
 
-// rotation returns the indices of one full round-robin rotation over the
-// candidates accepted by ok, in the exact order successive next calls
-// would serve them, and commits the cursor past the rotation: after any
-// whole number of such rotations the next pick is again the first
-// returned index, and the cursor rests on the last one — precisely the
-// state quantum-by-quantum picking would leave behind. It returns nil
-// (cursor untouched) when no candidate is accepted.
-func (q *rrQueue) rotation(n int, ok func(i int) bool) []int {
-	if n == 0 {
+// cyclicDist returns index i's distance from start in a cyclic scan over
+// n indices, in [0, n): the scan reaches lower distances first.
+func cyclicDist(i, start, n int) int {
+	if d := i - start; d >= 0 {
+		return d
+	}
+	return i - start + n
+}
+
+// rotationPattern builds a whole-rotations pattern step over members, a
+// tier's eligible VM indices in ascending order: every member gets one
+// full quantum per rotation, in the exact cyclic order the cursor would
+// serve them. The rotation count is the tightest member bound — bound,
+// the smallest of the members' caller quotas and scheduler-policy pick
+// lives — and the offered max. On success it commits the cursor past the
+// rotation, where quantum-by-quantum picking would leave it after any
+// whole number of rotations, and returns the per-member tallies; it
+// returns nil (cursor untouched) when fewer than two quanta certify.
+func (q *rrQueue) rotationPattern(vms []*vm.VM, members []int, bound, max int) []PatternPick {
+	rotations := max / len(members)
+	if bound < rotations {
+		rotations = bound
+	}
+	if rotations*len(members) < 2 {
 		return nil
 	}
-	start := q.last + 1
-	order := q.orderBuf[:0]
-	for k := 0; k < n; k++ {
-		i := (start + k) % n
-		if ok(i) {
-			order = append(order, i)
-		}
+	// The rotation serves the members at or after the start first, then
+	// wraps to the ones before it.
+	s := q.start(len(vms))
+	k := 0
+	for k < len(members) && members[k] < s {
+		k++
 	}
-	q.orderBuf = order
-	if len(order) == 0 {
-		return nil
+	picks := q.pickBuf[:0]
+	for _, i := range members[k:] {
+		picks = append(picks, PatternPick{VM: vms[i], Quanta: rotations})
 	}
-	q.last = order[len(order)-1]
-	return order
+	for _, i := range members[:k] {
+		picks = append(picks, PatternPick{VM: vms[i], Quanta: rotations})
+	}
+	if len(picks) < len(q.pickBuf) {
+		clear(q.pickBuf[len(picks):]) // drop stale VM pointers
+	}
+	q.pickBuf = picks
+	if k > 0 {
+		q.last = members[k-1]
+	} else {
+		q.last = members[len(members)-1]
+	}
+	return picks
 }

@@ -490,7 +490,14 @@ func TestRRQueueFairness(t *testing.T) {
 	var q rrQueue
 	counts := make([]int, 3)
 	for i := 0; i < 300; i++ {
-		j := q.next(3, func(int) bool { return true })
+		// Serve the candidate nearest the cursor, as Pick does.
+		s, j := q.start(3), -1
+		for k := 0; k < 3; k++ {
+			if j < 0 || cyclicDist(k, s, 3) < cyclicDist(j, s, 3) {
+				j = k
+			}
+		}
+		q.last = j
 		counts[j]++
 	}
 	for i, c := range counts {

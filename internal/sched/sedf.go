@@ -166,31 +166,37 @@ func (s *SEDF) VMs() []*vm.VM {
 
 // Pick implements Scheduler: earliest-deadline-first among runnable VMs
 // that still hold slice time; otherwise round-robin among runnable
-// extratime-eligible VMs.
+// extratime-eligible VMs. One pass ranks both, the extratime VMs by
+// cyclic distance from the round-robin cursor.
 func (s *SEDF) Pick(_ sim.Time) *vm.VM {
-	var best *vm.VM
+	n := len(s.vms)
+	if n == 0 {
+		return nil
+	}
+	es := s.rrExtra.start(n)
+	best, extra, extraDist := -1, -1, 0
 	var bestDeadline sim.Time
 	for i, v := range s.vms {
 		if !v.Runnable() {
 			continue
 		}
 		st := &s.st[i]
-		if st.remaining <= 0 {
-			continue
+		if st.remaining > 0 && (best < 0 || st.deadline < bestDeadline) {
+			best, bestDeadline = i, st.deadline
 		}
-		if best == nil || st.deadline < bestDeadline {
-			best = v
-			bestDeadline = st.deadline
+		if st.params.Extratime {
+			if d := cyclicDist(i, es, n); extra < 0 || d < extraDist {
+				extra, extraDist = i, d
+			}
 		}
 	}
-	if best != nil {
-		return best
+	if best >= 0 {
+		return s.vms[best]
 	}
 	// Extratime distribution: the variable-credit behaviour.
-	if i := s.rrExtra.next(len(s.vms), func(i int) bool {
-		return s.vms[i].Runnable() && s.st[i].params.Extratime
-	}); i >= 0 {
-		return s.vms[i]
+	if extra >= 0 {
+		s.rrExtra.last = extra
+		return s.vms[extra]
 	}
 	return nil
 }
@@ -289,18 +295,33 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 	type cand struct {
 		idx      int
 		deadline sim.Time
+		quota    int
 	}
 	var cands []cand
+	// The runnable extratime VMs, in ascending order, are the rotation
+	// members once no runnable VM holds slice time.
+	extra := s.rrExtra.members[:0]
+	extraQuota := 0
 	anyRunnable := false
+	quotas := quotaWalk{quota: quota}
 	for i, v := range s.vms {
+		m := quotas.of(v)
 		if !v.Runnable() {
 			continue
 		}
 		anyRunnable = true
-		if s.st[i].remaining > 0 {
-			cands = append(cands, cand{i, s.st[i].deadline})
+		st := &s.st[i]
+		if st.remaining > 0 {
+			cands = append(cands, cand{i, st.deadline, m})
+		}
+		if st.params.Extratime {
+			if len(extra) == 0 || m < extraQuota {
+				extraQuota = m
+			}
+			extra = append(extra, i)
 		}
 	}
+	s.rrExtra.members = extra
 	if len(cands) > 0 {
 		// Ties keep registration order: Pick's strict < scan serves the
 		// lowest index first, which the stable sort preserves.
@@ -315,13 +336,7 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 				break
 			}
 			k := int(ceilDiv(s.st[cd.idx].remaining, int64(quantum)))
-			take := k
-			if q := patternQuotaFor(quota, s.vms[cd.idx]); q < take {
-				take = q
-			}
-			if left < take {
-				take = left
-			}
+			take := min(k, cd.quota, left)
 			if take > 0 {
 				picks = append(picks, PatternPick{VM: s.vms[cd.idx], Quanta: take})
 				total += take
@@ -339,23 +354,13 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 	if !anyRunnable {
 		return nil, false
 	}
-	// Extratime phase: whole rotations, every member one quantum each.
-	eligible := func(i int) bool {
-		return s.vms[i].Runnable() && s.st[i].params.Extratime
-	}
-	hasExtra := false
-	for i := range s.vms {
-		if eligible(i) {
-			hasExtra = true
-			break
-		}
-	}
-	if !hasExtra {
+	if len(extra) == 0 {
 		// Runnable VMs without extratime and without slice time idle the
 		// processor until the next deadline, beyond the stretch.
 		return nil, true
 	}
-	return rotationPattern(s.vms, &s.rrExtra, quota, max, eligible, nil), false
+	// Extratime phase: whole rotations, every member one quantum each.
+	return s.rrExtra.rotationPattern(s.vms, extra, extraQuota, max), false
 }
 
 // SetCap implements CapSetter by resizing the VM's slice to pct percent of

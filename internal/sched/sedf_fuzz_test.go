@@ -99,7 +99,8 @@ func sedfOffer(s *SEDF, now sim.Time, want int) int {
 // FuzzSEDFLifecycle mirrors FuzzCredit2Lifecycle for the
 // integer-microsecond SEDF: random Add/Remove/pause/run/charge/batch
 // sequences, checking after every operation that the scheduler never
-// panics, keeps its registry and slices consistent, and — whenever a
+// panics, keeps its registry and slices consistent, that every reference
+// Pick matches the two-pass oracle (oracle_test.go), and — whenever a
 // pattern certifies — that the batched tallies, the bulk charges and the
 // committed extratime cursor land on bit-identical state as
 // quantum-by-quantum reference picking (and that a declined pattern
@@ -169,9 +170,16 @@ func FuzzSEDFLifecycle(f *testing.F) {
 						t.Fatal(err)
 					}
 				}
-			case 3: // run reference quanta (deadline rollovers included)
+			case 3: // run reference quanta (deadline rollovers included),
+				// each pick against the two-pass oracle
 				for j := 0; j < arg%64; j++ {
+					ref := restoreSEDF(snapshotSEDF(s), cfg)
+					want := oracleSEDFPick(ref)
 					v := s.Pick(now)
+					if v != want || !sameSEDFState(snapshotSEDF(ref), s) {
+						t.Fatalf("Pick = %v (rr %d), two-pass oracle %v (rr %d)",
+							v, s.rrExtra.last, want, ref.rrExtra.last)
+					}
 					now += quantum
 					if v != nil {
 						s.Charge(v, quantum, now)
