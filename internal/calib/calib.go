@@ -79,9 +79,10 @@ func MeasureCF(prof *cpufreq.Profile, absLoadPct float64) (*CFResult, error) {
 }
 
 // measureLoadAt runs the calibration web load with the processor pinned at
-// frequency f and returns the measured global load in [0,1].
+// frequency f and returns the measured global load in [0,1]. It reads the
+// host's busy time, so the host keeps no recorder series.
 func measureLoadAt(prof *cpufreq.Profile, f cpufreq.Freq, absLoadPct float64) (float64, error) {
-	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof})
+	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof, SampleInterval: -1})
 	if err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}
@@ -134,10 +135,11 @@ type ExecTimeResult struct {
 // MeasurePiTime runs a pi computation of the given work inside a VM capped
 // at creditPct, with the processor pinned at frequency f, and returns the
 // measured execution time in simulated seconds. maxDuration bounds the
-// run; an unfinished computation is an error.
+// run; an unfinished computation is an error. Only the completion time is
+// read, so the host keeps no recorder series.
 func MeasurePiTime(prof *cpufreq.Profile, f cpufreq.Freq, creditPct, work float64,
 	maxDuration sim.Time) (float64, error) {
-	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof})
+	h, err := host.NewMachine("credit", 0, host.Config{Profile: prof, SampleInterval: -1})
 	if err != nil {
 		return 0, fmt.Errorf("calib: %w", err)
 	}

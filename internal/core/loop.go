@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"pasched/internal/cpufreq"
 	"pasched/internal/sched"
@@ -61,9 +62,19 @@ type Target struct {
 // whose capacity exceeds it. cf is the per-P-state calibration table;
 // nil assumes cf = 1.
 func ChooseFreq(cpu *cpufreq.CPU, cf []float64, globalLoad, margin float64) Target {
+	return targetAt(cpu.Profile(), cf, chooseLevel(cpu, cf, globalLoad, margin))
+}
+
+// chooseLevel is ChooseFreq's scan, returning the chosen ladder position.
+// For a fixed profile, cf table and margin it depends only on the load
+// and cpu.Freq().
+func chooseLevel(cpu *cpufreq.CPU, cf []float64, globalLoad, margin float64) int {
 	abs := AbsoluteLoad(globalLoad*100, cpu.Ratio(), CFAt(cf, cpu.Level()))
-	prof := cpu.Profile()
-	i := computeNewLevel(prof, cf, abs*(1+margin))
+	return computeNewLevel(cpu.Profile(), cf, abs*(1+margin))
+}
+
+// targetAt is the Target of ladder position i.
+func targetAt(prof *cpufreq.Profile, cf []float64, i int) Target {
 	f := prof.States[i].Freq
 	return Target{Freq: f, Ratio: prof.Ratio(f), CF: CFAt(cf, i)}
 }
@@ -103,6 +114,12 @@ func Compensate(caps sched.CapSetter, contracts map[vm.ID]float64, ratio, cf flo
 // running one, holds off SettleTime after each switch, and hands the
 // choice to the variant's enforcer. It also keeps the VMs' contracted
 // credits — what PAS compensates and PASCredit2 turns into weights.
+//
+// The load is a meter average that moves every 100 ms while the loop
+// runs every 10 ms, so the loop remembers its last choice: the load's
+// bits and the CPU's ladder position it was made from, and the position
+// chosen. Given the loop's fixed profile and cf table, the choice is a
+// function of exactly that pair.
 type loop struct {
 	cpu         *cpufreq.CPU
 	cf          []float64
@@ -111,6 +128,9 @@ type loop struct {
 	next        sim.Time
 	settleUntil sim.Time
 	recomputes  int
+	memoLoad    uint64 // math.Float64bits of the load last chosen from
+	memoFrom    int32  // the CPU's ladder position then; -1 before any choice
+	memoTo      int32  // the ladder position chosen
 }
 
 // enforcer is a variant's half of Listing 1.2: what one recomputation
@@ -134,6 +154,7 @@ func newLoop(cpu *cpufreq.CPU, cf []float64) (loop, error) {
 		cf:        cf,
 		contracts: make(map[vm.ID]float64),
 		next:      DefaultPASInterval,
+		memoFrom:  -1,
 	}, nil
 }
 
@@ -195,7 +216,7 @@ func (l *loop) recompute(e enforcer) {
 	if at < l.settleUntil {
 		return // the load signal still contains pre-transition samples
 	}
-	t := ChooseFreq(l.cpu, l.cf, l.loads.GlobalLoad(), CapacityMargin)
+	t := l.choose(l.loads.GlobalLoad())
 	switched := t.Freq != l.cpu.Freq()
 	if switched {
 		_ = l.cpu.SetFreq(t.Freq, at) // a ladder frequency by construction
@@ -203,6 +224,17 @@ func (l *loop) recompute(e enforcer) {
 	}
 	e.enforce(at, t, switched)
 	l.recomputes++
+}
+
+// choose is ChooseFreq with CapacityMargin, rerun only when the load's
+// bits or the CPU's ladder position differ from the last choice's.
+func (l *loop) choose(load float64) Target {
+	bits, from := math.Float64bits(load), int32(l.cpu.Level())
+	if bits != l.memoLoad || from != l.memoFrom {
+		l.memoLoad, l.memoFrom = bits, from
+		l.memoTo = int32(chooseLevel(l.cpu, l.cf, load, CapacityMargin))
+	}
+	return targetAt(l.cpu.Profile(), l.cf, int(l.memoTo))
 }
 
 // boundary narrows the inner scheduler's next boundary b to the next

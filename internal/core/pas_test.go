@@ -378,3 +378,86 @@ func TestPASVariantsShareControlLoop(t *testing.T) {
 			ups, downs, len(freqs), len(pas))
 	}
 }
+
+// TestPASChoiceMatchesChooseFreq checks the control loop's remembered
+// frequency choice: every recomputation must choose the frequency a
+// fresh ChooseFreq chooses from the same Global load and running
+// frequency. The load changes on the meter's 100 ms grid among a few
+// values, so most recomputations repeat the last one's inputs, and loads
+// return to earlier values at other running frequencies — where a choice
+// remembered by load alone goes wrong — across switches, settle windows
+// and SetCaps.
+func TestPASChoiceMatchesChooseFreq(t *testing.T) {
+	for _, prof := range []*cpufreq.Profile{cpufreq.Optiplex755(), cpufreq.Elite8300()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			cpu, err := cpufreq.NewCPU(prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf := prof.EfficiencyTable()
+			pas, err := core.NewPAS(cpu, cf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := &scriptedLoad{}
+			pas.BindLoadSource(load)
+			changes := &freqChanges{}
+			pas.SetTracer(changes)
+			for i, credit := range []float64{10, 25, 40} {
+				v, err := vm.New(vm.ID(i+1), vm.Config{Credit: credit})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pas.Add(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rng := rand.New(rand.NewSource(27))
+			loads := []float64{0, 0.2, 0.45, 0.6, 0.75, 0.9, 1}
+			// The running frequencies each load was chosen from.
+			from := map[float64]map[cpufreq.Freq]bool{}
+			var checks, switches, setCaps, revisits int
+			for now := sim.Millisecond; now <= 300*sim.Second; now += sim.Millisecond {
+				cpu.Advance(now)
+				if now%(100*sim.Millisecond) == 0 && rng.Intn(3) == 0 {
+					load.load = loads[rng.Intn(len(loads))]
+				}
+				if rng.Intn(400) == 0 {
+					if err := pas.SetCap(vm.ID(1+rng.Intn(3)), float64(5+rng.Intn(40))); err != nil {
+						t.Fatal(err)
+					}
+					setCaps++
+				}
+				running := cpu.Freq()
+				want := core.ChooseFreq(cpu, cf, load.load, core.CapacityMargin)
+				changes.seen = false
+				before := pas.Recomputes()
+				pas.Tick(now)
+				if pas.Recomputes() == before {
+					continue
+				}
+				chosen := running
+				if changes.seen {
+					chosen = changes.mhz
+					switches++
+				}
+				if chosen != want.Freq {
+					t.Fatalf("t=%v: load %v at %v chose %v, ChooseFreq chooses %v",
+						now, load.load, running, chosen, want.Freq)
+				}
+				checks++
+				if from[load.load] == nil {
+					from[load.load] = map[cpufreq.Freq]bool{}
+				}
+				if !from[load.load][running] && len(from[load.load]) > 0 {
+					revisits++
+				}
+				from[load.load][running] = true
+			}
+			if checks < 10000 || switches < 50 || setCaps < 100 || revisits < 10 {
+				t.Errorf("schedule too tame: %d recomputations, %d switches, %d SetCaps, %d loads revisited at another frequency",
+					checks, switches, setCaps, revisits)
+			}
+		})
+	}
+}

@@ -26,6 +26,12 @@
 // observationally identical to stepping the quanta one by one; otherwise
 // the engine falls back to a single reference-semantics quantum. Such
 // stretches thus cost O(1) per horizon instead of O(quanta).
+//
+// The horizon is computed when it changes, not on every iteration: the
+// engine keeps the quanta left to it and recomputes them only at a
+// RunUntil call, a Schedule or AddAction, or when they run out, which is
+// also where every event falls due and every action fires. Between those
+// the horizon's end time cannot move.
 package engine
 
 import (
@@ -74,7 +80,7 @@ type action struct {
 }
 
 // boundarySource identifies what limited one event horizon.
-type boundarySource int
+type boundarySource uint8
 
 const (
 	srcTarget boundarySource = iota // the RunUntil target
@@ -101,9 +107,17 @@ type Engine struct {
 	quantum sim.Time
 	machine Machine
 	actions []*action
-	batched int64 // quanta executed through BatchStep
-	stepped int64 // quanta executed through Step
-	sources sourceCounts
+	// The current event horizon: the quanta left to it and what set it.
+	// left == 0 means no horizon is held, and the next iteration computes
+	// one; Schedule, AddAction and every RunUntil call drop it.
+	left int
+	src  boundarySource
+	// nextAction is the earliest action boundary, sim.Never without
+	// actions; it moves only when an action fires or is added.
+	nextAction sim.Time
+	batched    int64 // quanta executed through BatchStep
+	stepped    int64 // quanta executed through Step
+	sources    sourceCounts
 }
 
 // New returns an engine driving machine m at the given quantum.
@@ -114,7 +128,7 @@ func New(quantum sim.Time, m Machine) (*Engine, error) {
 	if m == nil {
 		return nil, fmt.Errorf("engine: nil machine")
 	}
-	return &Engine{quantum: quantum, machine: m}, nil
+	return &Engine{quantum: quantum, machine: m, nextAction: sim.Never}, nil
 }
 
 // Now returns the current simulated time.
@@ -128,6 +142,7 @@ func (e *Engine) Quantum() sim.Time { return e.quantum }
 // machine steps, in (time, scheduling) order.
 func (e *Engine) Schedule(at sim.Time, fn sim.EventFunc) {
 	e.queue.Schedule(at, fn)
+	e.left = 0
 }
 
 // AddAction registers a periodic action. The action first fires one
@@ -142,20 +157,25 @@ func (e *Engine) AddAction(name string, interval sim.Time, order int, fn func(no
 	if fn == nil {
 		return fmt.Errorf("engine: action %q has nil function", name)
 	}
-	e.actions = append(e.actions, &action{
+	a := &action{
 		name:     name,
 		interval: interval,
 		next:     e.clock.Now() + interval,
 		order:    order,
 		seq:      len(e.actions),
 		fn:       fn,
-	})
+	}
+	e.actions = append(e.actions, a)
 	sort.SliceStable(e.actions, func(i, j int) bool {
 		if e.actions[i].order != e.actions[j].order {
 			return e.actions[i].order < e.actions[j].order
 		}
 		return e.actions[i].seq < e.actions[j].seq
 	})
+	if a.next < e.nextAction {
+		e.nextAction = a.next
+	}
+	e.left = 0
 	return nil
 }
 
@@ -237,10 +257,8 @@ func (e *Engine) horizonQuanta(now, target sim.Time) (int, boundarySource) {
 	if hasEvent && at < first {
 		first = at
 	}
-	for _, a := range e.actions {
-		if a.next < first {
-			first = a.next
-		}
+	if e.nextAction < first {
+		first = e.nextAction
 	}
 	n := QuantaCovering(first-now, e.quantum)
 	end := now + sim.Time(n)*e.quantum
@@ -262,14 +280,33 @@ func (e *Engine) Run(d sim.Time) error {
 // RunUntil advances the simulation until simulated time t, executing
 // whole quanta (the clock may finish past t by less than one quantum,
 // exactly as the original loops did).
+//
+// Each iteration steps the machine through the current horizon's quanta
+// left. The horizon is recomputed — due events fired first — only when
+// none is held: at the first iteration (the target is never stored), after
+// a Schedule or AddAction, and when its quanta run out. Nothing else moves
+// a boundary, so between recomputations the horizon's end stays where a
+// per-iteration recomputation would put it, and the offers, the
+// single-quantum branch and the source counted are the same. The actions
+// are walked only when the clock reaches the earliest of their
+// boundaries; the horizon ends at that boundary's covering quantum, so
+// actions, like events, fire only where it has run out.
 func (e *Engine) RunUntil(t sim.Time) error {
+	e.left = 0
 	for e.clock.Now() < t {
 		now := e.clock.Now()
-		if _, err := e.queue.RunDue(now); err != nil {
-			return fmt.Errorf("engine: %w", err)
+		if e.left == 0 {
+			// A held horizon ends no later than the covering quantum of
+			// the queue head, so events fall due only where it is dropped.
+			if at, ok := e.queue.Next(); ok && at <= now {
+				if _, err := e.queue.RunDue(now); err != nil {
+					return fmt.Errorf("engine: %w", err)
+				}
+			}
+			e.left, e.src = e.horizonQuanta(now, t)
 		}
 		n := 0
-		max, src := e.horizonQuanta(now, t)
+		max := e.left
 		if max > 1 {
 			var err error
 			n, err = e.machine.BatchStep(now, max)
@@ -282,14 +319,14 @@ func (e *Engine) RunUntil(t sim.Time) error {
 			e.batched += int64(n)
 			switch {
 			case n == max:
-				e.countSource(src)
+				e.countSource(e.src)
 			case n > 0:
 				e.sources.machineShortened++
 			default:
 				e.sources.machineDeclined++
 			}
 		} else {
-			e.countSource(src)
+			e.countSource(e.src)
 		}
 		if n == 0 {
 			if err := e.machine.Step(now); err != nil {
@@ -298,18 +335,46 @@ func (e *Engine) RunUntil(t sim.Time) error {
 			n = 1
 			e.stepped++
 		}
+		if e.left > 0 { // a Schedule or AddAction in the step dropped it
+			e.left -= n
+		}
 		if err := e.clock.Advance(sim.Time(n) * e.quantum); err != nil {
 			return fmt.Errorf("engine: %w", err)
 		}
-		end := e.clock.Now()
-		for _, a := range e.actions {
-			for end >= a.next {
-				if err := a.fn(a.next); err != nil {
-					return err
-				}
-				a.next += a.interval
+		if end := e.clock.Now(); end >= e.nextAction {
+			if err := e.fireActions(end); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// fireActions fires every action boundary at or before end, in
+// registration order, and recomputes the earliest boundary — also when
+// an action fails, which leaves its own boundary due.
+func (e *Engine) fireActions(end sim.Time) error {
+	for _, a := range e.actions {
+		for end >= a.next {
+			if err := a.fn(a.next); err != nil {
+				e.nextAction = e.earliestAction()
+				return err
+			}
+			a.next += a.interval
+		}
+	}
+	e.nextAction = e.earliestAction()
+	return nil
+}
+
+// earliestAction returns the earliest action boundary, or sim.Never
+// without actions.
+func (e *Engine) earliestAction() sim.Time {
+	first := sim.Never
+	for _, a := range e.actions {
+		if a.next < first {
+			first = a.next
+		}
+	}
+	return first
 }

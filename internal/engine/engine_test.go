@@ -374,6 +374,7 @@ func horizonEngine(t *testing.T, q sim.Time, events, actions []sim.Time) *Engine
 	for i, at := range actions {
 		e.actions[i].next = at
 	}
+	e.nextAction = e.earliestAction()
 	return e
 }
 

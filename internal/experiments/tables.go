@@ -78,10 +78,11 @@ func table2Stack(p platform.Platform, mode platform.GovernorMode) (table2Cell, g
 // platform stack: V20 runs a pi job sized to 1559 s at 20% of the Elite
 // 8300's full capacity, times the platform overhead; V70 is lazy, then
 // fully active during [270 s, 770 s), then lazy again; Dom0 keeps a 1%
-// background load.
+// background load. Only the job's completion time is read, so the host
+// keeps no recorder series.
 func table2Scenario(cell table2Cell, gov governor.Governor) (float64, error) {
 	prof := cpufreq.Elite8300()
-	h, err := host.NewMachine(cell.scheduler, 10, host.Config{Profile: prof, Governor: gov})
+	h, err := host.NewMachine(cell.scheduler, 10, host.Config{Profile: prof, Governor: gov, SampleInterval: -1})
 	if err != nil {
 		return 0, err
 	}

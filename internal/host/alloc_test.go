@@ -13,7 +13,8 @@ import (
 // TestHostStepNoAllocsWithoutObs proves the flight-recorder hooks cost
 // the disabled hot path nothing: with Config.Obs nil, steady-state host
 // stepping — the contended multi-VM pattern path, the single-runnable
-// batched path, PAS with its recomputation every 10 ms, and the
+// batched path, PAS with its recomputation every 10 ms, SEDF's slice
+// phases and extratime rotations, and the
 // fleet-shaped PAS machine whose WebApp VMs come and go from the
 // runnable set — performs zero allocations per advance.
 // The recorder's sampling interval is pushed beyond the measured window
@@ -47,6 +48,7 @@ func TestHostStepNoAllocsWithoutObs(t *testing.T) {
 		{"single-runnable", func() *host.Host { return build("credit", []float64{20}) }},
 		{"contended-pattern", func() *host.Host { return build("credit", []float64{20, 30, 40}) }},
 		{"pas-contended", func() *host.Host { return build("pas", []float64{20, 30, 40}) }},
+		{"sedf-contended", func() *host.Host { return build("sedf", []float64{20, 30, 40}) }},
 		{"pas-webapp", func() *host.Host { return pasWebAppHost(t, false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

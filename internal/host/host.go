@@ -105,10 +105,29 @@ type Agent interface {
 // entries behind. Work is exact integer sim.Work: bulk batched charges
 // and per-quantum charges land on bit-identical tallies.
 type vmAccount struct {
-	busy     sim.Time
-	work     sim.Work
-	prevBusy sim.Time
-	prevWork sim.Work
+	busy sim.Time
+	work sim.Work
+	ser  *vmSeries // nil until the VM's first recorder sample
+}
+
+// hostSeries is a host's recorder-sampling state, built at its first
+// sample: the host-wide series, resolved once, and the time and totals
+// of the previous sample.
+type hostSeries struct {
+	freq, global, absolute *metrics.Series
+	lastT                  sim.Time
+	prevBusy               sim.Time
+	prevWork               sim.Work
+}
+
+// vmSeries is one VM's recorder-sampling state, built at the VM's first
+// sample: its series, each resolved at its first point (vmload needs a
+// positive credit, cap a readable cap), and the VM's totals at the
+// previous sample.
+type vmSeries struct {
+	global, absolute, vmload, capPct *metrics.Series
+	prevBusy                         sim.Time
+	prevWork                         sim.Work
 }
 
 // Host is the simulated virtualized machine.
@@ -127,10 +146,8 @@ type Host struct {
 
 	meter *metrics.DeltaMeter
 
-	rec         *metrics.Recorder
-	lastSampleT sim.Time
-	prevBusy    sim.Time
-	prevWork    sim.Work
+	rec *metrics.Recorder
+	ser *hostSeries // nil until the first recorder sample
 
 	energy *energy.Meter
 	agents int
@@ -141,7 +158,8 @@ type Host struct {
 	schedBatcher sched.Batcher
 
 	// Reused per batched step: the runnable VMs as pattern quotas, and
-	// their pending work (parallel).
+	// their pending work (parallel). Each step overwrites what the last
+	// one left; only RemoveVM clears them (dropQuotas).
 	quotaBuf   []sched.PatternQuota
 	pendingBuf []sim.Work
 
@@ -289,6 +307,7 @@ func (h *Host) RemoveVM(id vm.ID) error {
 		return fmt.Errorf("host: %w", err)
 	}
 	delete(h.byID, id)
+	h.dropQuotas()
 	copy(h.vms[idx:], h.vms[idx+1:])
 	h.vms[len(h.vms)-1] = nil // drop the trailing pointer so the VM can be collected
 	h.vms = h.vms[:len(h.vms)-1]
@@ -566,7 +585,6 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 		}
 	}
 	h.quotaBuf, h.pendingBuf = quotas, pending
-	defer h.dropQuotas()
 	if covering-now <= q {
 		return 0, nil
 	}
@@ -647,10 +665,12 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	return n, nil
 }
 
-// dropQuotas empties the reused quota buffers, dropping their VM
-// pointers so a removed VM can be collected.
+// dropQuotas empties the reused quota buffers and drops every VM pointer
+// they hold, up to their capacity: batched steps leave their runnable
+// sets behind, and removal is the one moment such a stale pointer could
+// keep a VM from being collected.
 func (h *Host) dropQuotas() {
-	clear(h.quotaBuf)
+	clear(h.quotaBuf[:cap(h.quotaBuf)])
 	h.quotaBuf, h.pendingBuf = h.quotaBuf[:0], h.pendingBuf[:0]
 }
 
@@ -938,41 +958,67 @@ func (h *Host) capReader() func(vm.ID) (float64, error) {
 }
 
 // sample records one point of every recorded series at time now. Loads are
-// recorded in percent, as in the paper's figures.
+// recorded in percent, as in the paper's figures. Series are resolved once,
+// at their first point — the host's at its first sample, a VM's at that
+// VM's — so they are created in the order per-sample lookups would create
+// them, and a VM re-added under the same name appends to its old series.
 func (h *Host) sample(now sim.Time) {
-	dt := float64(now - h.lastSampleT)
+	if h.ser == nil {
+		// The sampler's first boundary is one interval after time 0, so
+		// this first sample always records.
+		h.ser = &hostSeries{
+			freq:     h.rec.Series("freq_mhz"),
+			global:   h.rec.Series("global_load_pct"),
+			absolute: h.rec.Series("absolute_load_pct"),
+		}
+	}
+	hs := h.ser
+	dt := float64(now - hs.lastT)
 	if dt <= 0 {
 		return
 	}
 	dtSec := sim.Time(dt).Seconds()
 	t := now.Seconds()
 
-	h.rec.Series("freq_mhz").Add(t, float64(h.cpu.Freq()))
-	globalPct := float64(h.cumBusy-h.prevBusy) / dt * 100
-	h.rec.Series("global_load_pct").Add(t, globalPct)
-	absPct := (h.cumWork - h.prevWork).Units() / (h.maxTp * dtSec) * 100
-	h.rec.Series("absolute_load_pct").Add(t, absPct)
+	hs.freq.Add(t, float64(h.cpu.Freq()))
+	globalPct := float64(h.cumBusy-hs.prevBusy) / dt * 100
+	hs.global.Add(t, globalPct)
+	absPct := (h.cumWork - hs.prevWork).Units() / (h.maxTp * dtSec) * 100
+	hs.absolute.Add(t, absPct)
 
 	capOf := h.capReader()
 	for i, v := range h.vms {
 		acct := &h.acct[i]
-		name := v.Name()
-		gl := float64(acct.busy-acct.prevBusy) / dt * 100
-		h.rec.Series(name+"_global_pct").Add(t, gl)
-		ab := (acct.work - acct.prevWork).Units() / (h.maxTp * dtSec) * 100
-		h.rec.Series(name+"_absolute_pct").Add(t, ab)
+		vs := acct.ser
+		if vs == nil {
+			vs = &vmSeries{
+				global:   h.rec.Series(v.Name() + "_global_pct"),
+				absolute: h.rec.Series(v.Name() + "_absolute_pct"),
+			}
+			acct.ser = vs
+		}
+		gl := float64(acct.busy-vs.prevBusy) / dt * 100
+		vs.global.Add(t, gl)
+		ab := (acct.work - vs.prevWork).Units() / (h.maxTp * dtSec) * 100
+		vs.absolute.Add(t, ab)
 		if v.Credit() > 0 {
-			h.rec.Series(name+"_vmload_pct").Add(t, gl/v.Credit()*100)
+			if vs.vmload == nil {
+				vs.vmload = h.rec.Series(v.Name() + "_vmload_pct")
+			}
+			vs.vmload.Add(t, gl/v.Credit()*100)
 		}
 		if capOf != nil {
 			if capPct, err := capOf(v.ID()); err == nil {
-				h.rec.Series(name+"_cap_pct").Add(t, capPct)
+				if vs.capPct == nil {
+					vs.capPct = h.rec.Series(v.Name() + "_cap_pct")
+				}
+				vs.capPct.Add(t, capPct)
 			}
 		}
-		acct.prevBusy = acct.busy
-		acct.prevWork = acct.work
+		vs.prevBusy = acct.busy
+		vs.prevWork = acct.work
 	}
-	h.prevBusy = h.cumBusy
-	h.prevWork = h.cumWork
-	h.lastSampleT = now
+	hs.prevBusy = h.cumBusy
+	hs.prevWork = h.cumWork
+	hs.lastT = now
 }

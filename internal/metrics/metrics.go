@@ -17,11 +17,16 @@ import (
 // utilizations. The paper's Global load "represents an average of three
 // successive processor utilization" (footnote 5); a DeltaMeter with k=3
 // reproduces exactly that.
+//
+// The meter is read far more often than it samples (PAS reads it every
+// 10 ms, the host samples every 100 ms), so Sample computes the average
+// and Average returns it.
 type DeltaMeter struct {
 	interval sim.Time
 	ring     []float64
-	filled   int
-	idx      int
+	filled   int32
+	idx      int32
+	avg      float64 // the mean of the retained samples
 	lastCum  sim.Time
 	lastT    sim.Time
 }
@@ -32,8 +37,8 @@ func NewDeltaMeter(interval sim.Time, k int) (*DeltaMeter, error) {
 	if interval <= 0 {
 		return nil, fmt.Errorf("metrics: meter interval must be positive, got %v", interval)
 	}
-	if k <= 0 {
-		return nil, fmt.Errorf("metrics: meter depth must be positive, got %d", k)
+	if k <= 0 || k > math.MaxInt32 {
+		return nil, fmt.Errorf("metrics: meter depth must be in [1, %d], got %d", math.MaxInt32, k)
 	}
 	return &DeltaMeter{interval: interval, ring: make([]float64, k)}, nil
 }
@@ -53,10 +58,15 @@ func (m *DeltaMeter) Sample(now sim.Time, cum sim.Time) {
 		util = 0
 	}
 	m.ring[m.idx] = util
-	m.idx = (m.idx + 1) % len(m.ring)
-	if m.filled < len(m.ring) {
+	m.idx = (m.idx + 1) % int32(len(m.ring))
+	if int(m.filled) < len(m.ring) {
 		m.filled++
 	}
+	sum := 0.0
+	for _, u := range m.ring[:m.filled] {
+		sum += u
+	}
+	m.avg = sum / float64(m.filled)
 	m.lastCum = cum
 	m.lastT = now
 }
@@ -66,21 +76,14 @@ func (m *DeltaMeter) Last() float64 {
 	if m.filled == 0 {
 		return 0
 	}
-	i := (m.idx - 1 + len(m.ring)) % len(m.ring)
+	i := (int(m.idx) - 1 + len(m.ring)) % len(m.ring)
 	return m.ring[i]
 }
 
-// Average returns the mean utilization of the retained samples, in [0,1].
-func (m *DeltaMeter) Average() float64 {
-	if m.filled == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < m.filled; i++ {
-		sum += m.ring[i]
-	}
-	return sum / float64(m.filled)
-}
+// Average returns the mean utilization of the retained samples, in [0,1]:
+// the value the last Sample computed, summed in ring-index order, or 0
+// before any sample.
+func (m *DeltaMeter) Average() float64 { return m.avg }
 
 // Series is a named time series: pairs of (simulated seconds, value).
 type Series struct {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,5 +221,57 @@ func TestQuickMeterBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDeltaMeterAverageIsRingMean checks the average Sample stores
+// against the mean recomputed from the ring, summed in index order as
+// Average once summed it: bit for bit after every sample, at depths 1 to
+// 4 through many ring wraps, with utilizations that round differently in
+// another order, and with samples at or before the last one, which must
+// change nothing.
+func TestDeltaMeterAverageIsRingMean(t *testing.T) {
+	ringMean := func(m *DeltaMeter) float64 {
+		if m.filled == 0 {
+			return 0
+		}
+		sum := 0.0
+		for i := 0; i < int(m.filled); i++ {
+			sum += m.ring[i]
+		}
+		return sum / float64(m.filled)
+	}
+	for depth := 1; depth <= 4; depth++ {
+		m, err := NewDeltaMeter(100*sim.Millisecond, depth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Average() != 0 {
+			t.Fatalf("depth %d: average %v before any sample", depth, m.Average())
+		}
+		now, cum := sim.Time(0), sim.Time(0)
+		noops := 0
+		for i := 0; i < 200; i++ {
+			if i%7 == 3 {
+				// At or before the last sample: a no-op.
+				before := *m
+				before.ring = append([]float64(nil), m.ring...)
+				m.Sample(now-sim.Time(i%2), cum+sim.Millisecond)
+				if !reflect.DeepEqual(*m, before) {
+					t.Fatalf("depth %d: sample at %v after %v changed the meter", depth, now-sim.Time(i%2), now)
+				}
+				noops++
+			}
+			span := 100*sim.Millisecond + sim.Time(i%5)*37
+			now += span
+			cum += sim.Time((i*7919)%101) * span / 100 // 0-100 % of the span
+			m.Sample(now, cum)
+			if got, want := m.Average(), ringMean(m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("depth %d, sample %d: average %v, ring mean %v", depth, i, got, want)
+			}
+		}
+		if noops == 0 || m.filled != int32(depth) {
+			t.Fatalf("depth %d: %d no-op samples, ring filled %d", depth, noops, m.filled)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"pasched/internal/sim"
 	"pasched/internal/vm"
@@ -70,6 +69,17 @@ type SEDF struct {
 	st      []sedfState // parallel to vms
 	byID    map[vm.ID]int
 	rrExtra rrQueue
+	// Reused per BatchPattern call: the slice-phase candidates and picks.
+	cands   []sedfCand
+	pickBuf []PatternPick
+}
+
+// sedfCand is a runnable VM holding slice time, a slice-phase candidate
+// of BatchPattern: its index, deadline and pick quota.
+type sedfCand struct {
+	idx      int
+	deadline sim.Time
+	quota    int
 }
 
 var (
@@ -292,12 +302,7 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 	if quantum <= 0 || max <= 0 {
 		return nil, false
 	}
-	type cand struct {
-		idx      int
-		deadline sim.Time
-		quota    int
-	}
-	var cands []cand
+	cands := s.cands[:0]
 	// The runnable extratime VMs, in ascending order, are the rotation
 	// members once no runnable VM holds slice time.
 	extra := s.rrExtra.members[:0]
@@ -312,7 +317,7 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 		anyRunnable = true
 		st := &s.st[i]
 		if st.remaining > 0 {
-			cands = append(cands, cand{i, st.deadline, m})
+			cands = append(cands, sedfCand{i, st.deadline, m})
 		}
 		if st.params.Extratime {
 			if len(extra) == 0 || m < extraQuota {
@@ -322,14 +327,17 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 		}
 	}
 	s.rrExtra.members = extra
+	s.cands = cands
 	if len(cands) > 0 {
-		// Ties keep registration order: Pick's strict < scan serves the
-		// lowest index first, which the stable sort preserves.
-		sort.SliceStable(cands, func(a, b int) bool {
-			return cands[a].deadline < cands[b].deadline
-		})
+		// Insertion sort by deadline: stable, so ties keep registration
+		// order, which Pick's strict < scan serves lowest index first.
+		for j := 1; j < len(cands); j++ {
+			for k := j; k > 0 && cands[k].deadline < cands[k-1].deadline; k-- {
+				cands[k], cands[k-1] = cands[k-1], cands[k]
+			}
+		}
 		left := max
-		var picks []PatternPick
+		picks := s.pickBuf[:0]
 		total := 0
 		for _, cd := range cands {
 			if left == 0 {
@@ -346,6 +354,10 @@ func (s *SEDF) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, _ s
 				break // the VM keeps slice time, so EDF cannot move past it
 			}
 		}
+		if len(picks) < len(s.pickBuf) {
+			clear(s.pickBuf[len(picks):]) // drop stale VM pointers
+		}
+		s.pickBuf = picks
 		if total < 2 {
 			return nil, false
 		}
