@@ -391,14 +391,16 @@ func (s *shard) detach(slot int32, d *dataVM, op string) error {
 	return nil
 }
 
-// fold ticks the VM's workload up to its host's clock and folds the
+// fold ticks the VM's guest up to its host's clock and folds the
 // demanded/attained deltas into the shard partials, returning the
-// cumulative tallies. Batched host stretches skip workload ticks (the
-// batching certification proves nothing arrives inside them), so
-// ticking here is idempotent and keeps batched and reference runs
-// reporting identical demand.
+// cumulative tallies. The tick delivers the arrivals up to the clock
+// that no quantum has ticked in yet (the host ticks at quantum starts,
+// and a batched stretch certifies that none arrives before its last
+// quantum), so batched and reference runs report identical demand. It
+// ticks through the guest, which holds its workload's pending work and
+// next arrival for the host's quantum path.
 func (s *shard) fold(slot int32, d *dataVM) (demanded, attained sim.Work) {
-	d.wl.Tick(s.hosts[slot].Now())
+	d.guest.Tick(s.hosts[slot].Now())
 	dem, att := d.demanded(), d.wl.CompletedWork()
 	if d.srv != nil {
 		// The server advances on the interval's exact attained-work
@@ -523,7 +525,7 @@ func (s *shard) execMigrateIn(c *command) error {
 
 func (s *shard) execRecordLive(c *command) error {
 	d := c.d
-	d.wl.Tick(s.hosts[c.slot].Now())
+	d.guest.Tick(s.hosts[c.slot].Now())
 	dem, att := d.demanded(), d.wl.CompletedWork()
 	c.out.DemandedWork = dem.Units()
 	c.out.AttainedWork = att.Units()
@@ -591,8 +593,11 @@ func (s *shard) obsBarrier(slot int32, t sim.Time) {
 }
 
 // audit spot-checks shard invariants: powered-off machines host
-// nothing, powered-on machines have a constructed host. Sampled (1/64
-// of barriers) so million-machine shards pay nothing measurable.
+// nothing, powered-on machines have a constructed host, and every
+// resident guest holds the facts its workload answers (a tick or a
+// consume that bypassed the guest leaves them stale, and the host's
+// quantum path reads only the guest). Sampled (1/64 of barriers) so
+// million-machine shards pay nothing measurable.
 func (s *shard) audit() error {
 	for slot := range s.hosts {
 		if !s.on[slot] && len(s.resident[slot]) > 0 {
@@ -602,6 +607,13 @@ func (s *shard) audit() error {
 		if s.on[slot] && s.hosts[slot] == nil {
 			return fmt.Errorf("fleet: shard %d: machine %d is on without a host",
 				s.id, s.globalIndex(int32(slot)))
+		}
+		for _, d := range s.resident[slot] {
+			g := d.guest
+			if g.Pending() != d.wl.Pending() || g.NextChange() != d.wl.NextChange() {
+				return fmt.Errorf("fleet: shard %d: VM %s on machine %d holds pending %v, next %v; its workload says pending %v, next %v",
+					s.id, d.name, s.globalIndex(int32(slot)), g.Pending(), g.NextChange(), d.wl.Pending(), d.wl.NextChange())
+			}
 		}
 	}
 	return nil

@@ -14,7 +14,8 @@ import (
 // the disabled hot path nothing: with Config.Obs nil, steady-state host
 // stepping — the contended multi-VM pattern path, the single-runnable
 // batched path, PAS with its recomputation every 10 ms, SEDF's slice
-// phases and extratime rotations, and the
+// phases and extratime rotations, Credit2's smallest-vruntime merge
+// (alone and under pas-credit2's recomputations), and the
 // fleet-shaped PAS machine whose WebApp VMs come and go from the
 // runnable set — performs zero allocations per advance.
 // The recorder's sampling interval is pushed beyond the measured window
@@ -49,6 +50,8 @@ func TestHostStepNoAllocsWithoutObs(t *testing.T) {
 		{"contended-pattern", func() *host.Host { return build("credit", []float64{20, 30, 40}) }},
 		{"pas-contended", func() *host.Host { return build("pas", []float64{20, 30, 40}) }},
 		{"sedf-contended", func() *host.Host { return build("sedf", []float64{20, 30, 40}) }},
+		{"credit2-contended", func() *host.Host { return build("credit2", []float64{20, 30, 40}) }},
+		{"pas-credit2-contended", func() *host.Host { return build("pas-credit2", []float64{20, 30, 40}) }},
 		{"pas-webapp", func() *host.Host { return pasWebAppHost(t, false) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -26,14 +26,20 @@ const propCases = 100
 // while still crossing many refill, meter, sample and event boundaries.
 const propHorizon = 8 * sim.Second
 
+// propSlice is how far both sides of a case run between checks of the
+// VMs' held facts: an odd number of milliseconds, so the slice ends
+// fall at shifting phases of the refill, meter and sample periods.
+const propSlice = 317 * sim.Millisecond
+
 // buildPropHost deterministically derives one scenario from the seed: a
 // scheduler (credit/credit2/sedf/pas, capped and uncapped mixes, priority
 // tiers), 1-6 VMs with drawn credits, weights
 // and workload shapes, and up to four mid-run lifecycle events (pause,
 // resume, workload swap, VM add, VM remove). Both equivalence sides call
 // it with the same seed, so the two hosts differ only in
-// Config.Reference.
-func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
+// Config.Reference. The map holds the workload each VM is bound to,
+// kept current through the swaps and additions.
+func buildPropHost(t *testing.T, seed int64, reference bool) (*host.Host, map[vm.ID]workload.Workload) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	prof := cpufreq.Optiplex755()
@@ -102,12 +108,14 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 			return workload.Idle{}
 		}
 	}
+	bound := make(map[vm.ID]workload.Workload)
 	addVM := func(id vm.ID, cfg vm.Config) *vm.VM {
 		v, err := vm.New(id, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.SetWorkload(drawWorkload())
+		bound[id] = drawWorkload()
+		v.SetWorkload(bound[id])
 		if err := h.AddVM(v); err != nil {
 			t.Fatal(err)
 		}
@@ -155,6 +163,7 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 			h.Schedule(at, func(sim.Time) {
 				if v := h.VM(target); v != nil {
 					v.SetWorkload(wl)
+					bound[target] = wl
 				}
 			})
 		case 2: // remove a VM mid-run
@@ -177,21 +186,39 @@ func buildPropHost(t *testing.T, seed int64, reference bool) *host.Host {
 					return
 				}
 				v.SetWorkload(wl)
+				bound[id] = wl
 				if err := h.AddVM(v); err != nil {
 					t.Errorf("AddVM(%d): %v", id, err)
 				}
 			})
 		}
 	}
-	return h
+	return h, bound
+}
+
+// assertVMFacts checks the facts every VM of h holds (Pending,
+// NextChange) against the answers of the workload bound to it. A fact
+// left stale, say by a workload swap, would be equally wrong on both
+// sides of an equivalence run, so batched==reference alone cannot catch
+// it.
+func assertVMFacts(t *testing.T, side string, h *host.Host, bound map[vm.ID]workload.Workload) {
+	t.Helper()
+	for _, v := range h.VMs() {
+		wl := bound[v.ID()]
+		if v.Pending() != wl.Pending() || v.NextChange() != wl.NextChange() {
+			t.Fatalf("%s host at %v: %s holds pending %v, next %v; its workload says pending %v, next %v",
+				side, h.Now(), v.Name(), v.Pending(), v.NextChange(), wl.Pending(), wl.NextChange())
+		}
+	}
 }
 
 // TestRandomizedBatchedEquivalence is the randomized property-based
 // equivalence harness: a seeded generator draws scenario mixes across
 // every scheduler, capped/uncapped credit vectors, 1-6 VMs, workload
 // shapes and mid-run lifecycle events, and asserts batched==reference
-// traces for each. Cases are deterministic per seed (rerun a failure with
-// -run 'TestRandomizedBatchedEquivalence/seed-N').
+// traces for each, and the VMs' held facts on both sides after every
+// slice of the run. Cases are deterministic per seed (rerun a failure
+// with -run 'TestRandomizedBatchedEquivalence/seed-N').
 func TestRandomizedBatchedEquivalence(t *testing.T) {
 	var totalBatched atomic.Int64
 	t.Cleanup(func() {
@@ -206,13 +233,18 @@ func TestRandomizedBatchedEquivalence(t *testing.T) {
 		seed := int64(0xDA7A + i)
 		t.Run(fmt.Sprintf("seed-%d", i), func(t *testing.T) {
 			t.Parallel()
-			batched := buildPropHost(t, seed, false)
-			reference := buildPropHost(t, seed, true)
-			if err := batched.RunUntil(propHorizon); err != nil {
-				t.Fatal(err)
-			}
-			if err := reference.RunUntil(propHorizon); err != nil {
-				t.Fatal(err)
+			batched, batchedWls := buildPropHost(t, seed, false)
+			reference, referenceWls := buildPropHost(t, seed, true)
+			for now := sim.Time(0); now < propHorizon; {
+				now = min(now+propSlice, propHorizon)
+				if err := batched.RunUntil(now); err != nil {
+					t.Fatal(err)
+				}
+				if err := reference.RunUntil(now); err != nil {
+					t.Fatal(err)
+				}
+				assertVMFacts(t, "batched", batched, batchedWls)
+				assertVMFacts(t, "reference", reference, referenceWls)
 			}
 			if n := reference.Engine().BatchedQuanta(); n != 0 {
 				t.Fatalf("reference host batched %d quanta", n)

@@ -31,6 +31,12 @@
 // O(quanta) — and otherwise falls back to the reference quantum-by-quantum
 // semantics. Config.Reference forces the fallback everywhere, which is
 // the baseline the equivalence tests compare batched runs against.
+//
+// The host never calls a workload itself. Each VM holds its workload's
+// pending work and next change (vm.VM.Pending, NextChange, Runnable)
+// and refreshes them when its Tick is due or it consumes, so the tick
+// loop of a reference step and the VM walk of a batched one read
+// fields.
 package host
 
 import (
@@ -157,11 +163,10 @@ type Host struct {
 	// at construction.
 	schedBatcher sched.Batcher
 
-	// Reused per batched step: the runnable VMs as pattern quotas, and
-	// their pending work (parallel). Each step overwrites what the last
-	// one left; only RemoveVM clears them (dropQuotas).
-	quotaBuf   []sched.PatternQuota
-	pendingBuf []sim.Work
+	// Reused per batched step: the runnable VMs as pattern quotas. Each
+	// step overwrites what the last one left; only RemoveVM clears it
+	// (dropQuotas).
+	quotaBuf []sched.PatternQuota
 
 	// Flight recorder state; obs == nil disables every observation at a
 	// single pointer check per step.
@@ -568,23 +573,18 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	if before-now <= 2*q || covering-now <= q {
 		return 0, nil
 	}
-	// One pass over the VMs: the earliest workload change, and the
-	// runnable set with each member's pending work for the quotas.
-	quotas, pending := h.quotaBuf[:0], h.pendingBuf[:0]
+	// One pass over the VMs' held facts: the earliest workload change
+	// and the runnable set.
+	quotas := h.quotaBuf[:0]
 	for _, v := range h.vms {
-		wl := v.Workload()
-		if nc := wl.NextChange(now); nc < covering {
+		if nc := v.NextChange(); nc < covering {
 			covering = nc
 		}
-		if v.Paused() {
-			continue
-		}
-		if p := wl.Pending(); p > 0 { // v.Runnable()
+		if v.Runnable() {
 			quotas = append(quotas, sched.PatternQuota{VM: v})
-			pending = append(pending, p)
 		}
 	}
-	h.quotaBuf, h.pendingBuf = quotas, pending
+	h.quotaBuf = quotas
 	if covering-now <= q {
 		return 0, nil
 	}
@@ -638,7 +638,7 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	// Keep strictly below the pending work so every batched quantum
 	// consumes a full capWork and the VM stays runnable at every covered
 	// pick; the draining tail runs through the reference path.
-	if avail := quantaWithin(pending[0], capWork, n+1) - 1; avail < n {
+	if avail := quantaWithin(single.Pending(), capWork, n+1) - 1; avail < n {
 		n = avail
 	}
 	if n < 2 {
@@ -665,13 +665,13 @@ func (h *Host) batchStep(now sim.Time, max int) (int, error) {
 	return n, nil
 }
 
-// dropQuotas empties the reused quota buffers and drops every VM pointer
-// they hold, up to their capacity: batched steps leave their runnable
-// sets behind, and removal is the one moment such a stale pointer could
-// keep a VM from being collected.
+// dropQuotas empties the reused quota buffer and drops every VM pointer
+// it holds, up to its capacity: batched steps leave their runnable sets
+// behind, and removal is the one moment such a stale pointer could keep
+// a VM from being collected.
 func (h *Host) dropQuotas() {
 	clear(h.quotaBuf[:cap(h.quotaBuf)])
-	h.quotaBuf, h.pendingBuf = h.quotaBuf[:0], h.pendingBuf[:0]
+	h.quotaBuf = h.quotaBuf[:0]
 }
 
 // batchPattern collapses a contended (or scheduler-restricted) stretch of
@@ -683,19 +683,18 @@ func (h *Host) dropQuotas() {
 // quantum fully busy. The per-VM quotas keep each pattern VM strictly
 // inside its pending work so the runnable set cannot change from within
 // the pattern; the draining tail always runs through the reference path.
-// batchStep has listed the runnable VMs in h.quotaBuf, with their
-// pending work in h.pendingBuf.
+// batchStep has listed the runnable VMs in h.quotaBuf.
 func (h *Host) batchPattern(q sim.Time, freq cpufreq.Freq, max int, now sim.Time) (int, error) {
 	capWork := h.cpu.WorkRate() * sim.Work(q)
 	if capWork <= 0 {
 		return 0, nil
 	}
 	quotas := h.quotaBuf
-	for i, p := range h.pendingBuf {
+	for i := range quotas {
 		// Strictly below the pending work, so every granted pick consumes
 		// a full quantum and the VM stays runnable past the pattern; no
 		// pattern exceeds max, so a bound of max binds like any larger.
-		if m := quantaWithin(p, capWork, max+1) - 1; m > 0 {
+		if m := quantaWithin(quotas[i].VM.Pending(), capWork, max+1) - 1; m > 0 {
 			quotas[i].MaxPicks = m
 		}
 	}

@@ -67,7 +67,9 @@ type Credit2 struct {
 	vcNum int64
 	vcDen int64
 
-	patBuf []c2cand // reused per BatchPattern call
+	// Reused per BatchPattern call: the candidates and the picks.
+	patBuf  []c2cand
+	pickBuf []PatternPick
 }
 
 // credit2State is the per-VM state, slice-backed so the per-quantum
@@ -449,13 +451,17 @@ func (c *Credit2) BatchPattern(quota []PatternQuota, quantum sim.Time, max int, 
 	// Commit: wake-up clamps, vclock, and the per-VM tallies. Runtimes are
 	// not advanced here — the caller's bulk Charge per VM performs exactly
 	// the additions the per-quantum charges would have.
-	picks := make([]PatternPick, 0, len(cands))
+	picks := c.pickBuf[:0]
 	for _, cd := range cands {
 		c.st[cd.idx].runtime = cd.run
 		if cd.n > 0 {
 			picks = append(picks, PatternPick{VM: c.vms[cd.idx], Quanta: int(cd.n)})
 		}
 	}
+	if len(picks) < len(c.pickBuf) {
+		clear(c.pickBuf[len(picks):]) // drop stale VM pointers
+	}
+	c.pickBuf = picks
 	c.vcNum = cands[last].run + (cands[last].n-1)*q
 	c.vcDen = cands[last].w
 	return picks, false

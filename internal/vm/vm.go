@@ -3,6 +3,16 @@
 // percentage of the processor's capacity at maximum frequency bought by the
 // customer, i.e. the SLA), and a runnable/blocked state driven by the
 // workload inside the guest.
+//
+// Like Xen, which keeps a vCPU's runnable state on its runqueue and
+// changes it on wake and block, a VM holds its workload's two scheduling
+// facts — the pending work and the next change promise — and refreshes
+// them only where the workload's contract lets them change: in a Tick
+// that is due and in Consume. Every per-quantum reader (Runnable,
+// Pending, NextChange) reads fields. The facts stay exact because a
+// workload is bound to at most one VM at a time and only that VM ticks
+// and consumes it: VM hands out no way to reach the bound workload, so
+// the caller that built it must not drive it directly.
 package vm
 
 import (
@@ -56,6 +66,12 @@ type VM struct {
 	cfg Config
 	wl  workload.Workload
 
+	// The workload's Pending and NextChange answers, held so the
+	// per-quantum readers call nothing: both are refreshed by
+	// SetWorkload and a due Tick, pending also by Consume.
+	pending sim.Work
+	next    sim.Time
+
 	paused  bool
 	cpuTime sim.Time // total busy CPU time granted to the VM
 	work    sim.Work // total work executed
@@ -90,23 +106,51 @@ func (v *VM) Credit() float64 { return v.cfg.Credit }
 // Priority returns the VM's strict priority tier.
 func (v *VM) Priority() int { return v.cfg.Priority }
 
-// SetWorkload binds a workload to the VM. A nil workload resets the VM to
-// idle.
+// SetWorkload binds a workload to the VM and reads its facts. A nil
+// workload resets the VM to idle. A workload is bound to at most one VM
+// at a time: until it is replaced here, the caller may read its
+// statistics but must not tick or consume it except through this VM,
+// nor bind it to another, or the held facts go stale.
 func (v *VM) SetWorkload(wl workload.Workload) {
 	if wl == nil {
 		wl = workload.Idle{}
 	}
 	v.wl = wl
+	v.refresh()
 }
 
-// Workload returns the currently bound workload.
-func (v *VM) Workload() workload.Workload { return v.wl }
+// Tick advances the VM's workload to now. Before the workload's promise
+// nothing can change (the workload.Workload contract), so the call is a
+// compare; a due Tick ticks the workload and refreshes both facts.
+func (v *VM) Tick(now sim.Time) {
+	if now >= v.next {
+		v.tick(now)
+	}
+}
 
-// Tick advances the VM's workload to now.
-func (v *VM) Tick(now sim.Time) { v.wl.Tick(now) }
+// tick is Tick's due path, out of line so that Tick inlines.
+func (v *VM) tick(now sim.Time) {
+	v.wl.Tick(now)
+	v.refresh()
+}
+
+// refresh reads both facts from the workload.
+func (v *VM) refresh() {
+	v.pending = v.wl.Pending()
+	v.next = v.wl.NextChange()
+}
 
 // Runnable reports whether the VM has pending work and is not paused.
-func (v *VM) Runnable() bool { return !v.paused && v.wl.Pending() > 0 }
+func (v *VM) Runnable() bool { return !v.paused && v.pending > 0 }
+
+// Pending returns the workload's runnable work as of the VM's last Tick
+// or Consume.
+func (v *VM) Pending() sim.Work { return v.pending }
+
+// NextChange returns the workload's promise as of the VM's last Tick:
+// the earliest time its pending work may change without a Consume (see
+// workload.Workload.NextChange).
+func (v *VM) NextChange() sim.Time { return v.next }
 
 // Pause suspends the VM: it stops being runnable until Resume. Workload
 // arrivals keep queueing (the guest's clients do not know it is paused),
@@ -125,6 +169,7 @@ func (v *VM) Paused() bool { return v.paused }
 // AddCPUTime.
 func (v *VM) Consume(max sim.Work, now sim.Time) sim.Work {
 	done := v.wl.Consume(max, now)
+	v.pending = v.wl.Pending() // a Consume leaves the promise as it was
 	v.work += done
 	return done
 }

@@ -108,3 +108,119 @@ func TestStringFormat(t *testing.T) {
 		t.Errorf("String() = %q, want name and credit", s)
 	}
 }
+
+// TestVMFactsMatchWorkload checks the facts a VM holds (Pending,
+// NextChange, Runnable) after every operation that may move them,
+// against two answers: the bound workload's own, which catches a
+// missed refresh, and a twin workload driven directly by the same
+// calls (every Tick included), which catches a refresh the VM skipped
+// but should have made. Each case runs Ticks before, at and past the
+// workload's promise, a partial and a draining Consume, a Pause/Resume
+// with a Tick in between, and a swap to the next case's workload.
+func TestVMFactsMatchWorkload(t *testing.T) {
+	const cost = 50 * sim.WorkUnit
+	webApp := func() workload.Workload {
+		w, err := workload.NewWebApp(workload.WebAppConfig{
+			RequestCost:   50,
+			Phases:        workload.ThreePhase(20*sim.Millisecond, 2*sim.Second, 100),
+			Deterministic: true,
+			MaxBacklog:    -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+	piApp := func() workload.Workload {
+		p, err := workload.NewPiApp(400)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	kinds := []struct {
+		name  string
+		build func() workload.Workload
+	}{
+		{"idle", func() workload.Workload { return workload.Idle{} }},
+		{"hog", func() workload.Workload { return &workload.Hog{} }},
+		{"pi", piApp},
+		{"webapp", webApp},
+	}
+	for i, k := range kinds {
+		next := kinds[(i+1)%len(kinds)]
+		t.Run(k.name+"-then-"+next.name, func(t *testing.T) {
+			v, err := New(1, Config{Credit: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// bound is the workload the VM holds, twin its directly
+			// driven copy.
+			var bound, twin workload.Workload = workload.Idle{}, workload.Idle{}
+			now := sim.Time(0)
+			check := func(step string) {
+				t.Helper()
+				for _, w := range []struct {
+					whose string
+					wl    workload.Workload
+				}{{"bound", bound}, {"twin", twin}} {
+					if got, want := v.Pending(), w.wl.Pending(); got != want {
+						t.Fatalf("%s: Pending = %v, %s workload says %v", step, got, w.whose, want)
+					}
+					if got, want := v.NextChange(), w.wl.NextChange(); got != want {
+						t.Fatalf("%s: NextChange = %v, %s workload says %v", step, got, w.whose, want)
+					}
+					if got, want := v.Runnable(), !v.Paused() && w.wl.Pending() > 0; got != want {
+						t.Fatalf("%s: Runnable = %v, want %v from the %s workload", step, got, want, w.whose)
+					}
+				}
+			}
+			bind := func(step string, build func() workload.Workload) {
+				t.Helper()
+				bound, twin = build(), build()
+				v.SetWorkload(bound)
+				check(step)
+			}
+			tick := func(step string, at sim.Time) {
+				t.Helper()
+				now = max(now, at) // a swapped-in promise may already be due
+				twin.Tick(now)
+				v.Tick(now)
+				check(step)
+			}
+			// promise returns the twin's next change, or a second ahead
+			// when it promises none.
+			promise := func() sim.Time {
+				if p := twin.NextChange(); p != sim.Never {
+					return p
+				}
+				return now + sim.Second
+			}
+			consume := func(step string, limit sim.Work) {
+				t.Helper()
+				now += sim.Millisecond
+				if got, want := v.Consume(limit, now), twin.Consume(limit, now); got != want {
+					t.Fatalf("%s: Consume = %v, twin consumed %v", step, got, want)
+				}
+				check(step)
+			}
+
+			check("new")
+			bind("bind", k.build)
+			tick("tick before the promise", promise()-1)
+			tick("tick at the promise", promise())
+			tick("tick past the promise", promise()+25*sim.Millisecond)
+			consume("partial consume", cost/2)
+			v.Pause()
+			check("pause")
+			tick("tick while paused", promise()+5*sim.Millisecond)
+			v.Resume()
+			check("resume")
+			consume("draining consume", 10*cost)
+			bind("swap", next.build)
+			tick("tick before the swapped promise", promise()-1)
+			tick("tick at the swapped promise", promise())
+			consume("consume after the swap", cost/2)
+		})
+	}
+}

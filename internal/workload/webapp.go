@@ -54,7 +54,6 @@ const DefaultRequestCost = 0.020 * 2667e6
 type WebApp struct {
 	cfg        WebAppConfig
 	arr        *ArrivalProcess
-	lastTick   sim.Time
 	queue      sim.Work
 	cost       sim.Work // per-request CPU cost, converted once at construction
 	offered    int64    // requests offered
@@ -93,11 +92,9 @@ func NewWebApp(cfg WebAppConfig) (*WebApp, error) {
 	}, nil
 }
 
-// Tick implements Workload: it delivers all arrivals in (lastTick, now].
+// Tick implements Workload: it delivers every arrival at or before now
+// that an earlier Tick has not.
 func (w *WebApp) Tick(now sim.Time) {
-	if now <= w.lastTick {
-		return
-	}
 	for {
 		at, ok := w.arr.Peek()
 		if !ok || at > now {
@@ -106,7 +103,6 @@ func (w *WebApp) Tick(now sim.Time) {
 		w.arrive()
 		w.arr.Pop()
 	}
-	w.lastTick = now
 }
 
 func (w *WebApp) arrive() {
@@ -124,10 +120,10 @@ func (w *WebApp) Pending() sim.Work { return w.queue }
 // NextChange implements Workload. The renewal chain always holds the
 // exact next arrival (or is exhausted), independent of tick granularity,
 // so the promise is precise: the queue next changes at that arrival, or
-// never. An arrival at or before now is already due but not yet
-// delivered, which the engine treats as "cannot batch" and steps through
-// the reference path that Ticks it in.
-func (w *WebApp) NextChange(sim.Time) sim.Time {
+// never. An arrival at or before the current time is already due but not
+// yet delivered, which the engine treats as "cannot batch" and steps
+// through the reference path that Ticks it in.
+func (w *WebApp) NextChange() sim.Time {
 	if at, ok := w.arr.Peek(); ok {
 		return at
 	}

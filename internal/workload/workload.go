@@ -30,6 +30,21 @@ import (
 // workload with Tick (generating request arrivals and phase transitions)
 // and lets the VM consume pending work when the scheduler runs it.
 //
+// The VM holds the Pending and NextChange answers instead of asking for
+// them every quantum, which every implementation must make sound:
+//
+//   - Pending changes only in Tick and Consume.
+//   - NextChange changes only in Tick.
+//   - A Tick at a time before NextChange changes neither answer (nor
+//     anything a later call observes); batched stretches, which skip
+//     the Ticks inside them, rely on this too.
+//
+// So a VM refreshes both answers after a Tick at or past the promise and
+// Pending alone after a Consume, and skips every other Tick. Its held
+// answers see only the calls it makes, so a workload is bound to at most
+// one VM at a time and is ticked and consumed only through that VM; the
+// code that built it may still read its statistics.
+//
 // Implementations are not safe for concurrent use; the simulation is
 // single-threaded.
 type Workload interface {
@@ -44,14 +59,14 @@ type Workload interface {
 	Consume(max sim.Work, now sim.Time) sim.Work
 	// NextChange promises when the pending work can next change for any
 	// reason other than a Consume call: a request arrival, a phase
-	// transition, or internal bookkeeping that a Tick between now and the
-	// returned time would have performed. It returns the earliest time >
-	// now at which Pending may change without a Consume call, sim.Never
-	// if it cannot, or a time <= now when no promise can be made. The
-	// simulation engine batches stretches of quanta up to the promise; a
-	// time at or before now forces quantum-by-quantum stepping, so a
-	// conservative answer is always safe.
-	NextChange(now sim.Time) sim.Time
+	// transition, or internal bookkeeping that a Tick at that time would
+	// perform. It returns the earliest time at which a Tick may change
+	// Pending, or sim.Never if none can. A promise at or before the
+	// current time means the change is due: the next Tick performs it.
+	// The simulation engine batches stretches of quanta up to the
+	// promise and steps quantum by quantum through a due one, so an
+	// early answer is always safe.
+	NextChange() sim.Time
 }
 
 // Idle is a workload that never has work. It models a powered-on but lazy
@@ -68,7 +83,7 @@ func (Idle) Pending() sim.Work { return 0 }
 func (Idle) Consume(sim.Work, sim.Time) sim.Work { return 0 }
 
 // NextChange implements Workload: an idle workload never gains work.
-func (Idle) NextChange(sim.Time) sim.Time { return sim.Never }
+func (Idle) NextChange() sim.Time { return sim.Never }
 
 // Hog is an always-runnable CPU hog with unbounded work, used by the
 // calibration procedures where the paper saturates a VM.
@@ -96,7 +111,7 @@ func (h *Hog) Consumed() sim.Work { return h.consumed }
 
 // NextChange implements Workload: a hog's backlog only moves through
 // Consume.
-func (h *Hog) NextChange(sim.Time) sim.Time { return sim.Never }
+func (h *Hog) NextChange() sim.Time { return sim.Never }
 
 // PiApp is a fixed amount of CPU-bound work. Its completion time is the
 // execution-time metric used by Figure 1 and Table 2.
@@ -172,4 +187,4 @@ func (p *PiApp) Progress() float64 {
 
 // NextChange implements Workload: the fixed work pool only drains
 // through Consume.
-func (p *PiApp) NextChange(sim.Time) sim.Time { return sim.Never }
+func (p *PiApp) NextChange() sim.Time { return sim.Never }

@@ -69,7 +69,9 @@ type (
 	Scheduler = sched.Scheduler
 	// Governor decides the processor frequency from observed load.
 	Governor = governor.Governor
-	// Workload is the demand source attached to a VM.
+	// Workload is the demand source attached to one VM at a time, which
+	// holds its Pending and NextChange() answers under the
+	// workload.Workload contract and alone ticks and consumes it.
 	Workload = workload.Workload
 	// PAS is the paper's Power-Aware Scheduler.
 	PAS = core.PAS
